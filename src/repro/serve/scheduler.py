@@ -73,11 +73,12 @@ run.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import os
 import time
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.autotune import autotune
 from repro.core.executor import PipelineIssuer
@@ -609,8 +610,9 @@ class _Waiting:
     dry_runs: int = 0
     cache_hit: bool = False
     ever_planned: bool = False
-    #: device index -> tuned plan, filled lazily by the placement pass
-    planned: Dict[int, RegionPlan] = field(default_factory=dict)
+    #: device index -> (tuned plan, its device footprint in bytes),
+    #: filled lazily by the placement pass
+    planned: Dict[int, Tuple[RegionPlan, int]] = field(default_factory=dict)
     #: whether this request was re-queued off a lost device
     migrated: bool = False
     #: faults/replays accumulated on earlier (abandoned) attempts
@@ -629,9 +631,10 @@ class _Waiting:
     reexecute: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class _Active:
-    """An admitted request with its live pipeline issuer."""
+    """An admitted request with its live pipeline issuer (compared by
+    identity: membership tests on ``_active`` never walk its fields)."""
 
     admit_seq: int
     waiting: _Waiting
@@ -677,7 +680,15 @@ class RegionScheduler:
         self.cache = cache if cache is not None else PlanCache()
         self.obs = pool.obs
         self._waiting: List[_Waiting] = []
+        #: in-service regions, always in increasing ``admit_seq`` (only
+        #: ever appended at admission; removals keep the order)
         self._active: List[_Active] = []
+        #: weighted-fair issue heap of ``(key, admit_seq, active)``: one
+        #: entry per active region with chunks left, plus stale entries
+        #: of regions that left service, dropped when they surface
+        self._issue_heap: List[Tuple[float, int, _Active]] = []
+        #: whether any submitted request carries a deadline
+        self._deadlines = False
         self._results: List[RequestResult] = []
         self._seq = 0
         self._admit_seq = 0
@@ -943,7 +954,7 @@ class RegionScheduler:
                  list(a.devices) if a.devices else None,
                  int(a.reserved), a.issuer.issued, a.issuer.remaining,
                  a.issuer.retries_n]
-                for a in sorted(self._active, key=lambda a: a.admit_seq)
+                for a in self._active
             ],
             "completed": sorted(r.request_id for r in self._results),
             "reserved": [int(b) for b in self.pool.reserved],
@@ -1124,6 +1135,8 @@ class RegionScheduler:
         seq = self._seq
         self._seq += 1
         w = _Waiting(seq=seq, req=request)
+        if request.deadline is not None:
+            self._deadlines = True
         self.recorder.record(
             "request.submit",
             request=seq,
@@ -1165,15 +1178,16 @@ class RegionScheduler:
             return min(req.region.mem_limit.limit_bytes, self.pool.budgets[device])
         return self.pool.budgets[device]
 
-    def _plan(self, w: _Waiting, device: int) -> RegionPlan:
-        """Tuned plan for ``w`` on ``device`` (cached per device).
+    def _plan(self, w: _Waiting, device: int) -> Tuple[RegionPlan, int]:
+        """Tuned plan for ``w`` on ``device`` and its device footprint
+        (both cached per device, so the footprint is computed once).
 
         Cache misses run the autotune search and record its dry-run
         count; the virtual planning charge is applied at admission.
         """
-        plan = w.planned.get(device)
-        if plan is not None:
-            return plan
+        planned = w.planned.get(device)
+        if planned is not None:
+            return planned
         req = w.req
         rt = self.pool.runtimes[device]
         limit = self._limit_for(req, device)
@@ -1204,8 +1218,8 @@ class RegionScheduler:
                 plan = tune_plan(bound, limit)
             self.cache.put(key, plan.chunk_size, plan.num_streams)
         w.ever_planned = True
-        w.planned[device] = plan
-        return plan
+        planned = w.planned[device] = (plan, plan.device_bytes())
+        return planned
 
     # ------------------------------------------------------------------
     # device health: loss, quarantine, fault routing
@@ -1326,27 +1340,40 @@ class RegionScheduler:
         )
 
     def _placements(self) -> List:
-        """(waiting, device, plan, members) for every request that fits
-        now (``members`` is None for ordinary single-device service)."""
+        """(waiting, device, plan, nbytes, members) for every request
+        that fits now (``members`` is None for ordinary single-device
+        service).
+
+        Nothing in a scan reserves or releases memory, so the device
+        order and the headroom snapshot are taken once per scan — at
+        the first waiter that plans, because :meth:`_in_service` may
+        close a breaker (and record it) right there.
+        """
         out = []
+        order: Optional[List[int]] = None
+        headroom: List[int] = []
         for w in list(self._waiting):
             if w.oom_deferred:
                 continue
             try:
-                # plan against the fullest in-service device first; fall
-                # back to any device whose current headroom fits the plan
-                order = sorted(
-                    (i for i in range(len(self.pool)) if self._in_service(i)),
-                    key=lambda i: (-self.pool.headroom(i), i),
-                )
+                if order is None:
+                    # try the in-service device with the most headroom
+                    # first (ties to the lowest index); fall back to any
+                    # device whose current headroom fits the plan
+                    pool = self.pool
+                    headroom = [pool.headroom(i) for i in range(len(pool))]
+                    order = sorted(
+                        (i for i in range(len(pool)) if self._in_service(i)),
+                        key=lambda i: (-headroom[i], i),
+                    )
                 placed = None
                 if w.req.shards > 1:
-                    placed = self._placement_sharded(w, order)
+                    placed = self._placement_sharded(w, order, headroom)
                 if placed is None:
                     for di in order:
-                        plan = self._plan(w, di)
-                        if self.pool.fits(di, plan.device_bytes()):
-                            placed = (w, di, plan, None)
+                        plan, nbytes = self._plan(w, di)
+                        if nbytes <= headroom[di]:
+                            placed = (w, di, plan, nbytes, None)
                             break
                 if placed is not None:
                     out.append(placed)
@@ -1354,7 +1381,9 @@ class RegionScheduler:
                 self._fail(w, exc)
         return out
 
-    def _placement_sharded(self, w: _Waiting, order: List[int]):
+    def _placement_sharded(
+        self, w: _Waiting, order: List[int], headroom: List[int]
+    ):
         """Member set for a ``shards > 1`` request.
 
         Picks up to ``shards`` in-service devices (most headroom first)
@@ -1366,14 +1395,13 @@ class RegionScheduler:
         """
         if not order:
             return None
-        plan = self._plan(w, order[0])
+        plan, nbytes = self._plan(w, order[0])
         trip = plan.loop.stop - plan.loop.start
-        nbytes = plan.device_bytes()
-        members = [di for di in order if self.pool.fits(di, nbytes)]
+        members = [di for di in order if nbytes <= headroom[di]]
         members = members[: max(1, min(w.req.shards, trip))]
         if len(members) < 2:
             return None
-        return (w, members[0], plan, members)
+        return (w, members[0], plan, nbytes, members)
 
     def _admit(self) -> bool:
         """Admit fitting requests by effective priority; True if any."""
@@ -1385,31 +1413,45 @@ class RegionScheduler:
             fits = self._placements()
             if not fits:
                 break
-            pick = max(fits, key=lambda t: (self._effective_priority(t[0]), -t[0].seq))
-            w, device, plan, members = pick
+            # max by (effective priority, -seq), the key inlined: this
+            # runs once per fitting waiter per admission
+            every, cap = cfg.aging_every, cfg.max_priority
+            pick, best = None, None
+            for t in fits:
+                o = t[0]
+                key = (min(o.req.priority + o.passed_over // every, cap), -o.seq)
+                if best is None or key > best:
+                    pick, best = t, key
+            w, device, plan, nbytes, members = pick
             # aging and starvation accounting for everyone passed over
-            for other, _odi, _op, _om in fits:
+            for other, _odi, _op, _onb, _om in fits:
                 if other is w:
                     continue
                 other.passed_over += 1
                 if other.seq < w.seq:
                     other.overtaken += 1
-            if self._open(w, device, plan, members):
+            if self._open(w, device, plan, nbytes, members):
                 admitted_any = True
         return admitted_any
+
+    def _enlist(self, a: _Active) -> None:
+        """Put an opened region in service and in the issue heap."""
+        self._active.append(a)
+        self._admit_seq += 1
+        self._push_issuable(a)
 
     def _open(
         self,
         w: _Waiting,
         device: int,
         plan: RegionPlan,
+        nbytes: int,
         members: Optional[List[int]] = None,
     ) -> bool:
         """Reserve, charge planning, and open the pipeline for ``w``."""
         if members is not None and len(members) > 1:
-            return self._open_sharded(w, members, plan)
+            return self._open_sharded(w, members, plan, nbytes)
         rt = self.pool.runtimes[device]
-        nbytes = plan.device_bytes()
         self.pool.reserve(device, nbytes)
         admit_t = rt.elapsed
         if w.dry_runs:
@@ -1469,7 +1511,7 @@ class RegionScheduler:
             num_streams=plan.num_streams,
             migrated=True if w.migrated else None,
         )
-        self._active.append(_Active(
+        self._enlist(_Active(
             admit_seq=self._admit_seq,
             waiting=w,
             issuer=issuer,
@@ -1478,11 +1520,10 @@ class RegionScheduler:
             reserved=nbytes,
             admit_t=admit_t,
         ))
-        self._admit_seq += 1
         return True
 
     def _open_sharded(
-        self, w: _Waiting, members: List[int], plan: RegionPlan
+        self, w: _Waiting, members: List[int], plan: RegionPlan, nbytes: int
     ) -> bool:
         """Reserve on every member and open one sharded pipeline.
 
@@ -1495,7 +1536,6 @@ class RegionScheduler:
         """
         primary = members[0]
         rt = self.pool.runtimes[primary]
-        nbytes = plan.device_bytes()
         reserved: List[int] = []
         try:
             for di in members:
@@ -1583,7 +1623,7 @@ class RegionScheduler:
         )
         if self.obs.metrics.enabled:
             self.obs.metrics.counter("serve.sharded").inc()
-        self._active.append(_Active(
+        self._enlist(_Active(
             admit_seq=self._admit_seq,
             waiting=w,
             issuer=issuer,
@@ -1593,7 +1633,6 @@ class RegionScheduler:
             admit_t=admit_t,
             devices=list(members),
         ))
-        self._admit_seq += 1
         return True
 
     # ------------------------------------------------------------------
@@ -1833,10 +1872,7 @@ class RegionScheduler:
             self.obs.tracer.instant(
                 f"device-lost:dev{device}", "serve", device=device,
             )
-        victims = sorted(
-            (a for a in self._active if device in self._members_of(a)),
-            key=lambda a: a.admit_seq,
-        )
+        victims = [a for a in self._active if device in self._members_of(a)]
         for a in victims:
             a.issuer.abort()
             for di in self._members_of(a):
@@ -2062,6 +2098,8 @@ class RegionScheduler:
 
     def _enforce_deadlines(self) -> None:
         """Cancel provably-late in-flight regions; shed hopeless waiters."""
+        if not self._deadlines:
+            return
         now = self._clock()
         for w in list(self._waiting):
             if w.req.deadline is not None and now > w.req.deadline:
@@ -2070,7 +2108,7 @@ class RegionScheduler:
                     f"deadline {w.req.deadline:.6g}s already passed "
                     f"at {now:.6g}s",
                 )
-        for a in sorted(self._active, key=lambda a: a.admit_seq):
+        for a in list(self._active):
             deadline = a.waiting.req.deadline
             if deadline is None or not a.issuer.remaining:
                 continue
@@ -2102,6 +2140,46 @@ class RegionScheduler:
         return False
 
     # ------------------------------------------------------------------
+    # weighted-fair issue
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _issue_key(a: _Active) -> float:
+        return a.issuer.issued / (1 + a.waiting.req.priority)
+
+    def _push_issuable(self, a: _Active) -> None:
+        """(Re-)enter ``a`` in the issue heap if it has chunks left."""
+        if a.issuer.remaining:
+            heapq.heappush(
+                self._issue_heap, (self._issue_key(a), a.admit_seq, a)
+            )
+
+    def _pop_issuable(self) -> Optional[_Active]:
+        """Pop the active region with chunks left and the smallest
+        ``(issued / (1 + priority), admit_seq)``; None if there is none.
+
+        Entries of regions that left service or ran out of chunks are
+        dropped as they surface, and an entry whose key went stale is
+        re-keyed and pushed back.  A region's ``issued`` moves (and can
+        fall, when the straggler watchdog re-splits) only inside its own
+        quantum, after which it is re-keyed from scratch, so no stored
+        key exceeds its region's current key and the region returned
+        carries the exact minimum over the live, issuable regions.
+        """
+        heap = self._issue_heap
+        while heap:
+            key, _seq, a = heap[0]
+            if not a.issuer.remaining or a not in self._active:
+                heapq.heappop(heap)
+                continue
+            fresh = self._issue_key(a)
+            if fresh != key:
+                heapq.heapreplace(heap, (fresh, a.admit_seq, a))
+                continue
+            heapq.heappop(heap)
+            return a
+        return None
+
+    # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
     def run(self) -> ServeReport:
@@ -2128,11 +2206,10 @@ class RegionScheduler:
         if sampler is not None:
             # the simulators' retirement clock hook closes telemetry
             # windows mid-drain; frames are finalized lazily so they
-            # are identical with or without the hook (older simulator
-            # builds without one fall back to per-turn advances below)
+            # are identical with or without the hook (a simulator that
+            # never calls it is covered by the per-turn advances below)
             for rt in self.pool.runtimes:
-                if hasattr(rt.device.sim, "clock_hook"):
-                    rt.device.sim.clock_hook = sampler.advance
+                rt.device.sim.clock_hook = sampler.advance
         try:
             while self._waiting or self._active:
                 if sampler is not None:
@@ -2142,25 +2219,24 @@ class RegionScheduler:
                 if cfg.enforce_deadlines:
                     self._enforce_deadlines()
                 admitted = self._admit()
-                issuable = [a for a in self._active if a.issuer.remaining]
-                if issuable:
-                    a = min(
-                        issuable,
-                        key=lambda a: (
-                            a.issuer.issued / (1 + a.waiting.req.priority),
-                            a.admit_seq,
-                        ),
-                    )
+                a = self._pop_issuable()
+                if a is not None:
                     try:
                         for _ in range(cfg.issue_quantum):
                             if a.issuer.issue_next() is None:
                                 break
                     except DeviceLostError:
+                        # failing over a lost member takes ``a`` out of
+                        # service, so it is not re-entered in the heap
                         for di in self._lost_members(self._members_of(a)):
                             self._device_lost(di)
+                    else:
+                        # re-keyed from scratch: the straggler watchdog
+                        # may re-split work inside issue_next
+                        self._push_issuable(a)
                 elif self._active:
                     # everything issued: retire in admission order
-                    self._retire(min(self._active, key=lambda a: a.admit_seq))
+                    self._retire(self._active[0])
                 elif self._waiting and not admitted:
                     if self._advance_past_quarantine():
                         # a quarantined device just became probeable
@@ -2171,7 +2247,7 @@ class RegionScheduler:
                         candidates = self._waiting
                     w = candidates[0]
                     needed = min(
-                        (p.device_bytes() for p in w.planned.values()),
+                        (nbytes for _p, nbytes in w.planned.values()),
                         default=0,
                     )
                     self._fail(w, MemLimitError(needed, max(self.pool.budgets)))
@@ -2181,8 +2257,7 @@ class RegionScheduler:
                     rt.defer_faults = was
             if sampler is not None:
                 for rt in self.pool.runtimes:
-                    if hasattr(rt.device.sim, "clock_hook"):
-                        rt.device.sim.clock_hook = None
+                    rt.device.sim.clock_hook = None
         self._results.sort(key=lambda r: r.request_id)
         frames: List[Dict] = []
         if sampler is not None:

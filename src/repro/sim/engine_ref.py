@@ -56,6 +56,9 @@ class ReferenceSimulator:
         self.observer: Optional[Callable[[Command], None]] = None
         self.injector = None
         self.faulted: List[Command] = []
+        #: the fast kernel's retirement hook slot, so callers can set it
+        #: on either loop; this loop never calls it
+        self.clock_hook: Optional[Callable[[float], None]] = None
 
     # ------------------------------------------------------------------
     # configuration
