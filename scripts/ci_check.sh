@@ -293,4 +293,15 @@ fi
 # the saved stream renders on the dashboard (and is a valid stream)
 python -m repro top "$tele_dir/tele.jsonl" | grep -q "slo tenant"
 
+echo "== bench smoke: traced pass wraps every layer =="
+# the traced ledger patches the layer calls bench/layers.py names, so a
+# renamed call fails here with a LookupError, not on the next bench run
+bench_out="$(python3 bench/run.py --workload serve_cold_plan --seed 1 \
+    --seconds 1 --trace 1)"
+if ! echo "$bench_out" | tail -n 1 | grep -q '"correct": true'; then
+    echo "traced bench smoke did not report correct results:" >&2
+    echo "$bench_out" | tail -n 5 >&2
+    exit 1
+fi
+
 echo "CI checks passed."

@@ -16,8 +16,6 @@ Public entry points:
     device ring buffer with automatic index translation
     ("Pipelined-buffer").
 
-  ``run_naive`` / ``run_pipelined`` remain as deprecated aliases.
-
 * :class:`~repro.core.kernel.RegionKernel` — the kernel protocol
   (a cost model plus a NumPy functional body operating on translated
   chunk views).
@@ -38,7 +36,6 @@ from repro.core.multidevice import (
     MultiDeviceResult,
     ShardedIssuer,
     ShardedResult,
-    execute_multi_device,
     execute_sharded,
 )
 from repro.core.placement import (
@@ -67,7 +64,6 @@ __all__ = [
     "TargetRegion",
     "autotune",
     "make_kernel",
-    "execute_multi_device",
     "execute_sharded",
     "parse_devices_arg",
     "resolve_profile_spec",

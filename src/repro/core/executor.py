@@ -88,7 +88,9 @@ class RegionResult:
         Peak memory minus the context overhead (the region's own
         allocations).
     timeline:
-        All commands the region retired.
+        All commands the region retired, as records built from
+        ``commands`` on first access (a dry run that reads only
+        ``elapsed`` never builds them).
     nchunks, chunk_size, num_streams:
         Effective pipeline shape (1/NA for the naive model).
     metrics:
@@ -223,26 +225,9 @@ class _Measurer:
     ) -> RegionResult:
         """Close the measurement window and package the result."""
         rt = self.rt
-        from repro.sim.trace import TimelineRecord
-        from repro.sim.stream import SimStream
-
-        cmds = list(rt.device.sim.completed[self.n0:])
-        recs = []
-        for c in cmds:
-            recs.append(
-                TimelineRecord(
-                    kind=c.kind,
-                    label=c.label,
-                    stream=c.stream.name if isinstance(c.stream, SimStream) else "",
-                    engine=c.engine,
-                    enqueue=c.enqueue_time,
-                    start=c.start_time,
-                    finish=c.finish_time,
-                    nbytes=c.nbytes,
-                )
-            )
+        cmds = rt.device.sim.completed[self.n0:]
         mem = rt.device.memory
-        timeline = Timeline(recs)
+        timeline = Timeline.from_commands(cmds)
         snapshot: Dict[str, object] = {}
         m = rt.metrics
         if m.enabled:

@@ -39,15 +39,12 @@ outputs already live in the host arrays and re-running a chunk is
 idempotent, so the healed output is ``np.array_equal``-exact.  Under
 the scheduler ``self_heal=False`` and the loss escalates to pool-level
 failover instead.
-
-``execute_multi_device`` — the old serial per-device entry point — is
-kept as a deprecated shim; use ``region.run(devices=...)``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+import weakref
 from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -77,7 +74,6 @@ __all__ = [
     "ShardedIssuer",
     "ShardedResult",
     "WatchdogConfig",
-    "execute_multi_device",
     "execute_sharded",
     "probe_rates",
     "split_loop",
@@ -648,7 +644,12 @@ class ShardedIssuer:
             integrity=self.integrity,
             halo_ranges=self._halo_ranges_for(sh),
         )
-        issuer.claim_faults = lambda i=issuer: self._route_faults(i)
+        # weak references: a closure holding this issuer and the
+        # sub-issuer strongly would tie every sharded region, with all
+        # its retired commands, into a cycle only the cyclic GC frees
+        route = weakref.WeakMethod(self._route_faults)
+        asker = weakref.ref(issuer)
+        issuer.claim_faults = lambda: route()(asker())
         sh.issuer = issuer
 
     def _charge_halo(self) -> None:
@@ -1154,41 +1155,3 @@ def execute_sharded(
         stragglers=issuer.straggler_resplits,
     )
 
-
-def execute_multi_device(
-    runtimes: Sequence[Runtime],
-    region,
-    arrays: Dict[str, np.ndarray],
-    kernel: RegionKernel,
-    *,
-    weights: Optional[Sequence[float]] = None,
-) -> MultiDeviceResult:
-    """Deprecated: run one region's shares serially, one per device.
-
-    This is the pre-sharding entry point: each device's share runs as
-    an independent :func:`execute_pipeline` on a private link and a
-    private clock — no shared-clock barrier, no halo exchange, no PCIe
-    contention.  Use ``region.run(arrays, kernel, devices=...)`` (or
-    :func:`execute_sharded`) for the honest multi-device model.
-    """
-    warnings.warn(
-        "execute_multi_device() is deprecated; use "
-        "region.run(..., devices=...) or execute_sharded()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if not runtimes:
-        raise DirectiveError("need at least one device")
-    plan = region.bind(arrays)
-    if weights is None:
-        weights = probe_rates(runtimes, plan, arrays, kernel)
-    if len(weights) != len(runtimes):
-        raise DirectiveError("one weight per device required")
-    shares = split_loop(plan.loop, weights)
-    results = []
-    for rt, (t0, t1) in zip(runtimes, shares):
-        sub = _subloop_plan(plan, t0, t1)
-        results.append(execute_pipeline(rt, sub, arrays, kernel))
-    return MultiDeviceResult(
-        per_device=results, shares=[t1 - t0 for t0, t1 in shares]
-    )

@@ -22,12 +22,10 @@ mirrors the paper's Figure 2:
 then ``region.run(rt, {"A0": A0, "Anext": Anext}, kernel)`` executes it
 with the proposed runtime, and ``model="pipelined"`` / ``model="naive"``
 select the paper's two baselines on the *same* clauses and kernel.
-(``run_pipelined`` / ``run_naive`` remain as deprecated aliases.)
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from typing import Dict, List, Optional
 
@@ -327,32 +325,3 @@ class TargetRegion:
             return execute_manual_pipelined(runtime, plan, arrays, kernel)
         return execute_naive(runtime, plan, arrays, kernel)
 
-    def run_pipelined(
-        self,
-        runtime: Runtime,
-        arrays: Dict[str, np.ndarray],
-        kernel: RegionKernel,
-    ) -> RegionResult:
-        """Deprecated alias of ``run(..., model="pipelined")``."""
-        warnings.warn(
-            "TargetRegion.run_pipelined() is deprecated; "
-            "use run(..., model='pipelined')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(runtime, arrays, kernel, model="pipelined")
-
-    def run_naive(
-        self,
-        runtime: Runtime,
-        arrays: Dict[str, np.ndarray],
-        kernel: RegionKernel,
-    ) -> RegionResult:
-        """Deprecated alias of ``run(..., model="naive")``."""
-        warnings.warn(
-            "TargetRegion.run_naive() is deprecated; "
-            "use run(..., model='naive')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(runtime, arrays, kernel, model="naive")

@@ -38,7 +38,7 @@ class DeviceArray:
         The root :class:`DeviceArray` that owns the allocation.
     """
 
-    __slots__ = ("backing", "allocation", "base", "_freed")
+    __slots__ = ("backing", "allocation", "_base", "_freed")
 
     def __init__(
         self,
@@ -48,8 +48,15 @@ class DeviceArray:
     ) -> None:
         self.backing = backing
         self.allocation = allocation
-        self.base = base if base is not None else self
+        # a root stores None rather than itself: a self-reference would
+        # make every allocation a cycle only the cyclic GC can free
+        self._base = base
         self._freed = False
+
+    @property
+    def base(self) -> "DeviceArray":
+        """The root :class:`DeviceArray` that owns the allocation."""
+        return self if self._base is None else self._base
 
     # -- metadata ------------------------------------------------------
     @property
@@ -85,7 +92,7 @@ class DeviceArray:
     @property
     def is_view(self) -> bool:
         """True if this handle does not own its allocation."""
-        return self.base is not self
+        return self._base is not None
 
     # -- views ---------------------------------------------------------
     def __getitem__(self, key) -> "DeviceArray":

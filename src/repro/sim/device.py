@@ -24,7 +24,7 @@ from repro.sim.engine import Command, EventToken, make_simulator
 from repro.sim.memory import AllocationRecord, MemoryAllocator
 from repro.sim.profiles import DeviceProfile
 from repro.sim.stream import SimStream
-from repro.sim.trace import Timeline, TimelineRecord
+from repro.sim.trace import Timeline
 
 __all__ = ["Device"]
 
@@ -256,17 +256,4 @@ class Device:
 
     def timeline(self) -> Timeline:
         """Timeline of every retired command so far."""
-        recs = [
-            TimelineRecord(
-                kind=c.kind,
-                label=c.label,
-                stream=c.stream.name if isinstance(c.stream, SimStream) else "",
-                engine=c.engine,
-                enqueue=c.enqueue_time,
-                start=c.start_time,
-                finish=c.finish_time,
-                nbytes=c.nbytes,
-            )
-            for c in self.sim.completed
-        ]
-        return Timeline(recs)
+        return Timeline.from_commands(list(self.sim.completed))

@@ -25,10 +25,17 @@ workload — so the :class:`Simulator` here is a *fast kernel*:
 
 * **Free-listed objects** — :meth:`Command.acquire` /
   :meth:`EventToken.acquire` recycle retired ``__slots__`` objects from
-  a bounded module-level pool (see :meth:`Simulator.recycle_completed`).
-  Besides skipping allocation, recycling keeps command/token reference
-  cycles (``cmd._records <-> tok.recorded_by``) out of the cyclic
-  garbage collector, whose sweeps otherwise dominate long runs.
+  a bounded module-level pool (see :meth:`Simulator.recycle_completed`),
+  skipping allocation on long replays.  Once a simulator has recycled,
+  retirement also keeps the lists it drains for the next recycle round,
+  so a steady recycling replay allocates no containers at all.
+* **Leftover-free retirement** — :meth:`Simulator._finish` drops every
+  container a retired command no longer needs (its record list, drained
+  waiter/dependent lists, its corruption ``sink``), keeping only the
+  metadata post-run analysis reads.  That breaks the one reference cycle
+  per command (``cmd._records <-> tok.recorded_by``), so retired
+  commands and tokens are freed by reference counting instead of by the
+  cyclic garbage collector, whose sweeps otherwise dominate long runs.
 * **Batched heap traffic** — a dispatch round does a single ``heapq``
   push (the finish event).  A command that becomes ready on an idle
   engine starts directly instead of churning through the engine's
@@ -50,7 +57,7 @@ from __future__ import annotations
 import heapq
 from contextlib import contextmanager
 from itertools import count
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Collection, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError
 
@@ -251,11 +258,13 @@ class Command:
         #: True when a wait dependency faulted; the payload is
         #: suppressed so faulted data never propagates into results
         self.poisoned = False
-        #: tokens whose poison this command inherits; ``None`` means
-        #: every wait is a data dependency (the safe default).  Callers
-        #: pass a subset when some waits are ordering-only
-        #: anti-dependencies (e.g. ring-slot reuse guards).
-        self._poison_waits: Optional[frozenset] = None
+        #: ids of the tokens whose poison this command inherits;
+        #: ``None`` means every wait is a data dependency (the safe
+        #: default).  Callers pass a subset when some waits are
+        #: ordering-only anti-dependencies (e.g. ring-slot reuse guards).
+        #: The fast kernel stores a tuple (a tuple of ints is untracked
+        #: by the cyclic collector; a frozenset never is).
+        self._poison_waits: Optional[Collection[int]] = None
         #: tokens this command waited on, captured at enqueue.  The
         #: event loop clears its live dependency lists at retirement,
         #: so analysis reads these instead.
@@ -320,9 +329,7 @@ class Command:
         """Reset this command and return it to the free list.
 
         The caller asserts nothing live still references the command
-        (results, analyzers, stream tails).  Breaking the
-        ``command <-> token`` reference cycle here is what keeps
-        retired objects out of the cyclic garbage collector.  Fields
+        (results, analyzers, stream tails).  Fields
         :meth:`acquire` (kind, engine, duration, label, nbytes) or the
         next enqueue/dispatch lifecycle (the scheduling timestamps,
         ``queue_depth``, ``_unresolved``) unconditionally overwrite are
@@ -419,6 +426,7 @@ class Simulator:
         "injector",
         "faulted",
         "clock_hook",
+        "_spare",
     )
 
     def __init__(self) -> None:
@@ -448,6 +456,11 @@ class Simulator:
         #: (window closing in :class:`repro.obs.TelemetrySampler`).
         #: Must be cheap and must not mutate simulator state.
         self.clock_hook: Optional[Callable[[float], None]] = None
+        #: drained, emptied record/waiter/dependent lists kept for
+        #: :meth:`recycle_completed` to hand back to pooled objects.
+        #: ``None`` until the first recycle, so a simulator that never
+        #: recycles simply drops them at retirement.
+        self._spare: Optional[List[list]] = None
 
     # ------------------------------------------------------------------
     # configuration
@@ -518,7 +531,7 @@ class Simulator:
         cmd.enqueue_time = enqueue_time
         pw = cmd._poison_waits
         if poison_waits is not None:
-            pw = cmd._poison_waits = frozenset(id(t) for t in poison_waits)
+            pw = cmd._poison_waits = tuple([id(t) for t in poison_waits])
         self._pending += 1
 
         unresolved = 0
@@ -643,16 +656,22 @@ class Simulator:
             payload()
         if inj is not None and not faulted:
             inj.corrupt_at_retirement(cmd, now)
+        # retirement keeps only what post-run analysis reads; dropping
+        # the record list breaks the cmd <-> tok.recorded_by cycle, and
+        # the sink (read only by corrupt_at_retirement) may pin an array
+        cmd.sink = None
         heap = self._heap
+        spare = self._spare
         recs = cmd._records
+        cmd._records = ()
         if recs:
             for tok in recs:
                 tok.time = now
                 if faulted:
                     tok.poisoned = True
                 waiters = tok._waiters
+                tok._waiters = ()
                 if waiters:
-                    tok._waiters = []
                     if tok.poisoned:
                         tid = id(tok)
                         for w in waiters:
@@ -688,9 +707,17 @@ class Simulator:
                                 _heappush(heap, (wfin, w.seq, _EV_FINISH, w))
                             else:
                                 _heappush(wq, (now, w.seq, w))
+                if spare is not None:
+                    waiters.clear()
+                    spare.append(waiters)
+        if spare is not None:
+            # a recycling simulator reuses the drained lists, so a
+            # recycle round allocates no containers
+            recs.clear()
+            spare.append(recs)
         deps = cmd._dependents
+        cmd._dependents = ()
         if deps:
-            cmd._dependents = []
             for w in deps:
                 n = w._unresolved = w._unresolved - 1
                 if n == 0 and w.state == "pending":
@@ -720,6 +747,9 @@ class Simulator:
                         _heappush(heap, (wfin, w.seq, _EV_FINISH, w))
                     else:
                         _heappush(wq, (now, w.seq, w))
+        if spare is not None:
+            deps.clear()
+            spare.append(deps)
         if faulted:
             self.faulted.append(cmd)
         if inj is not None:
@@ -891,8 +921,9 @@ class Simulator:
     # recycling
     # ------------------------------------------------------------------
     def recycle_completed(self) -> int:
-        """Release every retired command (and its record tokens) to the
-        free lists; returns how many commands were recycled.
+        """Release every retired command (and every token one of them
+        recorded and another waited on) to the free lists; returns how
+        many commands were recycled.
 
         Only legal on an idle simulator.  The caller asserts that no
         live structure still needs the retired objects — results,
@@ -901,6 +932,10 @@ class Simulator:
         consumers are done (or were never attached).  Stream tails are
         dropped too, so commands enqueued afterwards start a fresh
         ``stream_pred`` chain.
+
+        From the first call on, retirement keeps the lists it drains
+        (see ``_spare``) and this hands them to the pooled objects, so a
+        steady recycling replay allocates no containers.
         """
         if self._pending:
             raise SimulationError(
@@ -916,10 +951,22 @@ class Simulator:
         tok_pool = _TOKEN_POOL
         cmd_pool = _COMMAND_POOL
         pool_max = _POOL_MAX
+        spare = self._spare
+        if spare is None:
+            spare = self._spare = []
+        pop = spare.pop
+        # Retirement emptied every ``cmd._records``, so record tokens are
+        # found through the waits that consumed them (by the contract
+        # above, a token retired before the last recycle is never waited
+        # on after it); a token nobody waited on is simply freed by
+        # reference counting.  Clearing ``recorded_by`` marks a token
+        # as pooled, so one waited on by several commands is pooled once.
         for cmd in done:
-            for tok in cmd._records:
+            for tok in cmd.wait_toks:
+                if tok.recorded_by is None:
+                    continue
                 tok.time = None
-                tok._waiters = []
+                tok._waiters = pop() if spare else []
                 tok._recorded = False
                 tok.recorded_by = None
                 tok.poisoned = False
@@ -932,8 +979,8 @@ class Simulator:
             cmd.chunk = None
             cmd.wait_toks = ()
             cmd.stream_pred = None
-            cmd._dependents = []
-            cmd._records = []
+            cmd._dependents = pop() if spare else []
+            cmd._records = pop() if spare else []
             cmd._poison_waits = None
             cmd._eng = None
             cmd.seq = -1
@@ -941,6 +988,8 @@ class Simulator:
             cmd.state = "pending"
             if len(cmd_pool) < pool_max and type(cmd) is Command:
                 cmd_pool.append(cmd)
+        # lists of tokens nobody waited on (never pooled) are not needed
+        spare.clear()
         return len(done)
 
 

@@ -13,8 +13,8 @@ allocation, no recycling) on two workloads:
   ``events_per_sec`` numbers (events = retired commands) and their
   ``events_per_sec_ratio`` come from here.  Long streams are the honest
   setting: the old loop's ``Command <-> EventToken`` reference cycles
-  pile into the cyclic garbage collector and degrade with run length,
-  which is exactly what recycling eliminates.
+  pile into the cyclic garbage collector and degrade with run length;
+  the fast kernel's retirement never forms them.
 * **mixed-8 serve** — the dense (chunk_size=1) 4x qcd + 4x stencil
   serve workload end-to-end, observability on, once per kernel, for a
   wall-clock ratio that includes scheduler/runtime overhead.

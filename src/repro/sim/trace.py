@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.obs.intervals import union_length
+from repro.sim.stream import SimStream
 
 __all__ = [
     "TimelineRecord",
@@ -63,11 +64,55 @@ class TimelineRecord:
         return self.finish - self.start
 
 
+def _start_finish(r: TimelineRecord):
+    return (r.start, r.finish)
+
+
 class Timeline:
     """An ordered collection of :class:`TimelineRecord` with queries."""
 
     def __init__(self, records: Sequence[TimelineRecord]) -> None:
-        self.records: List[TimelineRecord] = sorted(records, key=lambda r: (r.start, r.finish))
+        self._records: Optional[List[TimelineRecord]] = sorted(records, key=_start_finish)
+        self._commands: Optional[Sequence] = None
+
+    @classmethod
+    def from_commands(cls, commands: Sequence) -> "Timeline":
+        """The timeline of retired :class:`~repro.sim.engine.Command`\\ s.
+
+        Identical to ``Timeline(records)`` built from the commands, but
+        the records are built and sorted on first access to
+        :attr:`records`, so a caller that never looks at the timeline
+        (an autotune dry run reads only ``elapsed``) never pays for it.
+        The commands must not be mutated or recycled before then.
+        """
+        tl = cls.__new__(cls)
+        tl._records = None
+        tl._commands = commands
+        return tl
+
+    @property
+    def records(self) -> List[TimelineRecord]:
+        """The records, ordered by ``(start, finish)``."""
+        recs = self._records
+        if recs is None:
+            recs = self._records = sorted(
+                [
+                    TimelineRecord(
+                        c.kind,
+                        c.label,
+                        c.stream.name if isinstance(c.stream, SimStream) else "",
+                        c.engine,
+                        c.enqueue_time,
+                        c.start_time,
+                        c.finish_time,
+                        c.nbytes,
+                    )
+                    for c in self._commands
+                ],
+                key=_start_finish,
+            )
+            self._commands = None
+        return recs
 
     def __len__(self) -> int:
         return len(self.records)

@@ -1,10 +1,8 @@
 """Tests for multi-device co-scheduling (paper future work).
 
-``execute_multi_device`` is the deprecated serial-per-device entry
-point — every call here goes through :func:`legacy_multi_device`,
-which asserts the :class:`DeprecationWarning` the shim must emit.
-The honest shared-clock model (``execute_sharded``) is covered by
-``tests/serve/test_sharding.py``.
+Loop splitting, probed weights and the per-device results of
+:func:`execute_sharded`; the shared-clock model's failover, halo and
+contention accounting are covered by ``tests/serve/test_sharding.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ import pytest
 
 from repro.core.multidevice import (
     MultiDeviceResult,
-    execute_multi_device,
+    execute_sharded,
     probe_rates,
     split_loop,
 )
@@ -23,12 +21,6 @@ from repro.gpu import Runtime
 from repro.sim import AMD_HD7970, NVIDIA_K40M
 
 from tests.core.test_executor import ScaleKernel, expected, make_arrays, make_region
-
-
-def legacy_multi_device(*args, **kwargs):
-    """The deprecated entry point, asserting it still warns."""
-    with pytest.warns(DeprecationWarning, match="execute_sharded"):
-        return execute_multi_device(*args, **kwargs)
 
 
 class TestSplitLoop:
@@ -106,7 +98,7 @@ class TestExecution:
         arrays = make_arrays(n)
         region = make_region(n, 2, 2)
         rts = [Runtime(NVIDIA_K40M), Runtime(NVIDIA_K40M)]
-        res = legacy_multi_device(rts, region, arrays, ScaleKernel(), weights=[1, 1])
+        res = execute_sharded(rts, region, arrays, ScaleKernel(), weights=[1, 1])
         assert isinstance(res, MultiDeviceResult)
         assert np.allclose(arrays["OUT"], expected(arrays, n))
         assert sum(res.shares) == n - 2
@@ -116,16 +108,18 @@ class TestExecution:
         arrays = make_arrays(n)
         region = make_region(n, 2, 2)
         rts = [Runtime(NVIDIA_K40M), Runtime(AMD_HD7970)]
-        legacy_multi_device(rts, region, arrays, ScaleKernel())
+        execute_sharded(rts, region, arrays, ScaleKernel())
         assert np.allclose(arrays["OUT"], expected(arrays, n))
 
     def test_two_devices_faster_than_one(self):
+        # compute-bound: both shards' transfers share one PCIe link, so
+        # a transfer-bound region gains nothing from a second device
         n = 128
-        kernel = ScaleKernel(cost_per_iter=25e-6)
+        kernel = ScaleKernel(cost_per_iter=500e-6)
         arrays = self.heavy(n)
         region = make_region(n, 4, 2)
         single = region.run(Runtime(NVIDIA_K40M), dict(arrays), kernel)
-        dual = legacy_multi_device(
+        dual = execute_sharded(
             [Runtime(NVIDIA_K40M), Runtime(NVIDIA_K40M)],
             region, arrays, kernel, weights=[1, 1],
         )
@@ -138,12 +132,12 @@ class TestExecution:
         kernel = ScaleKernel(cost_per_iter=25e-6)
         region = make_region(n, 4, 2)
         arrays = self.heavy(n)
-        even = legacy_multi_device(
+        even = execute_sharded(
             [Runtime(NVIDIA_K40M), Runtime(AMD_HD7970)],
             region, dict(arrays) | {"OUT": np.zeros_like(arrays["OUT"])},
             kernel, weights=[1, 1],
         )
-        probed = legacy_multi_device(
+        probed = execute_sharded(
             [Runtime(NVIDIA_K40M), Runtime(AMD_HD7970)],
             region, arrays, kernel,
         )
@@ -165,7 +159,7 @@ class TestExecution:
         n = 128
         arrays = self.heavy(n)
         region = make_region(n, 2, 2)
-        res = legacy_multi_device(
+        res = execute_sharded(
             [Runtime(NVIDIA_K40M), Runtime(NVIDIA_K40M)],
             region, arrays, ScaleKernel(), weights=[1, 1],
         )
@@ -175,34 +169,16 @@ class TestExecution:
 
     def test_no_devices_rejected(self):
         with pytest.raises(DirectiveError):
-            legacy_multi_device(
+            execute_sharded(
                 [], make_region(16), make_arrays(16), ScaleKernel()
             )
 
     def test_summary_text(self):
         n = 32
-        res = legacy_multi_device(
+        res = execute_sharded(
             [Runtime(NVIDIA_K40M), Runtime(NVIDIA_K40M)],
             make_region(n), make_arrays(n), ScaleKernel(), weights=[1, 1],
         )
         text = res.summary()
         assert "device 0" in text and "device 1" in text
         assert "wall (max)" in text and "imbalance" in text
-
-    def test_shim_matches_sharded_numerics(self):
-        """Deprecated serial path and the sharded path agree on the
-        output arrays (timing models differ by design)."""
-        from repro.core.multidevice import execute_sharded
-
-        n = 64
-        region = make_region(n, 2, 2)
-        a1, a2 = make_arrays(n), make_arrays(n)
-        legacy_multi_device(
-            [Runtime(NVIDIA_K40M), Runtime(NVIDIA_K40M)],
-            region, a1, ScaleKernel(), weights=[1, 1],
-        )
-        execute_sharded(
-            [Runtime(NVIDIA_K40M), Runtime(NVIDIA_K40M)],
-            region, a2, ScaleKernel(), weights=[1, 1],
-        )
-        assert np.array_equal(a1["OUT"], a2["OUT"])

@@ -114,18 +114,6 @@ class TestDispatch:
         with pytest.raises(DirectiveError):
             r.run(Runtime(NVIDIA_K40M), a, NullKernel(), model="bogus")
 
-    def test_deprecated_aliases_warn_and_match(self, k40m):
-        r = TargetRegion.parse(PRAGMA, Loop("k", 1, 31))
-        a = arrays()
-        with pytest.warns(DeprecationWarning, match="run_naive"):
-            old = r.run_naive(Runtime(NVIDIA_K40M), a, NullKernel())
-        new = r.run(Runtime(NVIDIA_K40M), a, NullKernel(), model="naive")
-        assert old.model == new.model and old.elapsed == new.elapsed
-        with pytest.warns(DeprecationWarning, match="run_pipelined"):
-            old = r.run_pipelined(Runtime(NVIDIA_K40M), a, NullKernel())
-        new = r.run(Runtime(NVIDIA_K40M), a, NullKernel(), model="pipelined")
-        assert old.model == new.model and old.elapsed == new.elapsed
-
     def test_resident_tofrom_roundtrips(self):
         """A tofrom map must copy host->device and back even if the
         kernel never touches it."""
