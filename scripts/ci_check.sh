@@ -293,6 +293,18 @@ fi
 # the saved stream renders on the dashboard (and is a valid stream)
 python -m repro top "$tele_dir/tele.jsonl" | grep -q "slo tenant"
 
+echo "== bench smoke: paper bands hold on the issue path =="
+# every paper_sweep pass checks the paper's headline bands (speedup
+# 1.30-1.85x over Naive, memory savings) and reports "correct": false
+# when one is missed, so an issue-path change cannot drift out of them
+paper_out="$(python3 bench/run.py --workload paper_sweep --seed 1 \
+    --seconds 1 --trace 0)"
+if ! echo "$paper_out" | tail -n 1 | grep -q '"correct": true'; then
+    echo "paper_sweep bench smoke did not report correct results:" >&2
+    echo "$paper_out" | tail -n 5 >&2
+    exit 1
+fi
+
 echo "== bench smoke: traced pass wraps every layer =="
 # the traced ledger patches the layer calls bench/layers.py names, so a
 # renamed call fails here with a LookupError, not on the next bench run

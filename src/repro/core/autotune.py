@@ -170,6 +170,11 @@ def autotune(
             else:
                 dry_runs += 1
                 cand = Candidate(cs, ns, res.elapsed, plan.device_bytes(), True)
+                # only the elapsed time is kept: hand the dry run's
+                # commands and tokens to the free lists, so the next
+                # candidate's dry run reuses them instead of allocating
+                del res
+                scratch.device.sim.recycle_completed()
                 if best is None or cand.elapsed < best.elapsed:
                     best = cand
         else:

@@ -36,15 +36,16 @@ hide another's transfers.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core.kernel import ChunkView, RegionKernel
 from repro.core.plan import Chunk, RegionPlan
 from repro.core.ringbuffer import DeviceRing
+from repro.directives.clauses import PipelineMapClause
+from repro.directives.splitspec import chunk_range
 from repro.faults.policy import (
     CHUNK_EXHAUSTED,
     CHUNK_FAILED,
@@ -277,6 +278,19 @@ def _prune(records: List[Tuple[int, int, EventToken]], lo: int) -> None:
     records[:] = [(rlo, rhi, tok) for (rlo, rhi, tok) in records if rhi > lo]
 
 
+class _Lane(NamedTuple):
+    """One pipelined array's issue state, resolved once at ``open()``."""
+
+    var: str
+    clause: PipelineMapClause
+    ring: DeviceRing
+    book: _Records
+    host: object
+    is_input: bool
+    is_output: bool
+    capacity: int
+
+
 def _axis_slice(ndim: int, dim: int, lo: int, hi: int) -> tuple:
     idx: list = [slice(None)] * ndim
     idx[dim] = slice(lo, hi)
@@ -405,6 +419,8 @@ class PipelineIssuer:
         self.resident_dev: Dict[str, object] = {}
         self.rings: Dict[str, DeviceRing] = {}
         self.books: Dict[str, _Records] = {}
+        #: per-array issue state in ``plan.specs`` order (built by open)
+        self._lanes: List[_Lane] = []
         self.streams: List = []
         # (command, gating tokens) pairs for slot-reuse stall accounting;
         # resolved after the pipeline drains, once tokens have times
@@ -416,6 +432,10 @@ class PipelineIssuer:
         self._finalized = False
         #: silent-failure defense mode: off / checksum / vote
         self.integrity = validate_integrity(integrity)
+        #: per-issuer flags the issue loop tests instead of the modes
+        self._verify = self.integrity != INTEGRITY_OFF
+        self._vote = self.integrity == INTEGRITY_VOTE
+        self._dedup = plan.halo_mode == "dedup"
         #: split-dim ranges of ``arrays`` this shard receives across a
         #: seam from a neighbouring shard — verify commands covering
         #: them are classified as halo checks (``{var: [(lo, hi), ...]}``)
@@ -440,8 +460,8 @@ class PipelineIssuer:
         #: without it, replaying an accumulating chunk would
         #: double-apply its contribution
         self.merge_reductions = False
-        if self.integrity != INTEGRITY_OFF:
-            if self.integrity == INTEGRITY_VOTE:
+        if self._verify:
+            if self._vote:
                 for var, spec in plan.specs.items():
                     if spec.clause.is_input and spec.clause.is_output:
                         raise InvalidValueError(
@@ -476,9 +496,10 @@ class PipelineIssuer:
         """Whether every chunk has been issued."""
         return self._cursor >= len(self.chunks)
 
-    @contextmanager
-    def _overheads(self):
-        """Impose this region's overhead scale for one step.
+    def _impose_overheads(self) -> Tuple[float, float]:
+        """Impose this region's overhead scale for one step; returns the
+        runtime's previous ``(call_overhead_scale, command_overhead)``,
+        which the step restores in a ``finally``.
 
         Interleaved issuers each see their own stream-count-dependent
         API-call cost, exactly as if each region had the runtime to
@@ -488,10 +509,7 @@ class PipelineIssuer:
         prev = (rt.call_overhead_scale, rt.command_overhead)
         rt.call_overhead_scale = self.scale
         rt.command_overhead = self.contention
-        try:
-            yield
-        finally:
-            rt.call_overhead_scale, rt.command_overhead = prev
+        return prev
 
     def _record_faults(self, pending) -> None:
         """Log claimed faults into the flight recorder (if any)."""
@@ -516,7 +534,7 @@ class PipelineIssuer:
         """
         runtime = self.runtime
         policy = self.policy
-        check = self.integrity != INTEGRITY_OFF and verify is not None
+        check = self._verify and verify is not None
         if policy is None and not check:
             self.commands.append(issue())
             return
@@ -723,8 +741,8 @@ class PipelineIssuer:
         self.commands.append(vcmd)
         if self.policy is not None:
             self.meta[vcmd] = chunk.index
-        for var, (lo, hi) in ranges.items():
-            self.books[var].readers.append((lo, hi, v2tok))
+        for lane, (lo, hi) in zip(self._lanes, ranges):
+            lane.book.readers.append((lo, hi, v2tok))
         self.verified_n += 1
 
     def _kernel_sink(self, chunk: Chunk):
@@ -781,12 +799,13 @@ class PipelineIssuer:
                 model="pipelined-buffer", nchunks=len(self.chunks),
                 chunk_size=plan.chunk_size, streams=self.streams_n,
             )
-        with self._overheads():
+        prev = self._impose_overheads()
+        try:
             self.streams = [
                 runtime.create_stream(f"{self.stream_prefix}{i}")
                 for i in range(self.streams_n)
             ]
-            if self.integrity != INTEGRITY_OFF:
+            if self._verify:
                 # dedicated verify stream: checks overlap the pipeline's
                 # own streams instead of serializing behind chunk work;
                 # deliberately excluded from streams_n so the region's
@@ -825,7 +844,17 @@ class PipelineIssuer:
                     host.dtype,
                     tag=f"{var}:ring",
                 )
+        finally:
+            runtime.call_overhead_scale, runtime.command_overhead = prev
         self.books = {v: _Records() for v in plan.specs}
+        self._lanes = [
+            _Lane(
+                var, spec.clause, self.rings[var], self.books[var], arrays[var],
+                spec.clause.is_input, spec.clause.is_output,
+                self.rings[var].capacity,
+            )
+            for var, spec in plan.specs.items()
+        ]
 
     def _kernel_payload(self, chunk: Chunk):
         if self.virtual:
@@ -875,61 +904,62 @@ class PipelineIssuer:
 
         Returns the issued :class:`~repro.core.plan.Chunk`, or ``None``
         when every chunk has already been issued.
-        """
-        if self._cursor >= len(self.chunks):
-            return None
-        chunk = self.chunks[self._cursor]
-        self._cursor += 1
-        runtime, plan, arrays = self.runtime, self.plan, self.arrays
-        tracer, tr_on, m_on = self.tracer, self.tr_on, self.m_on
-        policy, meta, profile = self.policy, self.meta, self.profile
-        kernel, rings, books = self.kernel, self.rings, self.books
 
-        with self._overheads():
-            st = self.streams[chunk.index % self.streams_n]
+        Everything fixed for the region's lifetime (lanes, integrity
+        and halo modes, ring geometry) was resolved by :meth:`open`;
+        per chunk this pays only for dependency ranges, interval
+        bookkeeping and the commands themselves.
+        """
+        cursor = self._cursor
+        if cursor >= len(self.chunks):
+            return None
+        chunk = self.chunks[cursor]
+        self._cursor = cursor + 1
+        index, t0, t1 = chunk.index, chunk.t0, chunk.t1
+        runtime, lanes, commands = self.runtime, self._lanes, self.commands
+        tracer, tr_on, m_on = self.tracer, self.tr_on, self.m_on
+        policy, meta, verify, dedup = self.policy, self.meta, self._verify, self._dedup
+        ranges = [chunk_range(lane.clause, t0, t1) for lane in lanes]
+
+        prev = self._impose_overheads()
+        try:
+            st = self.streams[index % self.streams_n]
             in_tokens: List[EventToken] = []
             out_reuse: List[EventToken] = []
-
-            cspan = None
             if tr_on:
                 cspan = tracer.begin(
-                    f"chunk:{chunk.index}", "chunk",
-                    chunk=chunk.index, stream=st.name, t0=chunk.t0, t1=chunk.t1,
+                    f"chunk:{index}", "chunk",
+                    chunk=index, stream=st.name, t0=t0, t1=t1,
                 )
-            # plan: resolve this chunk's dependency slices and ring slots
-            with tracer.span("plan", "phase", chunk=chunk.index) as psp:
-                ranges = {v: plan.chunk_dep_range(v, chunk) for v in plan.specs}
-                if tr_on:
-                    psp.set(slots={
-                        v: ranges[v][0] % rings[v].capacity for v in ranges
-                    })
+                # plan: this chunk's dependency slices and ring slots
+                psp = tracer.begin("plan", "phase", chunk=index)
+                psp.set(slots={
+                    lane.var: lo % lane.capacity
+                    for lane, (lo, _hi) in zip(lanes, ranges)
+                })
+                tracer.end(psp)
+                ph2d = tracer.begin("h2d", "phase", chunk=index)
 
-            ph2d = tracer.begin("h2d", "phase", chunk=chunk.index) if tr_on else None
-            for var, spec in plan.specs.items():
-                cl = spec.clause
-                lo, hi = ranges[var]
-                ring = rings[var]
-                book = books[var]
-                if cl.is_input:
-                    if plan.halo_mode == "dedup" and book.covered_hi is not None:
-                        new_lo = max(lo, book.covered_hi)
-                    else:
-                        new_lo = lo
+            for (var, _cl, ring, book, host, is_in, is_out, cap), (lo, hi) in zip(
+                lanes, ranges
+            ):
+                if is_in:
+                    covered = book.covered_hi
+                    new_lo = max(lo, covered) if dedup and covered is not None else lo
                     if new_lo < hi:
-                        host = arrays[var]
                         for piece in ring.pieces(new_lo, hi):
-                            reuse = _intersecting(
-                                book.readers,
-                                piece.g_lo - ring.capacity,
-                                piece.g_hi - ring.capacity,
-                            )
-                            reuse += _intersecting(
-                                book.d2h,
-                                piece.g_lo - ring.capacity,
-                                piece.g_hi - ring.capacity,
-                            )
+                            g_lo, g_hi = piece.g_lo, piece.g_hi
+                            r_lo, r_hi = g_lo - cap, g_hi - cap
+                            reuse = [
+                                tok for (a, b, tok) in book.readers
+                                if a < r_hi and b > r_lo
+                            ]
+                            reuse += [
+                                tok for (a, b, tok) in book.d2h
+                                if a < r_hi and b > r_lo
+                            ]
                             rows, row_bytes = ring.transfer_geometry(piece)
-                            tok = EventToken.acquire(f"h2d:{var}:{piece.g_lo}")
+                            tok = EventToken.acquire(f"h2d:{var}:{g_lo}")
                             cmd = runtime.memcpy_h2d_async(
                                 ring.device_view(piece),
                                 ring.host_section(host, piece),
@@ -942,43 +972,47 @@ class PipelineIssuer:
                                 poison_waits=(),
                                 rows=rows,
                                 row_bytes=row_bytes,
-                                label=f"h2d:{var}[{piece.g_lo}:{piece.g_hi})",
+                                label=f"h2d:{var}[{g_lo}:{g_hi})",
                             )
-                            cmd.chunk = chunk.index
-                            self.commands.append(cmd)
+                            cmd.chunk = index
+                            commands.append(cmd)
                             if policy is not None:
-                                meta[cmd] = chunk.index
+                                meta[cmd] = index
                             if m_on and reuse:
                                 self.stall_watch.append((cmd, list(reuse)))
-                            book.h2d.append((piece.g_lo, piece.g_hi, tok))
-                            if self.integrity != INTEGRITY_OFF:
+                            book.h2d.append((g_lo, g_hi, tok))
+                            if verify:
                                 self._issue_verify(
-                                    cmd, tok, var, piece, chunk.index,
-                                    "h2d", book,
+                                    cmd, tok, var, piece, index, "h2d", book,
                                 )
-                        book.covered_hi = max(book.covered_hi or hi, hi)
-                    in_tokens.extend(_intersecting(book.h2d, lo, hi))
-                    _prune(book.h2d, lo)
-                    _prune(book.readers, lo - ring.capacity)
-                if cl.is_output:
+                        book.covered_hi = max(covered or hi, hi)
+                    h2d = book.h2d
+                    in_tokens += [tok for (a, b, tok) in h2d if a < hi and b > lo]
+                    book.h2d = [r for r in h2d if r[1] > lo]
+                floor = lo - cap
+                if is_out:
                     # a kernel writing positions p must wait until the
                     # previous lap's data at p has drained to the host
                     # (and, for tofrom arrays, been read by its kernels)
-                    out_reuse.extend(
-                        _intersecting(book.d2h, lo - ring.capacity, hi - ring.capacity)
-                    )
-                    out_reuse.extend(
-                        _intersecting(book.readers, lo - ring.capacity, hi - ring.capacity)
-                    )
-                    _prune(book.d2h, lo - ring.capacity)
+                    ceil = hi - cap
+                    d2h = book.d2h
+                    out_reuse += [tok for (a, b, tok) in d2h if a < ceil and b > floor]
+                    out_reuse += [
+                        tok for (a, b, tok) in book.readers if a < ceil and b > floor
+                    ]
+                    book.d2h = [r for r in d2h if r[1] > floor]
+                # issue ranges are monotone, so a reader ending at or
+                # before this lap's floor never gates a transfer again
+                book.readers = [r for r in book.readers if r[1] > floor]
             if tr_on:
                 tracer.end(ph2d)
-                pk = tracer.begin("kernel", "phase", chunk=chunk.index,
+                pk = tracer.begin("kernel", "phase", chunk=index,
                                   waits=len(in_tokens) + len(out_reuse))
 
-            ktok = EventToken.acquire(f"kernel:{chunk.index}")
+            kernel = self.kernel
+            ktok = EventToken.acquire(f"kernel:{index}")
             kcmd = runtime.launch(
-                kernel.chunk_cost(profile, chunk.t0, chunk.t1, translated=True),
+                kernel.chunk_cost(self.profile, t0, t1, translated=True),
                 self._kernel_payload(chunk),
                 st,
                 waits=in_tokens + out_reuse,
@@ -986,64 +1020,64 @@ class PipelineIssuer:
                 # only the input transfers are data dependencies; the
                 # out_reuse waits guard slot recycling
                 poison_waits=in_tokens,
-                label=f"{kernel.name}[{chunk.t0}:{chunk.t1})",
+                label=f"{kernel.name}[{t0}:{t1})",
             )
-            kcmd.chunk = chunk.index
+            kcmd.chunk = index
             kcmd.sink = self._kernel_sink(chunk)
-            self.commands.append(kcmd)
+            commands.append(kcmd)
             if policy is not None:
-                meta[kcmd] = chunk.index
+                meta[kcmd] = index
             if m_on and out_reuse:
                 self.stall_watch.append((kcmd, list(out_reuse)))
             if tr_on:
                 tracer.end(pk)
-                pd2h = tracer.begin("d2h", "phase", chunk=chunk.index)
+                pd2h = tracer.begin("d2h", "phase", chunk=index)
 
-            for var, spec in plan.specs.items():
-                cl = spec.clause
-                book = books[var]
-                lo, hi = ranges[var]
-                if cl.is_input:
+            for (var, _cl, ring, book, host, is_in, is_out, _cap), (lo, hi) in zip(
+                lanes, ranges
+            ):
+                if is_in:
                     book.readers.append((lo, hi, ktok))
-                if cl.is_output:
-                    ring = rings[var]
-                    host = arrays[var]
-                    for piece in ring.pieces(lo, hi):
-                        rows, row_bytes = ring.transfer_geometry(piece)
-                        dtok = EventToken.acquire(f"d2h:{var}:{piece.g_lo}")
-                        dcmd = runtime.memcpy_d2h_async(
-                            ring.host_section(host, piece),
-                            ring.device_view(piece),
-                            st,
-                            records=[dtok],
-                            rows=rows,
-                            row_bytes=row_bytes,
-                            label=f"d2h:{var}[{piece.g_lo}:{piece.g_hi})",
+                if not is_out:
+                    continue
+                for piece in ring.pieces(lo, hi):
+                    g_lo, g_hi = piece.g_lo, piece.g_hi
+                    rows, row_bytes = ring.transfer_geometry(piece)
+                    dtok = EventToken.acquire(f"d2h:{var}:{g_lo}")
+                    dcmd = runtime.memcpy_d2h_async(
+                        ring.host_section(host, piece),
+                        ring.device_view(piece),
+                        st,
+                        records=[dtok],
+                        rows=rows,
+                        row_bytes=row_bytes,
+                        label=f"d2h:{var}[{g_lo}:{g_hi})",
+                    )
+                    dcmd.chunk = index
+                    commands.append(dcmd)
+                    if policy is not None:
+                        meta[dcmd] = index
+                    book.d2h.append((g_lo, g_hi, dtok))
+                    if verify:
+                        self._issue_verify(
+                            dcmd, dtok, var, piece, index, "d2h", book,
                         )
-                        dcmd.chunk = chunk.index
-                        self.commands.append(dcmd)
-                        if policy is not None:
-                            meta[dcmd] = chunk.index
-                        book.d2h.append((piece.g_lo, piece.g_hi, dtok))
-                        if self.integrity != INTEGRITY_OFF:
-                            self._issue_verify(
-                                dcmd, dtok, var, piece, chunk.index,
-                                "d2h", book,
-                            )
-            if self.integrity == INTEGRITY_VOTE:
+            if self._vote:
                 self._issue_vote(chunk, ktok, ranges)
             if tr_on:
                 tracer.end(pd2h)
                 # the slots this chunk's retiring work hands back to the
                 # ring for the next lap's transfers
                 tracer.instant(
-                    "slot-release", "phase", chunk=chunk.index,
+                    "slot-release", "phase", chunk=index,
                     released={
-                        v: [ranges[v][0] % rings[v].capacity, ranges[v][0], ranges[v][1]]
-                        for v in ranges
+                        lane.var: [lo % lane.capacity, lo, hi]
+                        for lane, (lo, hi) in zip(lanes, ranges)
                     },
                 )
                 tracer.end(cspan)
+        finally:
+            runtime.call_overhead_scale, runtime.command_overhead = prev
         if self.recorder is not None:
             self.recorder.record(
                 "chunk.issue", t=runtime.elapsed, chunk=chunk.index,
@@ -1160,7 +1194,8 @@ class PipelineIssuer:
         runtime, policy = self.runtime, self.policy
         tracer, m_on, chunks = self.tracer, self.m_on, self.chunks
         budget = state["budget"]
-        with self._overheads():
+        prev = self._impose_overheads()
+        try:
             chunk_status = {c.index: CHUNK_OK for c in chunks}
             attempts = {c.index: 0 for c in chunks}
             pending = self.claim_faults()
@@ -1246,6 +1281,8 @@ class PipelineIssuer:
                 pending = self.claim_faults()
                 self.faults_n += len(pending)
                 self._record_faults(pending)
+        finally:
+            runtime.call_overhead_scale, runtime.command_overhead = prev
 
     # ------------------------------------------------------------------
     # integrity: response
@@ -1282,7 +1319,8 @@ class PipelineIssuer:
         runtime, chunks = self.runtime, self.chunks
         ipolicy = self._ipolicy
         attempts: Dict[int, int] = {}
-        with self._overheads():
+        prev = self._impose_overheads()
+        try:
             while self._corruptions:
                 batch, self._corruptions = self._corruptions, []
                 affected = self._affected_chunks(batch)
@@ -1354,6 +1392,8 @@ class PipelineIssuer:
                     # two replays can alias ring slots (mod capacity)
                     runtime.synchronize()
                     self._verify_chunk_sync(chunks[k])
+        finally:
+            runtime.call_overhead_scale, runtime.command_overhead = prev
 
     def _verify_chunk_sync(self, chunk: Chunk) -> None:
         """Synchronously re-verify a replayed chunk's data.
@@ -1382,7 +1422,7 @@ class PipelineIssuer:
                     self._note_corruption(
                         var, piece.g_lo, piece.g_hi, chunk.index, kind
                     )
-        if self.integrity == INTEGRITY_VOTE:
+        if self._vote:
             self._vote_check_sync(chunk)
 
     def _vote_check_sync(self, chunk: Chunk) -> None:
@@ -1419,7 +1459,8 @@ class PipelineIssuer:
             return
         self._finalized = True
         runtime, plan, arrays = self.runtime, self.plan, self.arrays
-        with self._overheads():
+        prev = self._impose_overheads()
+        try:
             for var, clause in plan.residents.items():
                 if clause.direction in ("from", "tofrom"):
                     if var in self.reduction_residents and not self.virtual:
@@ -1460,6 +1501,8 @@ class PipelineIssuer:
                 runtime.free(dev)
             for ring in self.rings.values():
                 runtime.free(ring.darr)
+        finally:
+            runtime.call_overhead_scale, runtime.command_overhead = prev
         if self.rspan is not None:
             self.tracer.end(self.rspan)
             self.rspan = None

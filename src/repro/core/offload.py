@@ -38,26 +38,12 @@ from repro.core.executor import (
 )
 from repro.core.kernel import ChunkView, RegionKernel
 from repro.core.plan import RegionPlan
+from repro.core.ringbuffer import band_geometry
 from repro.gpu.runtime import Runtime
 from repro.sim.engine import EventToken
 from repro.sim.varray import is_virtual
 
 __all__ = ["execute_naive", "execute_manual_pipelined"]
-
-
-def _transfer_geometry(
-    shape: Tuple[int, ...], split_dim: int, extent: int, itemsize: int
-) -> Tuple[Optional[int], Optional[int]]:
-    """(rows, row_bytes) for a band copy of a full-size device array."""
-    if split_dim == 0:
-        return None, None
-    rows = 1
-    for s in shape[:split_dim]:
-        rows *= s
-    inner = 1
-    for s in shape[split_dim + 1:]:
-        inner *= s
-    return rows, extent * inner * itemsize
 
 
 def execute_naive(
@@ -164,6 +150,17 @@ def execute_manual_pipelined(
 
         books: Dict[str, _Records] = {v: _Records() for v in plan.specs}
         virtual = runtime.virtual or any(is_virtual(arrays[v]) for v in arrays)
+        geometry = {
+            var: band_geometry(
+                arrays[var].shape, spec.split_dim, arrays[var].dtype.itemsize
+            )
+            for var, spec in plan.specs.items()
+        }
+
+        def band(var: str, extent: int) -> Tuple[Optional[int], Optional[int]]:
+            """(rows, row_bytes) of one band copy of a full-size array."""
+            rows, unit_row_bytes = geometry[var]
+            return (None, None) if rows is None else (rows, extent * unit_row_bytes)
 
         def make_kernel_payload(chunk):
             if virtual:
@@ -201,9 +198,7 @@ def execute_manual_pipelined(
                     host = arrays[var]
                     d = dev[var]
                     sl = _axis_slice(d.ndim, spec.split_dim, new_lo, hi)
-                    rows, row_bytes = _transfer_geometry(
-                        host.shape, spec.split_dim, hi - new_lo, host.dtype.itemsize
-                    )
+                    rows, row_bytes = band(var, hi - new_lo)
                     tok = EventToken.acquire(f"h2d:{var}:{new_lo}")
                     runtime.memcpy_h2d_async(
                         d[sl],
@@ -236,9 +231,7 @@ def execute_manual_pipelined(
                 d = dev[var]
                 host = arrays[var]
                 sl = _axis_slice(d.ndim, spec.split_dim, lo, hi)
-                rows, row_bytes = _transfer_geometry(
-                    host.shape, spec.split_dim, hi - lo, host.dtype.itemsize
-                )
+                rows, row_bytes = band(var, hi - lo)
                 runtime.memcpy_d2h_async(
                     host[sl],
                     d[sl],

@@ -10,6 +10,7 @@ knows how to price its own device-buffer footprint, which is what the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -106,7 +107,7 @@ class RegionPlan:
                 raise InvalidValueError(f"{name} must be >= 1, got {v}")
         if self.halo_mode not in ("dedup", "duplicate"):
             raise DirectiveError(f"unknown halo_mode {self.halo_mode!r}")
-        nchunks = len(self.chunks())
+        nchunks = self.nchunks
         if self.num_streams > nchunks:
             self.num_streams = max(1, nchunks)
 
@@ -125,6 +126,14 @@ class RegionPlan:
         from repro.core.scheduler import ADAPTIVE_MAX_FACTOR
 
         return min(self.chunk_size * ADAPTIVE_MAX_FACTOR, self.loop.trip_count)
+
+    @property
+    def nchunks(self) -> int:
+        """``len(self.chunks())``, counted without building the list for
+        the static schedule."""
+        if self.schedule == "static":
+            return -(-self.loop.trip_count // int(self.chunk_size))
+        return len(self.chunks())
 
     def chunks(self) -> List[Chunk]:
         """The ordered subtask list under the current schedule."""
@@ -181,7 +190,7 @@ class RegionPlan:
     def resident_bytes(self, var: str) -> int:
         """Device bytes for a resident array."""
         shape = self.shapes[var]
-        return int(np.prod(shape, dtype=np.int64)) * self.dtypes[var].itemsize
+        return math.prod(shape) * self.dtypes[var].itemsize
 
     def device_bytes(self) -> int:
         """Total device bytes this plan allocates."""
@@ -198,7 +207,7 @@ class RegionPlan:
         """One-line human-readable summary."""
         parts = [
             f"loop {self.loop.var}=[{self.loop.start},{self.loop.stop})",
-            f"chunks={len(self.chunks())}x{self.chunk_size}",
+            f"chunks={self.nchunks}x{self.chunk_size}",
             f"streams={self.num_streams}",
             f"schedule={self.schedule}",
             f"halo={self.halo_mode}",

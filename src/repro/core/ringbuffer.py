@@ -25,19 +25,17 @@ geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.gpu.darray import DeviceArray
 from repro.gpu.runtime import Runtime
 
-__all__ = ["DeviceRing", "RingPiece"]
+__all__ = ["DeviceRing", "RingPiece", "band_geometry"]
 
 
-@dataclass(frozen=True)
-class RingPiece:
+class RingPiece(NamedTuple):
     """One contiguous piece of a (possibly wrapping) ring range.
 
     Attributes
@@ -56,6 +54,27 @@ class RingPiece:
     def extent(self) -> int:
         """Units covered."""
         return self.g_hi - self.g_lo
+
+
+def band_geometry(
+    shape: Tuple[int, ...], split_dim: int, itemsize: int
+) -> Tuple[Optional[int], int]:
+    """``(rows, bytes per split-dim unit in one row)`` of a band copy.
+
+    A band ``[lo, hi)`` along ``split_dim`` is one pitched 2-D copy of
+    ``rows`` rows of ``(hi - lo) * unit_row_bytes`` bytes each.  A split
+    along the outermost dimension is contiguous in host memory, which
+    ``rows = None`` marks (price it as one flat copy).
+    """
+    inner = itemsize
+    for s in shape[split_dim + 1:]:
+        inner *= s
+    if split_dim == 0:
+        return None, inner
+    rows = 1
+    for s in shape[:split_dim]:
+        rows *= s
+    return rows, inner
 
 
 class DeviceRing:
@@ -103,6 +122,15 @@ class DeviceRing:
             if i != split_dim:
                 self.unit_elems *= s
         self.itemsize = np.dtype(dtype).itemsize
+        # index template: the split-dim slice goes between these
+        self._prefix = (slice(None),) * split_dim
+        self._suffix = (slice(None),) * (len(self.host_shape) - split_dim - 1)
+        #: DMA band geometry of one split-dim unit (see band_geometry)
+        self.rows, self.unit_row_bytes = band_geometry(
+            self.host_shape, split_dim, self.itemsize
+        )
+        # slot views by (pos, extent): ring positions repeat every lap
+        self._views: Dict[Tuple[int, int], DeviceArray] = {}
 
     # ------------------------------------------------------------------
     # geometry
@@ -115,27 +143,30 @@ class DeviceRing:
         """
         if g_hi <= g_lo:
             return []
-        if g_hi - g_lo > self.capacity:
+        cap = self.capacity
+        if g_hi - g_lo > cap:
             raise ValueError(
-                f"range [{g_lo}, {g_hi}) wider than ring capacity {self.capacity}"
+                f"range [{g_lo}, {g_hi}) wider than ring capacity {cap}"
             )
-        out: List[RingPiece] = []
-        lo = g_lo
-        while lo < g_hi:
-            pos = lo % self.capacity
-            span = min(g_hi - lo, self.capacity - pos)
-            out.append(RingPiece(lo, lo + span, pos))
-            lo += span
-        return out
+        pos = g_lo % cap
+        if pos + (g_hi - g_lo) <= cap:
+            return [RingPiece(g_lo, g_hi, pos)]
+        split = g_lo + cap - pos
+        return [RingPiece(g_lo, split, pos), RingPiece(split, g_hi, 0)]
 
     def _axis_slice(self, lo: int, hi: int):
-        idx = [slice(None)] * len(self.host_shape)
-        idx[self.split_dim] = slice(lo, hi)
-        return tuple(idx)
+        return self._prefix + (slice(lo, hi),) + self._suffix
 
     def device_view(self, piece: RingPiece) -> DeviceArray:
-        """Device-array view for one piece."""
-        return self.darr[self._axis_slice(piece.pos, piece.pos + piece.extent)]
+        """Device-array view for one piece (memoized per slot range)."""
+        darr = self.darr
+        darr._check_alive()
+        pos = piece.pos
+        key = (pos, piece.g_hi - piece.g_lo)
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = darr[self._axis_slice(pos, pos + key[1])]
+        return view
 
     def host_section(self, host: np.ndarray, piece: RingPiece) -> np.ndarray:
         """Host view for one piece (global coordinates)."""
@@ -188,13 +219,6 @@ class DeviceRing:
         an inner dimension (matmul's column bands) produces a strided
         2-D copy of ``rows`` rows.
         """
-        if self.split_dim == 0:
+        if self.rows is None:
             return None, None
-        rows = 1
-        for s in self.host_shape[: self.split_dim]:
-            rows *= s
-        inner = 1
-        for s in self.host_shape[self.split_dim + 1:]:
-            inner *= s
-        row_bytes = piece.extent * inner * self.itemsize
-        return rows, row_bytes
+        return self.rows, (piece.g_hi - piece.g_lo) * self.unit_row_bytes

@@ -25,6 +25,7 @@ events (``cudaEventRecord``/wait)       :meth:`Runtime.record_event` /
 
 from __future__ import annotations
 
+import math
 import weakref
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
@@ -478,7 +479,7 @@ class Runtime:
         self._check_device()
         shape = tuple(int(s) for s in shape)
         dt = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
+        nbytes = math.prod(shape) * dt.itemsize
         t0 = self.host_now
         rec = self.device.alloc(nbytes, tag)
         if self.virtual:

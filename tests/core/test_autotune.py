@@ -9,6 +9,7 @@ from repro.core.autotune import AutotuneReport, autotune, candidate_grid
 from repro.core.memlimit import MemLimitError
 from repro.gpu import Runtime
 from repro.sim import AMD_HD7970, NVIDIA_K40M
+from repro.sim.engine import Command, Simulator
 
 from tests.core.test_executor import ScaleKernel, make_arrays, make_region, run
 
@@ -110,3 +111,30 @@ class TestAutotune:
         nv = autotune(make_region(n), Runtime(NVIDIA_K40M), arrays, kernel)
         assert amd.best.chunk_size >= nv.best.chunk_size
         assert amd.best.chunk_size >= 4
+
+
+class TestDryRunRecycling:
+    def test_repeated_search_reuses_commands(self, monkeypatch):
+        """Each dry run hands its commands to the free lists, so a second
+        identical search draws almost all of them from there."""
+        n = 64
+        args = (make_region(n), Runtime(NVIDIA_K40M), make_arrays(n), ScaleKernel())
+        first = autotune(*args, max_streams=4)
+        built = []
+        init = Command.__init__
+
+        def counting_init(self, *a, **kw):
+            built.append(1)
+            init(self, *a, **kw)
+
+        monkeypatch.setattr(Command, "__init__", counting_init)
+        enqueued = []
+        enqueue = Simulator.enqueue
+        monkeypatch.setattr(
+            Simulator, "enqueue",
+            lambda self, cmd, **kw: enqueued.append(1) or enqueue(self, cmd, **kw),
+        )
+        second = autotune(*args, max_streams=4)
+        assert second == first
+        assert len(enqueued) > 100
+        assert len(built) <= len(enqueued) // 100

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as stn
 
 from repro.core.plan import Chunk, RegionPlan, make_chunks
 from repro.directives.clauses import Affine, DirectiveError, Loop, MapClause, PipelineMapClause
@@ -188,3 +190,21 @@ class TestParameterValidation:
     def test_numpy_integers_accepted(self):
         plan = stencil_plan(cs=np.int64(2), ns=np.int32(2))
         assert plan.chunk_size == 2 and plan.num_streams == 2
+
+
+class TestChunkCount:
+    @given(
+        trip=stn.integers(1, 300),
+        cs=stn.integers(1, 40),
+        ns=stn.integers(1, 9),
+        schedule=stn.sampled_from(["static", "adaptive"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_nchunks_counts_the_schedule(self, trip, cs, ns, schedule):
+        plan = stencil_plan(nz=trip + 2, cs=cs, ns=ns, schedule=schedule)
+        assert plan.nchunks == len(plan.chunks())
+        assert plan.num_streams == min(ns, plan.nchunks)
+
+    def test_numpy_chunk_size_counts_as_int(self):
+        plan = stencil_plan(nz=12, cs=np.int64(4))
+        assert plan.nchunks == 3 and type(plan.nchunks) is int
