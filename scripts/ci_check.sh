@@ -305,6 +305,18 @@ if ! echo "$paper_out" | tail -n 1 | grep -q '"correct": true'; then
     exit 1
 fi
 
+echo "== bench smoke: deep-queue admission serves the same work =="
+# serve_backlog admits 600 queued requests through the admission index;
+# a pass whose report differs from the first pass's byte for byte, or
+# a request that does not complete, reads as "correct": false
+backlog_out="$(python3 bench/run.py --workload serve_backlog --seed 1 \
+    --seconds 1 --trace 0)"
+if ! echo "$backlog_out" | tail -n 1 | grep -q '"correct": true'; then
+    echo "serve_backlog bench smoke did not report correct results:" >&2
+    echo "$backlog_out" | tail -n 5 >&2
+    exit 1
+fi
+
 echo "== bench smoke: traced pass wraps every layer =="
 # the traced ledger patches the layer calls bench/layers.py names, so a
 # renamed call fails here with a LookupError, not on the next bench run

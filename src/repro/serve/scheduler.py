@@ -6,7 +6,10 @@ a shared :class:`~repro.serve.DevicePool`:
 - **Admission** is memory-budget-driven: a request enters service only
   when its tuned plan's full device footprint fits the chosen device's
   unreserved budget.  Placement picks the device with the most headroom
-  (ties to the lowest index).
+  (ties to the lowest index).  An admission index kept across turns
+  (fit classes of identically placed requests, lazily aged cohorts;
+  see ``docs/serve.md``) makes an admission round cost
+  O(classes x devices + cohorts), not O(waiting).
 - **Planning** goes through the :class:`~repro.serve.PlanCache`: a hit
   reuses the tuned ``(chunk_size, num_streams)``; a miss runs the
   autotune search (virtual dry runs) and charges a deterministic
@@ -72,13 +75,15 @@ run.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import heapq
 import os
 import time
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.autotune import autotune
 from repro.core.executor import PipelineIssuer
@@ -598,9 +603,76 @@ class ServeReport:
         return "\n".join(lines)
 
 
-@dataclass
+#: where a waiting request sits in the admission index (besides a
+#: :class:`_FitClass`; ``None`` while it is out of the index)
+_UNPLANNED = "unplanned"
+_DEFERRED = "deferred"
+
+_seq_of = attrgetter("seq")
+
+
+def _footprint(planned: Tuple[RegionPlan, int]) -> Tuple[int, int]:
+    """``(nbytes, loop trip)`` of one ``(plan, nbytes)`` planning result."""
+    plan, nbytes = planned
+    return nbytes, plan.loop.stop - plan.loop.start
+
+
+class _Cohort:
+    """Members of one fit class that joined with the same
+    ``(priority, passed_over - class rounds)``.
+
+    Their effective priorities stay equal while they wait, so only the
+    oldest can be picked.  ``heap`` holds ``(seq, ticket, waiting)``; an
+    entry whose ticket is no longer its waiter's is stale and dropped
+    when it surfaces.
+    """
+
+    __slots__ = ("priority", "offset", "heap", "live")
+
+    def __init__(self, priority: int, offset: int) -> None:
+        self.priority = priority
+        self.offset = offset
+        self.heap: List[Tuple[int, int, "_Waiting"]] = []
+        self.live = 0
+
+
+class _FitClass:
+    """Waiting requests planned on every live device with the same
+    placement inputs: the shard count and, per device, the footprint
+    (and the loop trip, which only a sharded placement reads).
+
+    Every member gets the same placement for any headroom snapshot and
+    device order, so an admission round tests the class once.  Aging is
+    lazy: ``rounds`` counts the rounds the class fit, so a member was
+    passed over once per round since it joined; ``picks`` holds, sorted,
+    the seqs picked in those rounds (only those younger than some
+    member), so a member was overtaken once per pick younger than
+    itself since it joined.
+    """
+
+    __slots__ = ("key", "shards", "footprints", "rounds", "picks",
+                 "cohorts", "size")
+
+    def __init__(self, key, shards: int, footprints: Dict[int, Tuple[int, int]]) -> None:
+        self.key = key
+        self.shards = shards
+        #: device -> (nbytes, loop trip)
+        self.footprints = footprints
+        self.rounds = 0
+        self.picks: List[int] = []
+        self.cohorts: Dict[Tuple[int, int], _Cohort] = {}
+        self.size = 0
+
+    def picks_after(self, seq: int) -> int:
+        """Picks recorded with a seq younger than ``seq``."""
+        return len(self.picks) - bisect.bisect_right(self.picks, seq)
+
+
+@dataclass(eq=False)
 class _Waiting:
-    """Bookkeeping for a submitted, not-yet-admitted request."""
+    """Bookkeeping for a submitted, not-yet-admitted request (compared
+    by identity: membership tests on ``_waiting`` never walk its
+    fields)."""
 
     seq: int
     req: RegionRequest
@@ -629,6 +701,15 @@ class _Waiting:
     #: again with real payloads (its outputs were never persisted, or
     #: integrity recomputation needs real data); counted, not hidden
     reexecute: bool = False
+    #: admission index: the :class:`_FitClass`, ``_UNPLANNED`` or
+    #: ``_DEFERRED`` (``None`` out of the index); in a class
+    #: ``passed_over``/``overtaken`` are as of ``joined_rounds`` and
+    #: ``joined_picks`` (see :meth:`RegionScheduler._materialize`)
+    slot: object = field(default=None, repr=False)
+    cohort: Optional[_Cohort] = field(default=None, repr=False)
+    ticket: Optional[int] = field(default=None, repr=False)
+    joined_rounds: int = field(default=0, repr=False)
+    joined_picks: int = field(default=0, repr=False)
 
 
 @dataclass(eq=False)
@@ -680,6 +761,17 @@ class RegionScheduler:
         self.cache = cache if cache is not None else PlanCache()
         self.obs = pool.obs
         self._waiting: List[_Waiting] = []
+        # the admission index over _waiting (see _index): every waiting
+        # request sits in exactly one of these between admission rounds
+        #: non-lost devices, in index order (fit-class keys follow it)
+        self._live: Tuple[int, ...] = tuple(
+            i for i in range(len(pool)) if not pool.is_lost(i)
+        )
+        self._classes: Dict[tuple, _FitClass] = {}
+        #: not yet planned on every live device, in waiting (seq) order
+        self._unplanned: List[_Waiting] = []
+        self._deferred: List[_Waiting] = []
+        self._tickets = 0
         #: in-service regions, always in increasing ``admit_seq`` (only
         #: ever appended at admission; removals keep the order)
         self._active: List[_Active] = []
@@ -812,12 +904,11 @@ class RegionScheduler:
         if s is None:
             return
         t0 = time.perf_counter()
-        shards = getattr(a.issuer, "_shards", None)
-        if shards is not None:
+        if a.devices:
             rt_dev = {id(rt): i for i, rt in enumerate(self.pool.runtimes)}
             groups = [
                 (rt_dev.get(id(sh.runtime), a.device), sh.issuer.commands)
-                for sh in shards
+                for sh in a.issuer._shards
             ]
         else:
             groups = [(a.device, a.issuer.commands)]
@@ -938,6 +1029,8 @@ class RegionScheduler:
         is regenerated and byte-compared, which is the proof that this
         state is reconstructed exactly at every cadence point.
         """
+        for w in self._waiting:
+            self._materialize(w)
         state: Dict[str, object] = {
             "clock": self._clock(),
             "seq": self._seq,
@@ -1155,14 +1248,15 @@ class RegionScheduler:
                 key=lambda x: (self._effective_priority(x), -x.seq),
             )
             if victim is not w:
-                self._waiting.remove(victim)
                 self._waiting.append(w)
+                self._index(w)
             self._shed(
                 victim,
                 f"admission queue full (max_waiting={limit})",
             )
         else:
             self._waiting.append(w)
+            self._index(w)
         return seq
 
     def submit_all(self, requests) -> List[int]:
@@ -1308,7 +1402,7 @@ class RegionScheduler:
             out.extend(rec.backlog)
             rec.backlog = []
         for cmd in self.pool.runtimes[device].pop_faults():
-            err = getattr(cmd, "error", None)
+            err = cmd.error
             if err is not None and err.kind != KIND_DEVICE_LOST:
                 self._record_device_fault(device, cmd.finish_time)
             owner = None
@@ -1334,74 +1428,253 @@ class RegionScheduler:
         )
 
     def _effective_priority(self, w: _Waiting) -> int:
+        self._materialize(w)
         return min(
             w.req.priority + w.passed_over // self.config.aging_every,
             self.config.max_priority,
         )
 
-    def _placements(self) -> List:
-        """(waiting, device, plan, nbytes, members) for every request
-        that fits now (``members`` is None for ordinary single-device
-        service).
+    # -- the admission index.  Between rounds every waiting request sits
+    # -- in one place: the deferred list (oom_deferred), its fit class
+    # -- (planned on every live device) or the unplanned list.  Every
+    # -- change to _waiting goes through _index/_unindex (via _drop,
+    # -- _defer, _undefer, _reindex), so a round never rescans the queue
+    def _index(self, w: _Waiting) -> None:
+        """Enter a waiting request (currently out of the index)."""
+        if w.oom_deferred:
+            w.slot = _DEFERRED
+            self._deferred.append(w)
+        elif all(di in w.planned for di in self._live):
+            self._join(w)
+        else:
+            w.slot = _UNPLANNED
+            bisect.insort(self._unplanned, w, key=_seq_of)
 
-        Nothing in a scan reserves or releases memory, so the device
-        order and the headroom snapshot are taken once per scan — at
-        the first waiter that plans, because :meth:`_in_service` may
-        close a breaker (and record it) right there.
+    def _join(self, w: _Waiting) -> None:
+        """Put a request planned on every live device in its fit class
+        and cohort."""
+        shards = w.req.shards
+        footprints = {di: _footprint(w.planned[di]) for di in self._live}
+        key = (
+            shards,
+            tuple(nb for nb, _trip in footprints.values()),
+            tuple(trip for _nb, trip in footprints.values()) if shards > 1 else None,
+        )
+        c = self._classes.get(key)
+        if c is None:
+            c = self._classes[key] = _FitClass(key, shards, footprints)
+        ckey = (w.req.priority, w.passed_over - c.rounds)
+        cohort = c.cohorts.get(ckey)
+        if cohort is None:
+            cohort = c.cohorts[ckey] = _Cohort(*ckey)
+        self._tickets += 1
+        w.ticket = self._tickets
+        heapq.heappush(cohort.heap, (w.seq, w.ticket, w))
+        cohort.live += 1
+        c.size += 1
+        w.slot, w.cohort = c, cohort
+        w.joined_rounds, w.joined_picks = c.rounds, c.picks_after(w.seq)
+
+    def _materialize(self, w: _Waiting) -> None:
+        """Bring a class member's ``passed_over`` and ``overtaken`` up to
+        date (outside a class they are kept eagerly)."""
+        c = w.slot
+        if not isinstance(c, _FitClass):
+            return
+        after = c.picks_after(w.seq)
+        w.passed_over += c.rounds - w.joined_rounds
+        w.overtaken += after - w.joined_picks
+        w.joined_rounds, w.joined_picks = c.rounds, after
+
+    def _unindex(self, w: _Waiting) -> None:
+        """Take a request out of the index, its aging materialized."""
+        slot = w.slot
+        if slot is None:
+            return
+        if slot is _UNPLANNED:
+            self._unplanned.remove(w)
+        elif slot is _DEFERRED:
+            self._deferred.remove(w)
+        else:
+            self._materialize(w)
+            cohort = w.cohort
+            cohort.live -= 1
+            if not cohort.live:
+                del slot.cohorts[(cohort.priority, cohort.offset)]
+            slot.size -= 1
+            if not slot.size:
+                del self._classes[slot.key]
+            w.cohort = w.ticket = None
+        w.slot = None
+
+    def _drop(self, w: _Waiting) -> None:
+        """Remove a request from the queue for good (fail / shed)."""
+        self._unindex(w)
+        if w in self._waiting:
+            self._waiting.remove(w)
+
+    def _defer(self, w: _Waiting) -> None:
+        """Hold the pick (out of the index) whose allocation failed on a
+        fragmented device out of admission until memory is released."""
+        w.oom_deferred = True
+        self._index(w)
+
+    def _undefer(self) -> None:
+        """Memory was released: deferred requests may fit again."""
+        deferred, self._deferred = self._deferred, []
+        for w in deferred:
+            w.oom_deferred = False
+            w.slot = None
+            self._index(w)
+
+    def _reindex(self) -> None:
+        """Rebuild the index from ``_waiting``: a device was lost, so the
+        live set, and with it every class key, changed."""
+        for w in self._waiting:
+            self._materialize(w)
+            w.slot = w.cohort = w.ticket = None
+        pool = self.pool
+        self._live = tuple(i for i in range(len(pool)) if not pool.is_lost(i))
+        self._classes, self._unplanned, self._deferred = {}, [], []
+        for w in self._waiting:
+            self._index(w)
+
+    @staticmethod
+    def _head(cohort: _Cohort) -> _Waiting:
+        """A cohort's oldest member (stale entries dropped on the way)."""
+        heap = cohort.heap
+        while True:
+            _seq, ticket, w = heap[0]
+            if w.ticket == ticket:
+                return w
+            heapq.heappop(heap)
+
+    @staticmethod
+    def _place(
+        shards: int,
+        footprint: Callable[[int], Tuple[int, int]],
+        order: List[int],
+        headroom: List[int],
+    ) -> Optional[Tuple[int, int, Optional[List[int]]]]:
+        """``(device, plan device, members)`` for a request, or None if
+        it fits nowhere; ``footprint(di)`` is ``(nbytes, loop trip)`` of
+        its plan for device ``di``, and ``members`` is None for ordinary
+        single-device service.
+
+        A ``shards > 1`` request takes up to ``shards`` devices of the
+        order whose headroom fits the footprint planned for the order's
+        first device, capped at the loop trip (each shard needs an
+        iteration).  Fewer than two such members degrade to ordinary
+        placement: the first device of the order whose headroom fits
+        its own footprint.
         """
-        out = []
-        order: Optional[List[int]] = None
-        headroom: List[int] = []
-        for w in list(self._waiting):
-            if w.oom_deferred:
-                continue
+        if shards > 1 and order:
+            nbytes, trip = footprint(order[0])
+            members = [di for di in order if nbytes <= headroom[di]]
+            members = members[: max(1, min(shards, trip))]
+            if len(members) >= 2:
+                return members[0], order[0], members
+        for di in order:
+            if footprint(di)[0] <= headroom[di]:
+                return di, di, None
+        return None
+
+    def _pick(self):
+        """One admission round's pick: ``(placement, fit_classes,
+        fit_unplanned)``, or None when nothing fits.
+
+        ``placement`` is ``(waiting, device, plan, nbytes, members)`` for
+        the fitting request with the highest ``(effective priority,
+        -seq)``; the two fit lists are what :meth:`_age` charges.
+        Nothing in a round reserves or releases memory, so the device
+        order (in service, most headroom first, ties to the lowest
+        index) and the headroom snapshot are taken once, and only when
+        some request is not deferred, because :meth:`_in_service` may
+        close a breaker (and record it) right there.
+
+        The unplanned list is walked in waiting order with the
+        per-request placement, so ``_plan`` sees exactly the (request,
+        device) pairs, in the order, that a scan of the whole queue
+        would plan; a request that ends up planned on every live device
+        joins its class and is tested with it.  Each fitting class
+        offers the oldest member of each of its cohorts.
+        """
+        if len(self._waiting) == len(self._deferred):
+            return None
+        pool = self.pool
+        headroom = [pool.headroom(i) for i in range(len(pool))]
+        order = sorted(
+            (i for i in range(len(pool)) if self._in_service(i)),
+            key=lambda i: (-headroom[i], i),
+        )
+        every, cap = self.config.aging_every, self.config.max_priority
+        best, best_key = None, None
+        fit_unplanned: List[_Waiting] = []
+        joined = False
+        for w in list(self._unplanned):
             try:
-                if order is None:
-                    # try the in-service device with the most headroom
-                    # first (ties to the lowest index); fall back to any
-                    # device whose current headroom fits the plan
-                    pool = self.pool
-                    headroom = [pool.headroom(i) for i in range(len(pool))]
-                    order = sorted(
-                        (i for i in range(len(pool)) if self._in_service(i)),
-                        key=lambda i: (-headroom[i], i),
-                    )
-                placed = None
-                if w.req.shards > 1:
-                    placed = self._placement_sharded(w, order, headroom)
-                if placed is None:
-                    for di in order:
-                        plan, nbytes = self._plan(w, di)
-                        if nbytes <= headroom[di]:
-                            placed = (w, di, plan, nbytes, None)
-                            break
-                if placed is not None:
-                    out.append(placed)
+                placed = self._place(
+                    w.req.shards,
+                    lambda di, w=w: _footprint(self._plan(w, di)),
+                    order,
+                    headroom,
+                )
             except (MemLimitError, DirectiveError) as exc:
                 self._fail(w, exc)
-        return out
-
-    def _placement_sharded(
-        self, w: _Waiting, order: List[int], headroom: List[int]
-    ):
-        """Member set for a ``shards > 1`` request.
-
-        Picks up to ``shards`` in-service devices (most headroom first)
-        whose unreserved budgets each fit the plan's full footprint, and
-        caps the member count at the loop trip (each shard needs at
-        least one iteration).  Fewer members than requested degrade
-        gracefully; fewer than two fall back to ordinary single-device
-        placement (returns ``None``).
-        """
-        if not order:
+                continue
+            if all(di in w.planned for di in self._live):
+                self._join(w)  # tested with its class below
+                joined = True
+            elif placed is not None:
+                fit_unplanned.append(w)
+                key = (min(w.req.priority + w.passed_over // every, cap), -w.seq)
+                if best_key is None or key > best_key:
+                    best, best_key = (w, placed), key
+        if joined:
+            self._unplanned = [w for w in self._unplanned if w.slot is _UNPLANNED]
+        fit_classes: List[Tuple[_FitClass, int]] = []
+        for c in self._classes.values():
+            placed = self._place(c.shards, c.footprints.__getitem__, order, headroom)
+            if placed is None:
+                continue
+            oldest = None
+            for cohort in c.cohorts.values():
+                w = self._head(cohort)
+                if oldest is None or w.seq < oldest:
+                    oldest = w.seq
+                key = (
+                    min(cohort.priority + (cohort.offset + c.rounds) // every, cap),
+                    -w.seq,
+                )
+                if best_key is None or key > best_key:
+                    best, best_key = (w, placed), key
+            fit_classes.append((c, oldest))
+        if best is None:
             return None
-        plan, nbytes = self._plan(w, order[0])
-        trip = plan.loop.stop - plan.loop.start
-        members = [di for di in order if nbytes <= headroom[di]]
-        members = members[: max(1, min(w.req.shards, trip))]
-        if len(members) < 2:
-            return None
-        return (w, members[0], plan, nbytes, members)
+        w, (device, plan_device, members) = best
+        plan, nbytes = w.planned[plan_device]
+        return (w, device, plan, nbytes, members), fit_classes, fit_unplanned
+
+    @staticmethod
+    def _age(
+        w: _Waiting,
+        fit_classes: List[Tuple[_FitClass, int]],
+        fit_unplanned: List[_Waiting],
+    ) -> None:
+        """Starvation accounting for every fitting request the pick
+        ``w`` (already out of the index) passed over: each fitting class
+        counts one more round and records the pick if it is younger
+        than some member."""
+        seq = w.seq
+        for c, oldest in fit_classes:
+            c.rounds += 1
+            if seq > oldest:
+                bisect.insort(c.picks, seq)
+        for other in fit_unplanned:
+            if other is not w:
+                other.passed_over += 1
+                if other.seq < seq:
+                    other.overtaken += 1
 
     def _admit(self) -> bool:
         """Admit fitting requests by effective priority; True if any."""
@@ -1410,27 +1683,16 @@ class RegionScheduler:
         while self._waiting:
             if cfg.max_active is not None and len(self._active) >= cfg.max_active:
                 break
-            fits = self._placements()
-            if not fits:
+            picked = self._pick()
+            if picked is None:
                 break
-            # max by (effective priority, -seq), the key inlined: this
-            # runs once per fitting waiter per admission
-            every, cap = cfg.aging_every, cfg.max_priority
-            pick, best = None, None
-            for t in fits:
-                o = t[0]
-                key = (min(o.req.priority + o.passed_over // every, cap), -o.seq)
-                if best is None or key > best:
-                    pick, best = t, key
-            w, device, plan, nbytes, members = pick
-            # aging and starvation accounting for everyone passed over
-            for other, _odi, _op, _onb, _om in fits:
-                if other is w:
-                    continue
-                other.passed_over += 1
-                if other.seq < w.seq:
-                    other.overtaken += 1
-            if self._open(w, device, plan, nbytes, members):
+            placement, fit_classes, fit_unplanned = picked
+            w = placement[0]
+            self._unindex(w)  # the pick itself is not passed over
+            self._age(w, fit_classes, fit_unplanned)
+            # a failed open re-enters w itself if it stays waiting
+            # (_defer, or _device_lost's _reindex)
+            if self._open(*placement):
                 admitted_any = True
         return admitted_any
 
@@ -1480,7 +1742,7 @@ class RegionScheduler:
             self.pool.release(device, nbytes)
             w.planned.pop(device, None)
             if self._active:
-                w.oom_deferred = True
+                self._defer(w)
                 return False
             self._fail(w, MemLimitError(nbytes, self.pool.budgets[device]))
             return False
@@ -1585,7 +1847,7 @@ class RegionScheduler:
                 self.pool.release(di, nbytes)
                 w.planned.pop(di, None)
             if self._active:
-                w.oom_deferred = True
+                self._defer(w)
                 return False
             self._fail(w, MemLimitError(nbytes, self.pool.budgets[primary]))
             return False
@@ -1662,8 +1924,7 @@ class RegionScheduler:
         return min(self.pool.runtimes[i].elapsed for i in alive)
 
     def _fail(self, w: _Waiting, exc: Exception) -> None:
-        if w in self._waiting:
-            self._waiting.remove(w)
+        self._drop(w)
         req = w.req
         finished = self._clock()
         result = RequestResult(
@@ -1695,8 +1956,7 @@ class RegionScheduler:
 
     def _shed(self, w: _Waiting, reason: str) -> None:
         """Drop a still-waiting request (overload or hopeless deadline)."""
-        if w in self._waiting:
-            self._waiting.remove(w)
+        self._drop(w)
         req = w.req
         finished = self._clock()
         result = RequestResult(
@@ -1733,8 +1993,7 @@ class RegionScheduler:
             self.pool.release(di, a.reserved)
         self._active.remove(a)
         # memory was released: blocked requests may fit now
-        for w2 in self._waiting:
-            w2.oom_deferred = False
+        self._undefer()
 
     def _cancel(self, a: _Active, reason: str) -> None:
         """Cut an in-flight region at the current chunk boundary."""
@@ -1768,7 +2027,7 @@ class RegionScheduler:
             retries=w.retries_used + a.issuer.retries_n,
             verified=a.issuer.verified_n,
             corruptions=a.issuer.corruptions_n,
-            resplits=getattr(a.issuer, "resplits", 0),
+            resplits=a.issuer.resplits if a.devices else 0,
             shards=len(a.devices) if a.devices else 1,
             devices=tuple(a.devices or ()),
         )
@@ -1823,7 +2082,7 @@ class RegionScheduler:
             retries=w.retries_used + a.issuer.retries_n,
             verified=a.issuer.verified_n,
             corruptions=a.issuer.corruptions_n,
-            resplits=getattr(a.issuer, "resplits", 0),
+            resplits=a.issuer.resplits if a.devices else 0,
             shards=len(a.devices) if a.devices else 1,
             devices=tuple(a.devices or ()),
         )
@@ -1897,6 +2156,7 @@ class RegionScheduler:
         for w in self._waiting:
             w.planned.pop(device, None)
         self._waiting.sort(key=lambda w: w.seq)
+        self._reindex()
         self.recorder.dump("device-lost", device=device, victims=len(victims))
         if not self.pool.alive():
             for w in list(self._waiting):
@@ -1987,7 +2247,7 @@ class RegionScheduler:
             retries=w.retries_used + a.issuer.retries_n,
             verified=a.issuer.verified_n,
             corruptions=a.issuer.corruptions_n,
-            resplits=getattr(a.issuer, "resplits", 0),
+            resplits=a.issuer.resplits if a.devices else 0,
             shards=len(a.devices) if a.devices else 1,
             devices=tuple(a.devices or ()),
         )
@@ -2004,8 +2264,7 @@ class RegionScheduler:
         self._results.append(result)
         self._active.remove(a)
         # memory was released: blocked requests may fit now
-        for w2 in self._waiting:
-            w2.oom_deferred = False
+        self._undefer()
         self._observe(result)
         if w.replay is not None:
             # resume dedup: the journal had this request settled — the

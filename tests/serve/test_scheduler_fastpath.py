@@ -1,20 +1,24 @@
 """The scheduler's turn fast path against the whole-queue rescans it replaced.
 
 Each scheduling turn used to rescan the whole queue: the admission
-scan re-sorted the devices and recomputed every plan's device footprint
-once per waiter, and the issue pick rebuilt the list of issuable regions
-and took its ``min``.  The fast path computes each footprint once per
-(request, device), takes the device order once per scan, and keeps the
-issue candidates in a heap.
+scan re-sorted the devices, recomputed every plan's device footprint
+and aged every fitting waiter once per admission, and the issue pick
+rebuilt the list of issuable regions and took its ``min``.  The fast
+path computes each footprint once per (request, device), takes the
+device order once per round, tests each fit class once per round with
+lazily aged cohorts, and keeps the issue candidates in a heap.
 
 :class:`CheckedScheduler` recomputes both picks the old way, from full
 state, on every turn and asserts the fast path chose the same request,
-device and issuer.  The scenarios cover each branch those picks meet:
-chaos (replay, failover, breaker probe-back), sharding with the
-straggler watchdog, deadlines, the serial baseline, the bounded queue,
-and fragmentation (OOM) deferral.  A guard then pins the cost: admission
-makes a bounded number of footprint and fit calls per request, not one
-per waiter per turn.
+device, members and plan, planned the same (request, device) pairs in
+the same order, fit the same requests, and that every waiter's lazily
+aged ``passed_over``/``overtaken`` equal the old scan's eager counts.
+The scenarios cover each branch those picks meet: chaos (replay,
+failover, breaker probe-back), sharding with the straggler watchdog,
+deadlines, the serial baseline, the bounded queue, fragmentation (OOM)
+deferral, and memory pressure that moves fit classes in and out of fit.
+A guard then pins the cost: admission makes a bounded number of
+footprint and fit calls per request, not one per waiter per turn.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ class CheckedScheduler(RegionScheduler):
         self.checks: Counter = Counter()
         self._plan_log = []
         self._expected = None
+        #: request seq -> (passed_over, overtaken), aged eagerly
+        self._shadow = {}
 
     def _plan(self, w, device):
         self._plan_log.append((w.seq, device))
@@ -101,29 +107,79 @@ class CheckedScheduler(RegionScheduler):
         seqs = [a.admit_seq for a in self._active]
         assert seqs == sorted(set(seqs)), f"_active out of admission order: {seqs}"
 
-    def _placements(self):
+    def _class_members(self, c):
+        return [w for cohort in c.cohorts.values() for _s, t, w in cohort.heap if w.ticket == t]
+
+    def _assert_aging_matches_shadow(self) -> None:
+        # lazy aging, read back, equals the old scan's eager per-round count
+        for w in self._waiting:
+            assert w.slot is not None, f"request {w.seq} waits outside the index"
+            self._materialize(w)
+            want = self._shadow.get(w.seq, (0, 0))
+            assert (w.passed_over, w.overtaken) == want, (
+                f"request {w.seq} aged {(w.passed_over, w.overtaken)}, eagerly {want}"
+            )
+
+    def _pick(self):
+        self._assert_aging_matches_shadow()
+        before = {(w.seq, di) for w in self._waiting for di in w.planned}
         self._plan_log = []
-        fast = super()._placements()
+        fast = super()._pick()
         waiting = {w.seq for w in self._waiting}
-        fast_log = [p for p in self._plan_log if p[0] in waiting]
+        fast_log = [p for p in self._plan_log if p[0] in waiting and p not in before]
         quarantine = list(self._quarantined_until)
         self._plan_log = []
         ref = self._reference_placements()
+        ref_log = [p for p in self._plan_log if p not in before]
         # planning side effects (cache, dry runs, cache_hit) happened
         # for the same (waiter, device) pairs in the same order, and the
         # fast scan already closed every breaker the old scan would have
-        assert self._plan_log == fast_log
+        assert ref_log == fast_log
         assert self._quarantined_until == quarantine
-        assert [(w.seq, di, m) for w, di, _p, _nb, m in fast] == [
-            (w.seq, di, m) for w, di, _p, m in ref
-        ]
-        for (_w, _di, plan, nbytes, _m), (_rw, _rdi, rplan, _rm) in zip(fast, ref):
-            assert plan is rplan
-            assert nbytes == plan.device_bytes()
-        self._expected = (
+        placement, classes, unplanned = fast if fast else (None, [], [])
+        # the same requests fit, and a fit class places all its members alike
+        by_seq = {w.seq: (di, m) for w, di, _p, m in ref}
+        fast_fits = {w.seq for w in unplanned}
+        for c, oldest in classes:
+            members = self._class_members(c)
+            assert oldest == min(w.seq for w in members)
+            assert len({repr(by_seq.get(w.seq)) for w in members}) == 1, (
+                f"class members placed differently: {[by_seq.get(w.seq) for w in members]}"
+            )
+            fast_fits.update(w.seq for w in members)
+        if classes and len(classes) < len(self._classes):
+            self.checks["class_unfit"] += 1  # some classes fit, others not
+        every, cap = self.config.aging_every, self.config.max_priority
+        for c in self._classes.values():
+            # a cohort's members share one effective priority, read off
+            # the cohort without materializing any of them
+            for cohort in c.cohorts.values():
+                shared = min(cohort.priority + (cohort.offset + c.rounds) // every, cap)
+                for _s, t, w in cohort.heap:
+                    if w.ticket == t:
+                        assert self._effective_priority(w) == shared
+            priorities = [p for p, _offset in c.cohorts]
+            if len(set(priorities)) < len(priorities):
+                self.checks["cohort_offsets"] += 1  # same priority, joined apart
+        assert sorted(fast_fits) == sorted(by_seq)
+        want = (
             max(ref, key=lambda t: (self._effective_priority(t[0]), -t[0].seq))
             if ref else None
         )
+        assert (fast is None) == (want is None)
+        if want is not None:
+            w, di, plan, nbytes, m = placement
+            assert (w, di, m) == (want[0], want[1], want[3])
+            assert plan is want[2]
+            assert nbytes == plan.device_bytes()
+            if want[0] is not max(ref, key=lambda t: (t[0].req.priority, -t[0].seq))[0]:
+                self.checks["aged_pick"] += 1
+            # the old scan's eager aging, applied to the shadow counts
+            for o, _odi, _op, _om in ref:
+                if o is not want[0]:
+                    po, ot = self._shadow.get(o.seq, (0, 0))
+                    self._shadow[o.seq] = (po + 1, ot + (o.seq < want[0].seq))
+        self._expected = want
         self.checks["scan"] += 1
         return fast
 
@@ -132,6 +188,7 @@ class CheckedScheduler(RegionScheduler):
         assert want is not None, "admitted without a reference pick"
         assert w is want[0], f"admitted request {w.seq}, old pick {want[0].seq}"
         assert device == want[1] and members == want[3]
+        assert (w.passed_over, w.overtaken) == self._shadow.get(w.seq, (0, 0))
         self._expected = None
         self.checks["admit"] += 1
         opened = super()._open(w, device, plan, nbytes, members)
@@ -260,6 +317,21 @@ def _oom_deferral():
     return DevicePool(profile), ServeConfig(autotune=False), requests()
 
 
+def _pressure():
+    # two small devices of unequal memory: fit classes move in and out
+    # of fit as regions come and go, requests join classes late (once
+    # planned on both devices) in cohorts of differing offsets, and with
+    # aging_every=1 aging overturns base-priority picks
+    def device(free):
+        return replace(
+            NVIDIA_K40M,
+            usable_memory_bytes=NVIDIA_K40M.context_overhead_bytes + free,
+        )
+
+    pool = DevicePool([device(2_500_000), device(1_500_000)])
+    return pool, ServeConfig(aging_every=1, max_priority=64), random_workload(seed=1, n=24)
+
+
 SCENARIOS = {
     "mixed": (_mixed, lambda r, c: r.ok),
     "mixed-2dev": (_mixed_two_devices, lambda r, c: r.ok and {x.device for x in r.results} == {0, 1}),
@@ -271,6 +343,11 @@ SCENARIOS = {
     "serial": (_serial, lambda r, c: r.ok),
     "max-waiting": (_max_waiting, lambda r, c: r.shed >= 1),
     "oom-deferral": (_oom_deferral, lambda r, c: r.ok and c["oom_deferred"] >= 1),
+    "pressure": (
+        _pressure,
+        lambda r, c: r.ok and c["class_unfit"] and c["aged_pick"]
+        and c["cohort_offsets"] and any(x.overtaken for x in r.results),
+    ),
 }
 
 
