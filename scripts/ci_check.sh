@@ -12,6 +12,11 @@ echo "== tests (DeprecationWarning -> error) =="
 # byte-identical traces / metrics / analysis / serve reports
 python -W error::DeprecationWarning -m pytest -q tests
 
+echo "== analytic dry-run model is bit-equal to the simulator =="
+# the full autotune candidate grid over the bench's serve shapes, both
+# profiles and both halo modes; exits 1 on any mismatch
+python scripts/check_pipemodel.py
+
 echo "== coverage gate (when pytest-cov is available) =="
 if python -c "import pytest_cov" >/dev/null 2>&1; then
     # floor set at the level the seed suite established; raise it as

@@ -4,14 +4,17 @@ The paper closes with: "Finally, we will further study how the other
 parameters affect our design and integrate a performance model in an
 autotuning scheduler."  This module implements that scheduler.
 
-The performance model is the simulator itself: a candidate
-``(chunk_size, num_streams)`` is evaluated by executing the region in
-**virtual mode** on a scratch device of the same profile — a dry run
-that moves no data, costs milliseconds of wall time, and returns the
-exact pipeline timeline the real execution would have (virtual and real
-runs are timing-identical; the test suite asserts this).  On real
-hardware the equivalent is an analytic model or a micro-benchmark
-calibration pass; the search structure is the same.
+The performance model is an exact analytic replay of the pipeline
+(:func:`~repro.core.pipemodel.dry_run_elapsed`): a candidate
+``(chunk_size, num_streams)`` is priced with the ``elapsed`` a
+**virtual-mode** run on a scratch device of the same profile would
+report, computed on plain numbers — no commands, events, runtime or
+device objects are built.  The replay follows the issuer's
+dependencies and the engine's event order step for step, so its time
+is ``==`` to the simulator's (``tests/core/test_pipemodel.py`` holds
+the two bit for bit), and virtual and real runs are timing-identical.
+On real hardware the equivalent is an analytic model or a
+micro-benchmark calibration pass; the search structure is the same.
 
 The search explores a geometric ladder of chunk sizes against a small
 set of stream counts, respecting any ``pipeline_mem_limit``, and keeps
@@ -27,13 +30,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.executor import execute_pipeline
 from repro.core.kernel import RegionKernel
 from repro.core.memlimit import MemLimitError, tune_plan
-from repro.gpu.runtime import Runtime
-from repro.sim.device import Device
+from repro.core.pipemodel import dry_run_elapsed
 from repro.sim.memory import OutOfDeviceMemory
-from repro.sim.varray import VirtualArray
 
 __all__ = ["AutotuneReport", "Candidate", "autotune", "candidate_grid"]
 
@@ -60,7 +60,7 @@ class AutotuneReport:
     candidates:
         Everything evaluated, in search order.
     dry_runs:
-        Number of virtual executions performed.
+        Number of candidates priced by a dry run.
     """
 
     best: Candidate
@@ -103,15 +103,9 @@ def candidate_grid(
     return [(cs, ns) for cs in sizes for ns in streams]
 
 
-def _virtual_arrays(arrays: Dict[str, object]) -> Dict[str, VirtualArray]:
-    return {
-        name: VirtualArray(tuple(a.shape), a.dtype) for name, a in arrays.items()
-    }
-
-
 def autotune(
     region,
-    runtime: Runtime,
+    runtime,
     arrays: Dict[str, np.ndarray],
     kernel: RegionKernel,
     *,
@@ -128,7 +122,7 @@ def autotune(
         search.
     runtime:
         The runtime the region will eventually run on; only its device
-        *profile* is used (dry runs happen on scratch devices).
+        *profile* is used (dry runs price a fresh device of it).
     arrays:
         The host arrays (shapes/dtypes are used; contents are not).
     kernel:
@@ -144,7 +138,6 @@ def autotune(
     """
     base_plan = region.bind(arrays)
     limit = region.mem_limit.limit_bytes if region.mem_limit is not None else None
-    vsets = _virtual_arrays(arrays)
     profile = runtime.profile
 
     candidates: List[Candidate] = []
@@ -162,19 +155,13 @@ def autotune(
         except MemLimitError:
             feasible = False
         if feasible:
-            scratch = Runtime(Device(profile), virtual=True)
             try:
-                res = execute_pipeline(scratch, plan, vsets, kernel)
+                elapsed = dry_run_elapsed(profile, plan, arrays, kernel)
             except OutOfDeviceMemory:
                 cand = Candidate(cs, ns, float("inf"), plan.device_bytes(), False)
             else:
                 dry_runs += 1
-                cand = Candidate(cs, ns, res.elapsed, plan.device_bytes(), True)
-                # only the elapsed time is kept: hand the dry run's
-                # commands and tokens to the free lists, so the next
-                # candidate's dry run reuses them instead of allocating
-                del res
-                scratch.device.sim.recycle_completed()
+                cand = Candidate(cs, ns, elapsed, plan.device_bytes(), True)
                 if best is None or cand.elapsed < best.elapsed:
                     best = cand
         else:

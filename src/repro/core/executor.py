@@ -90,7 +90,7 @@ class RegionResult:
         allocations).
     timeline:
         All commands the region retired, as records built from
-        ``commands`` on first access (a dry run that reads only
+        ``commands`` on first access (a caller that reads only
         ``elapsed`` never builds them).
     nchunks, chunk_size, num_streams:
         Effective pipeline shape (1/NA for the naive model).
@@ -518,7 +518,7 @@ class PipelineIssuer:
         for c in pending:
             self.recorder.record(
                 "fault", t=self.runtime.elapsed,
-                fault=(getattr(c.error, "kind", None) or "poisoned"),
+                fault=c.error.kind if c.error is not None else "poisoned",
                 label=c.label, chunk=self.meta.get(c),
             )
 
@@ -920,6 +920,10 @@ class PipelineIssuer:
         tracer, tr_on, m_on = self.tracer, self.tr_on, self.m_on
         policy, meta, verify, dedup = self.policy, self.meta, self._verify, self._dedup
         ranges = [chunk_range(lane.clause, t0, t1) for lane in lanes]
+        # repro.core.pipemodel.dry_run_elapsed replays these books,
+        # filters and issue order on plain numbers to price autotune
+        # candidates; tests/core/test_pipemodel.py holds its elapsed
+        # bit-equal to this path's, so change the two together
 
         prev = self._impose_overheads()
         try:

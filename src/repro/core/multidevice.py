@@ -55,10 +55,10 @@ from repro.core.executor import (
     PipelineIssuer,
     RegionResult,
     _Measurer,
-    execute_pipeline,
 )
 from repro.core.kernel import RegionKernel
 from repro.core.memlimit import tune_plan
+from repro.core.pipemodel import dry_run_elapsed
 from repro.core.plan import RegionPlan
 from repro.directives.clauses import DirectiveError, Loop
 from repro.directives.splitspec import SplitSpec
@@ -66,8 +66,6 @@ from repro.gpu.errors import DeviceLostError, InvalidValueError
 from repro.gpu.runtime import Runtime
 from repro.integrity import INTEGRITY_OFF, validate_integrity
 from repro.sim.bandwidth import BandwidthShared
-from repro.sim.device import Device
-from repro.sim.varray import VirtualArray
 
 __all__ = [
     "MultiDeviceResult",
@@ -253,20 +251,18 @@ def probe_rates(
 ) -> List[float]:
     """Iterations/second each device sustains, from virtual dry runs.
 
-    The probe executes a short prefix of the loop on a scratch device
-    of each runtime's profile; rates feed :func:`split_loop`.
+    The probe prices a short prefix of the loop on a fresh device of
+    each runtime's profile with the analytic dry-run model
+    (:func:`~repro.core.pipemodel.dry_run_elapsed`); rates feed
+    :func:`split_loop`.
     """
     trip = plan.loop.trip_count
     probe = probe_iters or max(plan.chunk_size * plan.num_streams * 2, trip // 8)
     probe = min(probe, trip)
-    vsets = {n: VirtualArray(tuple(a.shape), a.dtype) for n, a in arrays.items()}
     sub = _subloop_plan(plan, plan.loop.start, plan.loop.start + probe)
-    rates = []
-    for rt in runtimes:
-        scratch = Runtime(Device(rt.profile), virtual=True)
-        res = execute_pipeline(scratch, sub, vsets, kernel)
-        rates.append(probe / res.elapsed)
-    return rates
+    return [
+        probe / dry_run_elapsed(rt.profile, sub, arrays, kernel) for rt in runtimes
+    ]
 
 
 def split_loop(loop: Loop, weights: Sequence[float]) -> List[Tuple[int, int]]:
@@ -951,7 +947,7 @@ class ShardedIssuer:
         """
         status: Dict[int, bool] = {}
         for cmd in issuer.commands:
-            k = getattr(cmd, "chunk", None)
+            k = cmd.chunk
             if k is None:
                 continue
             ok = (

@@ -1,0 +1,367 @@
+"""Exact analytic dry runs: a pipeline's elapsed time without the simulator.
+
+:func:`~repro.core.autotune.autotune` prices every candidate
+``(chunk_size, num_streams)`` by the ``elapsed`` that
+:func:`~repro.core.executor.execute_pipeline` would report on a fresh
+virtual device of the target profile.  Building that run's commands,
+tokens, ring views and runtime calls costs far more than the one float
+the search reads, so :func:`dry_run_elapsed` replays the same run on
+plain numbers instead:
+
+* **the host clock**, in the runtime's order of ``+=`` steps: stream
+  creation, each resident's malloc and blocking H2D, the ring mallocs,
+  one scaled API call per issued command, the device synchronize, the
+  blocking resident D2H and the frees;
+* **the same inputs**, through the code the issuer uses: ``plan.chunks()``,
+  :func:`~repro.directives.splitspec.chunk_range`, ``plan.ring_capacity``,
+  :func:`~repro.core.ringbuffer.band_geometry`,
+  :func:`~repro.core.ringbuffer.ring_pieces`, the link cost model, the
+  kernel's ``chunk_cost`` and a real allocator for out-of-memory;
+* **the same dependencies**: :meth:`PipelineIssuer.issue_next
+  <repro.core.executor.PipelineIssuer.issue_next>`'s per-array books,
+  with command ids in place of event tokens, the same filters and the
+  same duplicates in the same order;
+* **the same event order**: a flat event loop over command ids with the
+  engine's discipline — a ``(time, seq, event)`` heap, per-engine queues
+  keyed by ``(ready_time, seq)``, an idle engine starting a ready
+  command at once, and retirement resolving token waiters, then the
+  stream successor, then the engine queue.
+
+Every dry run is fault-free, unobserved, pinned and alone on its
+device, so the replay covers every plan a dry run can see, and its
+result is ``==`` to the simulator's.  ``tests/core/test_pipemodel.py``
+and ``scripts/check_pipemodel.py`` hold the two bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from heapq import heappop, heappush, heappushpop
+from typing import Dict, List, Mapping
+
+import numpy as np
+
+from repro.core.kernel import RegionKernel
+from repro.core.plan import RegionPlan
+from repro.core.ringbuffer import band_geometry, ring_pieces
+from repro.directives.splitspec import chunk_range
+from repro.sim.bandwidth import transfer_time_1d, transfer_time_2d
+from repro.sim.memory import MemoryAllocator
+from repro.sim.profiles import DeviceProfile
+
+__all__ = ["dry_run_elapsed"]
+
+#: heap event tags, in the engine's order (a finish sorts before a ready)
+_FINISH = 0
+_READY = 1
+
+
+class _Lane:
+    """One pipelined array: transfer geometry and its issue books."""
+
+    __slots__ = (
+        "is_input", "is_output", "capacity", "h2d_time", "d2h_time",
+        "h2d", "readers", "d2h", "covered_hi",
+    )
+
+    def __init__(self, clause, capacity: int, h2d_time, d2h_time) -> None:
+        self.is_input = clause.is_input
+        self.is_output = clause.is_output
+        self.capacity = capacity
+        #: ``extent -> duration`` of one piece in each direction (_PieceTimes)
+        self.h2d_time = h2d_time
+        self.d2h_time = d2h_time
+        #: ``(lo, hi, command id)`` records, as in the issuer's books
+        self.h2d: List[tuple] = []
+        self.readers: List[tuple] = []
+        self.d2h: List[tuple] = []
+        self.covered_hi = None
+
+
+class _PieceTimes(dict):
+    """``extent -> duration`` of one ring piece on a link, filled on demand.
+
+    The duration is what ``Device.submit_copy`` gives a pinned copy of the
+    piece's host section, plus the region's per-command contention.
+    """
+
+    __slots__ = ("link", "rows", "unit_bytes", "unit_row_bytes", "contention")
+
+    def __init__(self, link, host_shape, split_dim: int, itemsize: int, contention):
+        super().__init__()
+        self.link = link
+        self.rows, self.unit_row_bytes = band_geometry(host_shape, split_dim, itemsize)
+        self.unit_bytes = itemsize * math.prod(
+            s for i, s in enumerate(host_shape) if i != split_dim
+        )
+        self.contention = contention
+
+    def __missing__(self, extent: int) -> float:
+        if self.rows is None:
+            t = transfer_time_1d(self.link, extent * self.unit_bytes, pinned=True)
+        else:
+            t = transfer_time_2d(
+                self.link, self.rows, extent * self.unit_row_bytes, pinned=True
+            )
+        d = self[extent] = float(t + self.contention)
+        return d
+
+
+#: ``[specs, kernel, profile, key, work]`` of the last :func:`_chunk_work`
+_last_work: list = [None, None, None, None, None]
+
+
+def _chunk_work(plan: RegionPlan, kernel: RegionKernel, profile: DeviceProfile):
+    """Per chunk in schedule order: ``(index, t0, t1, ranges, launch)``.
+
+    ``ranges`` are the chunk's dependency ranges in ``plan.specs`` order
+    and ``launch`` is ``kernel_launch_overhead + chunk_cost``, the kernel
+    duration before the region's contention is added.  None of it depends
+    on the stream count under the static schedule, and autotune prices
+    every stream count of a chunk size in a row, so the last result is
+    kept and reused while the plan family (the same ``specs`` mapping,
+    which ``with_params`` shares), loop, schedule, chunk size, kernel and
+    profile stay the same.
+    """
+    key = (
+        plan.loop, plan.schedule, plan.chunk_size,
+        plan.num_streams if plan.schedule != "static" else 0,
+    )
+    last = _last_work
+    if (
+        last[0] is plan.specs and last[1] is kernel and last[2] is profile
+        and last[3] == key
+    ):
+        return last[4]
+    clauses = [spec.clause for spec in plan.specs.values()]
+    klo = profile.kernel_launch_overhead
+    work = [
+        (
+            chunk.index, chunk.t0, chunk.t1,
+            [chunk_range(clause, chunk.t0, chunk.t1) for clause in clauses],
+            klo + kernel.chunk_cost(profile, chunk.t0, chunk.t1, translated=True),
+        )
+        for chunk in plan.chunks()
+    ]
+    last[:] = [plan.specs, kernel, profile, key, work]
+    return work
+
+
+def dry_run_elapsed(
+    profile: DeviceProfile,
+    plan: RegionPlan,
+    shapes: Mapping[str, object],
+    kernel: RegionKernel,
+) -> float:
+    """The ``elapsed`` of ``execute_pipeline`` on a fresh virtual device.
+
+    Parameters
+    ----------
+    profile:
+        The device profile the dry run's scratch device would have.
+    plan:
+        A resolved (and, if requested, memory-limit-tuned) plan.
+    shapes:
+        Host arrays keyed by variable name; only their ``shape`` and
+        ``dtype`` are read, so real and virtual arrays are equivalent.
+    kernel:
+        The region kernel (its cost model only).
+
+    Raises
+    ------
+    OutOfDeviceMemory
+        When a resident array or ring buffer does not fit, exactly where
+        the real run's allocation would fail.
+    """
+    work = _chunk_work(plan, kernel, profile)
+    streams_n = min(plan.num_streams, len(work))
+    api = profile.api_overhead
+    sync = profile.sync_overhead
+    # the region's overhead scale and per-command contention, as the
+    # issuer imposes them on the runtime around every step
+    call = api * (1.0 + profile.runtime_stream_factor * (streams_n - 1))
+    contention = profile.runtime_stream_contention * (streams_n - 1)
+    memory = MemoryAllocator(
+        capacity=profile.usable_memory_bytes,
+        context_overhead=profile.context_overhead_bytes,
+    )
+
+    # ---- open(): streams, staged residents, ring buffers ----------------
+    host = 0.0
+    now = 0.0
+    for _ in range(streams_n):
+        host += profile.stream_create_overhead
+    resident_out = []
+    for var, clause in plan.residents.items():
+        arr = shapes[var]
+        nbytes = math.prod(int(s) for s in arr.shape) * np.dtype(arr.dtype).itemsize
+        memory.allocate(nbytes)
+        host += api
+        if clause.direction in ("to", "tofrom"):
+            # blocking copy on an idle device: it starts when issued
+            # (or at the device clock, if that is later)
+            host += call
+            now = (host if host > now else now) + float(
+                transfer_time_1d(profile.h2d, nbytes, pinned=True) + contention
+            )
+            host = max(host, now) + sync
+        if clause.direction in ("from", "tofrom"):
+            resident_out.append(nbytes)
+    lanes: List[_Lane] = []
+    for var, spec in plan.specs.items():
+        arr = shapes[var]
+        host_shape = tuple(int(s) for s in arr.shape)
+        itemsize = np.dtype(arr.dtype).itemsize
+        split_dim = spec.split_dim
+        capacity = plan.ring_capacity(var)
+        buf_shape = list(host_shape)
+        buf_shape[split_dim] = capacity
+        memory.allocate(math.prod(buf_shape) * itemsize)
+        host += api
+        lanes.append(_Lane(
+            spec.clause, capacity,
+            _PieceTimes(profile.h2d, host_shape, split_dim, itemsize, contention),
+            _PieceTimes(profile.d2h, host_shape, split_dim, itemsize, contention),
+        ))
+
+    # ---- issue: one command per H2D piece, kernel and D2H piece ---------
+    # a command is ``(duration, engine, issue time, waited command ids)``;
+    # engines: 0 = dma0, 1 = dma1 (D2H, with two DMA engines), 2 = compute0
+    cmds: List[tuple] = []
+    #: each command's predecessor on its stream (-1 for a stream's first)
+    pred: List[int] = []
+    tails = [-1] * streams_n
+    d2h_engine = 1 if profile.dma_engines > 1 else 0
+    dedup = plan.halo_mode == "dedup"
+    for index, t0, t1, ranges, launch in work:
+        first = len(cmds)
+        in_ids: list = []
+        out_reuse: list = []
+        for lane, (lo, hi) in zip(lanes, ranges):
+            cap = lane.capacity
+            if lane.is_input:
+                covered = lane.covered_hi
+                new_lo = max(lo, covered) if dedup and covered is not None else lo
+                if new_lo < hi:
+                    for g_lo, g_hi, _pos in ring_pieces(new_lo, hi, cap):
+                        r_lo, r_hi = g_lo - cap, g_hi - cap
+                        reuse = [c for (a, b, c) in lane.readers if a < r_hi and b > r_lo]
+                        reuse += [c for (a, b, c) in lane.d2h if a < r_hi and b > r_lo]
+                        host += call
+                        lane.h2d.append((g_lo, g_hi, len(cmds)))
+                        cmds.append((lane.h2d_time[g_hi - g_lo], 0, host, reuse))
+                    lane.covered_hi = max(covered or hi, hi)
+                h2d = lane.h2d
+                in_ids += [c for (a, b, c) in h2d if a < hi and b > lo]
+                lane.h2d = [r for r in h2d if r[1] > lo]
+            floor = lo - cap
+            if lane.is_output:
+                ceil = hi - cap
+                d2h = lane.d2h
+                out_reuse += [c for (a, b, c) in d2h if a < ceil and b > floor]
+                out_reuse += [c for (a, b, c) in lane.readers if a < ceil and b > floor]
+                lane.d2h = [r for r in d2h if r[1] > floor]
+            lane.readers = [r for r in lane.readers if r[1] > floor]
+        host += call
+        kernel_id = len(cmds)
+        cmds.append((float(launch + contention), 2, host, in_ids + out_reuse))
+        for lane, (lo, hi) in zip(lanes, ranges):
+            if lane.is_input:
+                lane.readers.append((lo, hi, kernel_id))
+            if not lane.is_output:
+                continue
+            for g_lo, g_hi, _pos in ring_pieces(lo, hi, lane.capacity):
+                host += call
+                lane.d2h.append((g_lo, g_hi, len(cmds)))
+                cmds.append((lane.d2h_time[g_hi - g_lo], d2h_engine, host, ()))
+        # one stream per chunk: its commands follow each other in order
+        stream = index % streams_n
+        pred.append(tails[stream])
+        pred.extend(range(first, len(cmds) - 1))
+        tails[stream] = len(cmds) - 1
+
+    # ---- the event loop, as the engine runs it -------------------------
+    # nothing retires while the issuer enqueues (the device clock stands
+    # at ``now``), so each command's waits and stream predecessor are
+    # all pending: wire them in issue order, then run the loop
+    dur, engine, enq, waits = zip(*cmds)
+    n = len(cmds)
+    waiters: List[list] = [[] for _ in range(n)]
+    successor = [-1] * n
+    unresolved = [0] * n
+    busy = [-1, -1, -1]
+    queues: List[list] = [[], [], []]
+    heap: list = []
+
+    def ready(c: int, t: float) -> None:
+        """``Simulator._ready_now``: start at once on an idle engine."""
+        e = engine[c]
+        q = queues[e]
+        if busy[e] < 0:
+            if q:
+                c = heappushpop(q, (t, c))[1]
+            busy[e] = c
+            heappush(heap, (t + dur[c], c, _FINISH))
+        else:
+            heappush(q, (t, c))
+
+    for c in range(n):
+        ws = waits[c]
+        k = len(ws)
+        p = pred[c]
+        if p >= 0:
+            successor[p] = c
+            k += 1
+        for w in ws:
+            waiters[w].append(c)
+        unresolved[c] = k
+        if k == 0:
+            if enq[c] <= now:
+                ready(c, now)
+            else:
+                heappush(heap, (enq[c], c, _READY))
+
+    while heap:
+        t, c, ev = heappop(heap)
+        now = t
+        if ev:
+            ready(c, t)
+            continue
+        e = engine[c]
+        busy[e] = -1
+        # token waiters first, then the stream successor
+        succ = successor[c]
+        for w in (waiters[c] + [succ]) if succ >= 0 else waiters[c]:
+            k = unresolved[w] = unresolved[w] - 1
+            if k == 0:
+                at = enq[w]
+                if at > t:
+                    heappush(heap, (at, w, _READY))
+                    continue
+                # ready(w, t), inlined: the hottest dispatch site
+                we = engine[w]
+                wq = queues[we]
+                if busy[we] < 0:
+                    if wq:
+                        w = heappushpop(wq, (t, w))[1]
+                    busy[we] = w
+                    heappush(heap, (t + dur[w], w, _FINISH))
+                else:
+                    heappush(wq, (t, w))
+        q = queues[e]
+        if busy[e] < 0 and q:
+            nxt = heappop(q)[1]
+            busy[e] = nxt
+            heappush(heap, (t + dur[nxt], nxt, _FINISH))
+    host = max(host, now) + sync
+
+    # ---- finalize(): blocking resident copy-out, then the frees ---------
+    for nbytes in resident_out:
+        host += call
+        now = (host if host > now else now) + float(
+            transfer_time_1d(profile.d2h, nbytes, pinned=True) + contention
+        )
+        host = max(host, now) + sync
+    for _ in range(len(plan.residents) + len(lanes)):
+        host += api
+    return max(host, now)

@@ -32,7 +32,7 @@ import numpy as np
 from repro.gpu.darray import DeviceArray
 from repro.gpu.runtime import Runtime
 
-__all__ = ["DeviceRing", "RingPiece", "band_geometry"]
+__all__ = ["DeviceRing", "RingPiece", "band_geometry", "ring_pieces"]
 
 
 class RingPiece(NamedTuple):
@@ -75,6 +75,26 @@ def band_geometry(
     for s in shape[:split_dim]:
         rows *= s
     return rows, inner
+
+
+def ring_pieces(g_lo: int, g_hi: int, cap: int) -> List[RingPiece]:
+    """Decompose a global range into contiguous pieces of a ring of
+    ``cap`` units: one piece, or two when the range wraps.
+
+    Raises ``ValueError`` if the range is wider than the ring — such a
+    range can never be resident at once.
+    """
+    if g_hi <= g_lo:
+        return []
+    if g_hi - g_lo > cap:
+        raise ValueError(
+            f"range [{g_lo}, {g_hi}) wider than ring capacity {cap}"
+        )
+    pos = g_lo % cap
+    if pos + (g_hi - g_lo) <= cap:
+        return [RingPiece(g_lo, g_hi, pos)]
+    split = g_lo + cap - pos
+    return [RingPiece(g_lo, split, pos), RingPiece(split, g_hi, 0)]
 
 
 class DeviceRing:
@@ -136,23 +156,9 @@ class DeviceRing:
     # geometry
     # ------------------------------------------------------------------
     def pieces(self, g_lo: int, g_hi: int) -> List[RingPiece]:
-        """Decompose a global range into contiguous buffer pieces.
-
-        Raises ``ValueError`` if the range is wider than the ring —
-        such a range can never be resident at once.
-        """
-        if g_hi <= g_lo:
-            return []
-        cap = self.capacity
-        if g_hi - g_lo > cap:
-            raise ValueError(
-                f"range [{g_lo}, {g_hi}) wider than ring capacity {cap}"
-            )
-        pos = g_lo % cap
-        if pos + (g_hi - g_lo) <= cap:
-            return [RingPiece(g_lo, g_hi, pos)]
-        split = g_lo + cap - pos
-        return [RingPiece(g_lo, split, pos), RingPiece(split, g_hi, 0)]
+        """Decompose a global range into contiguous buffer pieces (see
+        :func:`ring_pieces`)."""
+        return ring_pieces(g_lo, g_hi, self.capacity)
 
     def _axis_slice(self, lo: int, hi: int):
         return self._prefix + (slice(lo, hi),) + self._suffix

@@ -82,7 +82,7 @@ class Timeline:
         Identical to ``Timeline(records)`` built from the commands, but
         the records are built and sorted on first access to
         :attr:`records`, so a caller that never looks at the timeline
-        (an autotune dry run reads only ``elapsed``) never pays for it.
+        (one that reads only a result's ``elapsed``) never pays for it.
         The commands must not be mutated or recycled before then.
         """
         tl = cls.__new__(cls)

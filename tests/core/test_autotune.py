@@ -9,7 +9,7 @@ from repro.core.autotune import AutotuneReport, autotune, candidate_grid
 from repro.core.memlimit import MemLimitError
 from repro.gpu import Runtime
 from repro.sim import AMD_HD7970, NVIDIA_K40M
-from repro.sim.engine import Command, Simulator
+from repro.sim.engine import Command, EventToken, Simulator
 
 from tests.core.test_executor import ScaleKernel, make_arrays, make_region, run
 
@@ -113,28 +113,34 @@ class TestAutotune:
         assert amd.best.chunk_size >= 4
 
 
-class TestDryRunRecycling:
-    def test_repeated_search_reuses_commands(self, monkeypatch):
-        """Each dry run hands its commands to the free lists, so a second
-        identical search draws almost all of them from there."""
+class TestDryRunModel:
+    def test_repeated_search_builds_no_engine_objects(self, monkeypatch):
+        """Dry runs are priced by the analytic model: a second identical
+        search constructs no command, event token or runtime and
+        enqueues nothing on any simulator, yet returns the same report."""
         n = 64
         args = (make_region(n), Runtime(NVIDIA_K40M), make_arrays(n), ScaleKernel())
         first = autotune(*args, max_streams=4)
         built = []
-        init = Command.__init__
 
-        def counting_init(self, *a, **kw):
-            built.append(1)
-            init(self, *a, **kw)
+        def count(cls, name):
+            orig = getattr(cls, name)
 
-        monkeypatch.setattr(Command, "__init__", counting_init)
-        enqueued = []
-        enqueue = Simulator.enqueue
-        monkeypatch.setattr(
-            Simulator, "enqueue",
-            lambda self, cmd, **kw: enqueued.append(1) or enqueue(self, cmd, **kw),
-        )
+            def counted(*a, **kw):
+                built.append(f"{cls.__name__}.{name}")
+                return orig(*a, **kw)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        for cls, name in (
+            (Command, "__init__"), (Command, "acquire"),
+            (EventToken, "__init__"), (EventToken, "acquire"),
+            (Runtime, "__init__"), (Simulator, "enqueue"),
+        ):
+            count(cls, name)
         second = autotune(*args, max_streams=4)
         assert second == first
-        assert len(enqueued) > 100
-        assert len(built) <= len(enqueued) // 100
+        assert built == []
+        # the counters do see engine objects when something builds them
+        Runtime(NVIDIA_K40M)
+        assert "Runtime.__init__" in built

@@ -12,8 +12,8 @@ stream; these pin the untraced one, and check that attaching
 :class:`~repro.obs.Observability` leaves it unchanged.
 
 The autotune scenario hashes the search's outcome (best candidate and
-the full candidate list) instead, because a search's dry runs recycle
-their commands.
+the full candidate list) instead, because a search's dry runs are
+priced by the analytic model and issue no commands.
 
 An intentional schedule change regenerates the file with::
 
