@@ -322,6 +322,19 @@ if ! echo "$backlog_out" | tail -n 1 | grep -q '"correct": true'; then
     exit 1
 fi
 
+echo "== bench smoke: durable serve recovers every request =="
+# serve_durable is the one workload that runs transient faults,
+# checksums, sharding and the journal together: a pass whose report
+# differs from the first pass's, or a request that does not recover,
+# reads as "correct": false
+durable_out="$(python3 bench/run.py --workload serve_durable --seed 1 \
+    --seconds 1 --trace 0)"
+if ! echo "$durable_out" | tail -n 1 | grep -q '"correct": true'; then
+    echo "serve_durable bench smoke did not report correct results:" >&2
+    echo "$durable_out" | tail -n 5 >&2
+    exit 1
+fi
+
 echo "== bench smoke: traced pass wraps every layer =="
 # the traced ledger patches the layer calls bench/layers.py names, so a
 # renamed call fails here with a LookupError, not on the next bench run

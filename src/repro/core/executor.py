@@ -36,8 +36,9 @@ hide another's transfers.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from repro.core.plan import Chunk, RegionPlan
 from repro.core.ringbuffer import DeviceRing
 from repro.directives.clauses import PipelineMapClause
 from repro.directives.splitspec import chunk_range
+from repro.errors import ReproError
 from repro.faults.policy import (
     CHUNK_EXHAUSTED,
     CHUNK_FAILED,
@@ -67,7 +69,7 @@ from repro.sim.engine import Command, EventToken
 from repro.sim.trace import Timeline, overlap_fraction, time_distribution
 from repro.sim.varray import is_virtual
 
-__all__ = ["RegionResult", "PipelineIssuer", "execute_pipeline"]
+__all__ = ["FaultRouter", "RegionResult", "PipelineIssuer", "execute_pipeline"]
 
 
 @dataclass
@@ -305,25 +307,96 @@ def _cleanup_after_failure(runtime: Runtime, device_arrays, claim=None) -> None:
     when given, so a scheduler can route co-tenant faults to their
     owners instead of dropping them), and releases the region's device
     allocations so a degraded re-attempt (or the caller) starts from a
-    clean allocator.
+    clean allocator.  Only the runtime's own errors (:class:`ReproError`)
+    are swallowed; anything else is a bug and propagates.
     """
     old_defer, runtime.defer_faults = runtime.defer_faults, True
     try:
-        try:
+        with suppress(ReproError):
             runtime.synchronize()
-        except Exception:
-            pass
     finally:
         runtime.defer_faults = old_defer
-    try:
+    with suppress(ReproError):
         (claim or runtime.pop_faults)()
-    except Exception:
-        pass
     for arr in device_arrays:
-        try:
+        with suppress(ReproError):
             runtime.free(arr)
-        except Exception:
-            pass
+
+
+def _charge_backoff(
+    runtime: Runtime, policy: FaultPolicy, attempt: int,
+    replays: Optional[str] = None,
+) -> float:
+    """Charge retry ``attempt``'s backoff (0-based) to the host clock.
+
+    Every recovery path retries through here.  The retry is counted in
+    ``faults.retries``; its backoff seconds go to
+    ``faults.backoff_seconds``, unless ``replays`` names a counter that
+    tallies the replay instead (integrity replays).  Returns the delay.
+    """
+    delay = policy.backoff_for(attempt)
+    runtime.host_now += delay
+    m = runtime.metrics
+    if m.enabled:
+        m.counter("faults.retries").inc()
+        if replays is None:
+            m.counter("faults.backoff_seconds").inc(delay)
+        else:
+            m.counter(replays).inc()
+    return delay
+
+
+class FaultRouter:
+    """Hands faults popped off shared runtimes to the issuers that own them.
+
+    ``Runtime.pop_faults`` returns every unclaimed fault on a device,
+    whichever issuer enqueued the command.  A claim through the router
+    pops the claimant's runtimes once, passes each popped fault to
+    ``on_fault(runtime, command)`` (a scheduler feeds its circuit
+    breaker there), and parks each with the registered issuer whose
+    ``meta`` holds the command until that issuer claims.  Faults no
+    registered issuer owns go to the claimant, which counts and ignores
+    them.
+
+    Owners are keyed by the ``id`` of their ``meta`` dict, which the
+    router holds while they are registered: it references no issuer, so
+    it adds no reference cycle.
+    """
+
+    def __init__(self, on_fault=None) -> None:
+        self.on_fault = on_fault
+        self._owners: Dict[int, Dict[Command, int]] = {}
+        self._held: Dict[int, List[Command]] = {}
+
+    def register(self, meta: Dict[Command, int]) -> None:
+        """Route faults on the commands in ``meta`` to its issuer."""
+        self._owners[id(meta)] = meta
+
+    def release(self, meta: Dict[Command, int]) -> None:
+        """Stop routing to ``meta``'s issuer; drop what was parked for it."""
+        self._owners.pop(id(meta), None)
+        self._held.pop(id(meta), None)
+
+    def claim(self, meta: Dict[Command, int], runtimes) -> List[Command]:
+        """Pop ``runtimes``' faults; return ``meta``'s issuer's share.
+
+        That share is everything parked for it earlier, then, in pop
+        order, its own new faults and the orphans.
+        """
+        key = id(meta)
+        out = self._held.pop(key, [])
+        for rt in runtimes:
+            for cmd in rt.pop_faults():
+                if self.on_fault is not None:
+                    self.on_fault(rt, cmd)
+                owner = next(
+                    (k for k, m in self._owners.items() if cmd in m), key
+                )
+                if owner == key:
+                    out.append(cmd)
+                else:
+                    self._held.setdefault(owner, []).append(cmd)
+        return out
 
 
 class PipelineIssuer:
@@ -369,7 +442,7 @@ class PipelineIssuer:
         policy: Optional[FaultPolicy] = None,
         stream_prefix: str = "pipe",
         region_span: bool = True,
-        claim_faults=None,
+        router: Optional[FaultRouter] = None,
         recorder=None,
         reduction_residents=None,
         integrity: str = INTEGRITY_OFF,
@@ -389,11 +462,14 @@ class PipelineIssuer:
         self.reduction_residents = frozenset(reduction_residents or ())
         #: ``(chunk_t0, {var: delta})`` snapshots, one per executed chunk
         self.reduction_parts: List[Tuple[int, Dict[str, np.ndarray]]] = []
-        #: callable claiming this issuer's fault backlog.  Defaults to
-        #: ``runtime.pop_faults`` (sole tenant); a scheduler installs a
-        #: router here so one tenant's recovery never claims — and
-        #: silently drops — another tenant's faults.
-        self.claim_faults = claim_faults if claim_faults is not None else runtime.pop_faults
+        #: :class:`FaultRouter` this issuer claims its faults through,
+        #: so one tenant's recovery never claims — and silently drops —
+        #: another tenant's faults; ``None`` (sole tenant) pops the
+        #: runtime directly
+        self.router = router
+        #: runtimes a claim through the router drains: this issuer's
+        #: own, or every member device for one shard of a region
+        self.claim_from: Tuple[Runtime, ...] = (runtime,)
         #: optional :class:`~repro.obs.recorder.FlightRecorder`; when
         #: set, chunk issues / replays / claimed faults are logged into
         #: its bounded ring (no effect on timing)
@@ -416,6 +492,8 @@ class PipelineIssuer:
         self.meta: Dict[Command, int] = {}
         #: every device command this issuer enqueued, in issue order
         self.commands: List[Command] = []
+        if router is not None:
+            router.register(self.meta)
         self.resident_dev: Dict[str, object] = {}
         self.rings: Dict[str, DeviceRing] = {}
         self.books: Dict[str, _Records] = {}
@@ -511,6 +589,12 @@ class PipelineIssuer:
         rt.command_overhead = self.contention
         return prev
 
+    def _claim(self) -> List[Command]:
+        """Claim this issuer's faulted commands (see :attr:`router`)."""
+        if self.router is None:
+            return self.runtime.pop_faults()
+        return self.router.claim(self.meta, self.claim_from)
+
     def _record_faults(self, pending) -> None:
         """Log claimed faults into the flight recorder (if any)."""
         if self.recorder is None or not pending:
@@ -548,7 +632,7 @@ class PipelineIssuer:
                 # blocking copy to this issuer without making it a
                 # replay unit
                 self.meta[cmd] = -1
-            bad = self.claim_faults() if policy is not None else []
+            bad = self._claim() if policy is not None else []
             corrupt = False
             if check and not bad:
                 runtime.host_now += verify_cost(cmd.nbytes)
@@ -576,13 +660,9 @@ class PipelineIssuer:
                     fault=bad[0].error if bad else None,
                     pending=len(bad) or 1,
                 )
-            delay = retry.backoff_for(attempt)
-            runtime.host_now += delay
+            _charge_backoff(runtime, retry, attempt)
             attempt += 1
             self.retries_n += 1
-            if runtime.metrics.enabled:
-                runtime.metrics.counter("faults.retries").inc()
-                runtime.metrics.counter("faults.backoff_seconds").inc(delay)
 
     # ------------------------------------------------------------------
     # integrity: detection
@@ -674,33 +754,16 @@ class PipelineIssuer:
         """
         if self.virtual:
             return None
-        plan, arrays, rings = self.plan, self.arrays, self.rings
-        resident_dev, kernel = self.resident_dev, self.kernel
+        rings = self.rings
 
         def run() -> None:
-            views: Dict[str, ChunkView] = {}
-            out_ranges: Dict[str, Tuple[int, int]] = {}
-            for var, spec in plan.specs.items():
-                lo, hi = plan.chunk_dep_range(var, chunk)
-                ring = rings[var]
-                cl = spec.clause
-                if cl.is_input:
-                    data = ring.gather(lo, hi)
-                else:
-                    shape = list(ring.host_shape)
-                    shape[spec.split_dim] = hi - lo
-                    data = np.zeros(shape, dtype=arrays[var].dtype)
-                views[var] = ChunkView(data, spec.split_dim, lo, hi)
-                if cl.is_output:
-                    out_ranges[var] = (lo, hi)
+            views, out_ranges = self._chunk_views(chunk)
             red_tmp: Dict[str, np.ndarray] = {}
-            for var, dev in resident_dev.items():
+            for var in self.resident_dev:
                 if var in self.reduction_residents:
-                    red_tmp[var] = np.zeros_like(arrays[var])
-                    views[var] = ChunkView(red_tmp[var], None, 0, dev.shape[0])
-                else:
-                    views[var] = ChunkView(dev.backing, None, 0, dev.shape[0])
-            kernel.run(views, chunk.t0, chunk.t1)
+                    tmp = red_tmp[var] = np.zeros_like(self.arrays[var])
+                    views[var] = ChunkView(tmp, None, 0, tmp.shape[0])
+            self.kernel.run(views, chunk.t0, chunk.t1)
             for var, (lo, hi) in out_ranges.items():
                 if digest(views[var].data) != digest(rings[var].gather(lo, hi)):
                     self._note_corruption(var, lo, hi, chunk.index, "vote")
@@ -856,30 +919,39 @@ class PipelineIssuer:
             for var, spec in plan.specs.items()
         ]
 
+    def _chunk_views(
+        self, chunk: Chunk
+    ) -> Tuple[Dict[str, ChunkView], Dict[str, Tuple[int, int]]]:
+        """A chunk kernel's views — pipelined inputs gathered from their
+        rings, zeroed outputs, residents in place — and the output
+        ranges to scatter back."""
+        plan, rings = self.plan, self.rings
+        views: Dict[str, ChunkView] = {}
+        out_ranges: Dict[str, Tuple[int, int]] = {}
+        for var, spec in plan.specs.items():
+            lo, hi = plan.chunk_dep_range(var, chunk)
+            ring = rings[var]
+            cl = spec.clause
+            if cl.is_input:
+                data = ring.gather(lo, hi)
+            else:
+                shape = list(ring.host_shape)
+                shape[spec.split_dim] = hi - lo
+                data = np.zeros(shape, dtype=self.arrays[var].dtype)
+            views[var] = ChunkView(data, spec.split_dim, lo, hi)
+            if cl.is_output:
+                out_ranges[var] = (lo, hi)
+        for var, dev in self.resident_dev.items():
+            views[var] = ChunkView(dev.backing, None, 0, dev.shape[0])
+        return views, out_ranges
+
     def _kernel_payload(self, chunk: Chunk):
         if self.virtual:
             return None
-        plan, arrays, rings = self.plan, self.arrays, self.rings
-        resident_dev, kernel = self.resident_dev, self.kernel
+        rings, resident_dev, kernel = self.rings, self.resident_dev, self.kernel
 
         def run() -> None:
-            views: Dict[str, ChunkView] = {}
-            out_ranges: Dict[str, Tuple[int, int]] = {}
-            for var, spec in plan.specs.items():
-                lo, hi = plan.chunk_dep_range(var, chunk)
-                ring = rings[var]
-                cl = spec.clause
-                if cl.is_input:
-                    data = ring.gather(lo, hi)
-                else:
-                    shape = list(ring.host_shape)
-                    shape[spec.split_dim] = hi - lo
-                    data = np.zeros(shape, dtype=arrays[var].dtype)
-                views[var] = ChunkView(data, spec.split_dim, lo, hi)
-                if cl.is_output:
-                    out_ranges[var] = (lo, hi)
-            for var, dev in resident_dev.items():
-                views[var] = ChunkView(dev.backing, None, 0, dev.shape[0])
+            views, out_ranges = self._chunk_views(chunk)
             kernel.run(views, chunk.t0, chunk.t1)
             for var, (lo, hi) in out_ranges.items():
                 rings[var].scatter(views[var].data, lo, hi)
@@ -1180,113 +1252,125 @@ class PipelineIssuer:
         per-request retry budget.  Exceeding it raises
         :class:`~repro.faults.RegionFailure`.
         """
-        state = {"budget": budget}
-        while True:
-            if self.policy is not None:
-                self._recover_faults(state)
-            if not self._corruptions:
-                return
-            self._recover_corruptions(state)
+        prev = self._impose_overheads()
+        try:
+            while True:
+                if self.policy is not None:
+                    budget = self._replay(_FAULTS, self.policy, budget)
+                if not self._corruptions:
+                    return
+                budget = self._replay(_CORRUPTIONS, self._ipolicy, budget)
+        finally:
+            self.runtime.call_overhead_scale, self.runtime.command_overhead = prev
 
-    def _recover_faults(self, state: Dict[str, Optional[int]]) -> None:
-        """Replay chunks whose commands reported fail-stop faults.
+    def _replay(
+        self, cause: "_Cause", policy: FaultPolicy, budget: Optional[int]
+    ) -> Optional[int]:
+        """The chunk-replay loop every recovery cause shares.
+
+        Each round takes the cause's next batch of affected chunks and
+        checks it against the request ``budget`` and each chunk's
+        ``policy.max_retries``, raising :class:`RegionFailure` when
+        either is spent.  Otherwise it replays the chunks one by one —
+        backoff charged to the host clock, full dependency-range
+        H2D → kernel → D2H, device drained, the cause's post-replay
+        step — and goes round again until a batch comes back empty.
+        Per-chunk attempts and status live for this call only.
+        Returns the budget left.
+        """
+        runtime, chunks, recorder = self.runtime, self.chunks, self.recorder
+        attempts: Dict[int, int] = {}
+        status = {c.index: CHUNK_OK for c in chunks} if cause.ledger else {}
+        while True:
+            affected = cause.affected(self)
+            if not affected:
+                return budget
+            over = budget is not None and len(affected) > budget
+            exhausted = [] if over else [
+                k for k in affected if attempts.get(k, 0) >= policy.max_retries
+            ]
+            if over or exhausted:
+                if cause.dump and recorder is not None:
+                    recorder.dump(
+                        "integrity-exhausted", region=self.kernel.name,
+                        corruptions=self.corruptions_n,
+                    )
+                for k in affected:
+                    status[k] = CHUNK_EXHAUSTED if k in exhausted else CHUNK_FAILED
+                if over:
+                    msg = (
+                        f"{len(affected)} {cause.batch} but only {budget} "
+                        f"replay(s) left in the request budget"
+                    )
+                    log = [
+                        f"{cause.tag}: request retry budget exhausted with "
+                        f"{len(affected)} chunk(s) {cause.waiting}"
+                    ]
+                else:
+                    msg = (
+                        f"{len(exhausted)} chunk(s) still {cause.still} after "
+                        f"{policy.max_retries} replays each"
+                    )
+                    log = [
+                        f"{cause.tag}: chunk {k} exhausted "
+                        f"{attempts.get(k, 0) + 1} attempts"
+                        for k in exhausted
+                    ]
+                raise RegionFailure(
+                    msg, chunk_status=status, attempts=log, retries=self.retries_n
+                )
+            for k in affected:
+                if budget is not None:
+                    budget -= 1
+                attempt = attempts[k] = attempts.get(k, 0) + 1
+                delay = _charge_backoff(runtime, policy, attempt - 1, cause.replays)
+                self.retries_n += 1
+                if recorder is not None:
+                    recorder.record(
+                        "chunk.replay", t=runtime.elapsed, chunk=k,
+                        attempt=attempt, backoff=delay, **cause.fields,
+                    )
+                # a span carries the cause's fields, or else the backoff
+                with self.tracer.span(
+                    f"replay:chunk{k}", "fault", chunk=k, attempt=attempt,
+                    **(cause.fields or {"backoff": delay}),
+                ):
+                    self._enqueue_replay(chunks[k])
+                # drain before the next replay or re-verify: the
+                # re-verify reads both sides of the replayed transfers,
+                # and two replayed chunks can alias the same ring slots
+                # (mod capacity) without the pipeline's slot-reuse waits
+                runtime.synchronize()
+                if cause.ledger:
+                    status[k] = CHUNK_RECOVERED
+                if cause.after is not None:
+                    cause.after(self, chunks[k])
+
+    def _faulted_chunks(self) -> List[int]:
+        """Claim this issuer's faults; returns the chunks to replay.
 
         Faulted kernels never ran their payloads (poison propagation
         suppresses consumers of faulted data too), so replay is exact —
         even for accumulating kernels.
         """
-        runtime, policy = self.runtime, self.policy
-        tracer, m_on, chunks = self.tracer, self.m_on, self.chunks
-        budget = state["budget"]
-        prev = self._impose_overheads()
-        try:
-            chunk_status = {c.index: CHUNK_OK for c in chunks}
-            attempts = {c.index: 0 for c in chunks}
-            pending = self.claim_faults()
-            self.faults_n += len(pending)
-            self._record_faults(pending)
-            while pending:
-                if runtime.device.lost:
-                    raise DeviceLostError(
-                        "device lost during pipelined region",
-                        pending=len(pending),
-                    )
-                affected = sorted({
-                    k for k in (self.meta[c] for c in pending if c in self.meta)
-                    if k >= 0
-                })
-                if not affected:
-                    # faults on commands this region did not issue (or
-                    # on blocking copies already retried in place);
-                    # claimed above, nothing to replay here
-                    break
-                if budget is not None and len(affected) > budget:
-                    for k in affected:
-                        chunk_status[k] = CHUNK_FAILED
-                    raise RegionFailure(
-                        f"{len(affected)} chunk(s) faulted but only "
-                        f"{budget} replay(s) left in the request budget",
-                        chunk_status=chunk_status,
-                        attempts=[
-                            f"buffer: request retry budget exhausted with "
-                            f"{len(affected)} chunk(s) pending"
-                        ],
-                        retries=self.retries_n,
-                    )
-                exhausted = [
-                    k for k in affected if attempts[k] >= policy.max_retries
-                ]
-                if exhausted:
-                    for k in exhausted:
-                        chunk_status[k] = CHUNK_EXHAUSTED
-                    for k in affected:
-                        if k not in exhausted:
-                            chunk_status[k] = CHUNK_FAILED
-                    raise RegionFailure(
-                        f"{len(exhausted)} chunk(s) still faulting after "
-                        f"{policy.max_retries} replays each",
-                        chunk_status=chunk_status,
-                        attempts=[
-                            f"buffer: chunk {k} exhausted "
-                            f"{attempts[k] + 1} attempts"
-                            for k in exhausted
-                        ],
-                        retries=self.retries_n,
-                    )
-                for k in affected:
-                    if budget is not None:
-                        budget -= 1
-                        state["budget"] = budget
-                    attempts[k] += 1
-                    delay = policy.backoff_for(attempts[k] - 1)
-                    runtime.host_now += delay
-                    self.retries_n += 1
-                    if m_on:
-                        runtime.metrics.counter("faults.retries").inc()
-                        runtime.metrics.counter(
-                            "faults.backoff_seconds"
-                        ).inc(delay)
-                    if self.recorder is not None:
-                        self.recorder.record(
-                            "chunk.replay", t=runtime.elapsed, chunk=k,
-                            attempt=attempts[k], backoff=delay,
-                        )
-                    with tracer.span(
-                        f"replay:chunk{k}", "fault",
-                        chunk=k, attempt=attempts[k], backoff=delay,
-                    ):
-                        self._enqueue_replay(chunks[k])
-                    # drain before the next replay: two replayed chunks
-                    # can alias the same ring slots (mod capacity), and
-                    # replays lack the pipeline's slot-reuse ordering
-                    # waits, so concurrency here would race
-                    runtime.synchronize()
-                    chunk_status[k] = CHUNK_RECOVERED
-                pending = self.claim_faults()
-                self.faults_n += len(pending)
-                self._record_faults(pending)
-        finally:
-            runtime.call_overhead_scale, runtime.command_overhead = prev
+        pending = self._claim()
+        self.faults_n += len(pending)
+        self._record_faults(pending)
+        if not pending:
+            return []
+        if self.runtime.device.lost:
+            raise DeviceLostError(
+                "device lost during pipelined region", pending=len(pending)
+            )
+        # faults on blocking copies (retried in place, chunk -1) or on
+        # commands this region did not issue replay nothing
+        meta = self.meta
+        return sorted({k for k in (meta[c] for c in pending if c in meta) if k >= 0})
+
+    def _corrupt_chunks(self) -> List[int]:
+        """Take the queued detections; returns the chunks to replay."""
+        batch, self._corruptions = self._corruptions, []
+        return self._affected_chunks(batch)
 
     # ------------------------------------------------------------------
     # integrity: response
@@ -1311,93 +1395,6 @@ class PipelineIssuer:
                     if clo < hi and chi > lo:
                         affected.add(c.index)
         return sorted(affected)
-
-    def _recover_corruptions(self, state: Dict[str, Optional[int]]) -> None:
-        """Replay chunks whose data an integrity check proved corrupt.
-
-        Works without a fault policy (corruption replay bounds come
-        from :attr:`_ipolicy`); exhaustion dumps the flight-recorder
-        ring before raising, so the detection trail survives the
-        failure.
-        """
-        runtime, chunks = self.runtime, self.chunks
-        ipolicy = self._ipolicy
-        attempts: Dict[int, int] = {}
-        prev = self._impose_overheads()
-        try:
-            while self._corruptions:
-                batch, self._corruptions = self._corruptions, []
-                affected = self._affected_chunks(batch)
-                budget = state["budget"]
-                if budget is not None and len(affected) > budget:
-                    if self.recorder is not None:
-                        self.recorder.dump(
-                            "integrity-exhausted", region=self.kernel.name,
-                            corruptions=self.corruptions_n,
-                        )
-                    raise RegionFailure(
-                        f"{len(affected)} corrupted chunk(s) but only "
-                        f"{budget} replay(s) left in the request budget",
-                        chunk_status={k: CHUNK_FAILED for k in affected},
-                        attempts=[
-                            "integrity: request retry budget exhausted "
-                            f"with {len(affected)} chunk(s) corrupt"
-                        ],
-                        retries=self.retries_n,
-                    )
-                exhausted = [
-                    k for k in affected
-                    if attempts.get(k, 0) >= ipolicy.max_retries
-                ]
-                if exhausted:
-                    if self.recorder is not None:
-                        self.recorder.dump(
-                            "integrity-exhausted", region=self.kernel.name,
-                            corruptions=self.corruptions_n,
-                        )
-                    raise RegionFailure(
-                        f"{len(exhausted)} chunk(s) still corrupt after "
-                        f"{ipolicy.max_retries} replays each",
-                        chunk_status={
-                            k: (CHUNK_EXHAUSTED if k in exhausted
-                                else CHUNK_FAILED)
-                            for k in affected
-                        },
-                        attempts=[
-                            f"integrity: chunk {k} exhausted "
-                            f"{attempts[k] + 1} attempts"
-                            for k in exhausted
-                        ],
-                        retries=self.retries_n,
-                    )
-                for k in affected:
-                    if state["budget"] is not None:
-                        state["budget"] -= 1
-                    attempts[k] = attempts.get(k, 0) + 1
-                    delay = ipolicy.backoff_for(attempts[k] - 1)
-                    runtime.host_now += delay
-                    self.retries_n += 1
-                    if self.m_on:
-                        runtime.metrics.counter("faults.retries").inc()
-                        runtime.metrics.counter("integrity.replays").inc()
-                    if self.recorder is not None:
-                        self.recorder.record(
-                            "chunk.replay", t=runtime.elapsed, chunk=k,
-                            attempt=attempts[k], backoff=delay,
-                            cause="corruption",
-                        )
-                    with self.tracer.span(
-                        f"replay:chunk{k}", "fault",
-                        chunk=k, attempt=attempts[k], cause="corruption",
-                    ):
-                        self._enqueue_replay(chunks[k])
-                    # drain before verifying: the re-verify reads host
-                    # and device sides of the replayed transfers, and
-                    # two replays can alias ring slots (mod capacity)
-                    runtime.synchronize()
-                    self._verify_chunk_sync(chunks[k])
-        finally:
-            runtime.call_overhead_scale, runtime.command_overhead = prev
 
     def _verify_chunk_sync(self, chunk: Chunk) -> None:
         """Synchronously re-verify a replayed chunk's data.
@@ -1507,9 +1504,7 @@ class PipelineIssuer:
                 runtime.free(ring.darr)
         finally:
             runtime.call_overhead_scale, runtime.command_overhead = prev
-        if self.rspan is not None:
-            self.tracer.end(self.rspan)
-            self.rspan = None
+        self._close()
 
     def abort(self) -> None:
         """Failure-path teardown: drain, claim faults, free allocations."""
@@ -1517,11 +1512,60 @@ class PipelineIssuer:
         _cleanup_after_failure(
             self.runtime,
             list(self.resident_dev.values()) + [r.darr for r in self.rings.values()],
-            claim=self.claim_faults,
+            claim=self._claim,
         )
+        self._close()
+
+    def _close(self) -> None:
+        """Leave the fault router and end the region span."""
+        if self.router is not None:
+            self.router.release(self.meta)
         if self.rspan is not None:
             self.tracer.end(self.rspan)
             self.rspan = None
+
+
+
+class _Cause(NamedTuple):
+    """What one recovery cause varies in :meth:`PipelineIssuer._replay`."""
+
+    #: issuer method returning the next batch of chunks to replay
+    affected: Callable[["PipelineIssuer"], List[int]]
+    #: issuer method run on each chunk after its replay drained
+    after: Optional[Callable[["PipelineIssuer", Chunk], None]]
+    #: attempts-log prefix of the :class:`RegionFailure` it raises
+    tag: str
+    #: how its messages name the affected chunks, a chunk still bad
+    #: after its last replay, and a chunk awaiting replay
+    batch: str
+    still: str
+    waiting: str
+    #: counter tallying each replay (``None``: count backoff seconds)
+    replays: Optional[str]
+    #: extra fields of each replay's recorder event and trace span
+    fields: Dict[str, str]
+    #: whether a failure's chunk_status covers every chunk (else only
+    #: the failing batch)
+    ledger: bool
+    #: whether exhaustion dumps the flight recorder first
+    dump: bool
+
+
+#: fail-stop faults claimed off the runtime, bounded by ``policy``
+_FAULTS = _Cause(
+    affected=PipelineIssuer._faulted_chunks, after=None, tag="buffer",
+    batch="chunk(s) faulted", still="faulting", waiting="pending",
+    replays=None, fields={}, ledger=True, dump=False,
+)
+#: corruptions flagged by integrity checks, bounded by ``_ipolicy``;
+#: every replayed chunk is re-verified
+_CORRUPTIONS = _Cause(
+    affected=PipelineIssuer._corrupt_chunks,
+    after=PipelineIssuer._verify_chunk_sync, tag="integrity",
+    batch="corrupted chunk(s)", still="corrupt", waiting="corrupt",
+    replays="integrity.replays", fields={"cause": "corruption"},
+    ledger=False, dump=True,
+)
 
 
 def execute_pipeline(

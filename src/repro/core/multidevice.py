@@ -44,14 +44,13 @@ failover instead.
 from __future__ import annotations
 
 import math
-import weakref
-from collections import ChainMap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.executor import (
+    FaultRouter,
     PipelineIssuer,
     RegionResult,
     _Measurer,
@@ -360,6 +359,11 @@ class ShardedIssuer:
     policy:
         Optional per-chunk :class:`~repro.faults.FaultPolicy`, applied
         to every sub-issuer.
+    router:
+        The :class:`~repro.core.executor.FaultRouter` the sub-issuers
+        claim faults through (a scheduler's pool-wide one); a private
+        one when omitted.  A sub-issuer's claim drains every member
+        device.
     self_heal:
         When True (standalone), a shard's ``DeviceLostError`` is
         absorbed by re-splitting its incomplete iterations over the
@@ -382,7 +386,7 @@ class ShardedIssuer:
         weights: Optional[Sequence[float]] = None,
         policy=None,
         stream_prefix: str = "shard",
-        claim_faults=None,
+        router: Optional[FaultRouter] = None,
         recorder=None,
         self_heal: bool = True,
         measure: bool = False,
@@ -397,7 +401,7 @@ class ShardedIssuer:
         self.kernel = kernel
         self.policy = policy
         self.stream_prefix = stream_prefix
-        self.claim_faults = claim_faults
+        self.router = router if router is not None else FaultRouter()
         self.recorder = recorder
         self.self_heal = self_heal
         self.measure = measure
@@ -452,19 +456,9 @@ class ShardedIssuer:
         #: re-splits caused by the watchdog (subset of ``resplits``)
         self.straggler_resplits = 0
         self.halo_bytes = 0
-        #: faults/retries accumulated by shards that have since died
-        self._base_faults = 0
-        self._base_retries = 0
-        #: integrity counters accumulated by since-dead shards
-        self._base_verified = 0
-        self._base_corruptions = 0
-        self._base_seam = 0
         #: chunks a dead shard completed before dying (kept for counts)
         self._retired_chunks: List = []
         self._base_issued = 0
-        #: faults popped off member runtimes, parked per owning issuer
-        self._parked: Dict[int, List] = {}
-        self._rr = 0
         self._opened = False
         self._finalized = False
 
@@ -510,31 +504,33 @@ class ShardedIssuer:
         subs = [sh.issuer.streams_n for sh in self._shards if sh.issuer is not None]
         return max(subs, default=min(self.plan.num_streams, max(1, self.remaining)))
 
+    def _total(self, counter: str) -> int:
+        """A sub-issuer counter summed over every shard, dead ones too
+        (a dead shard's issuer stops counting when it aborts)."""
+        return sum(
+            getattr(sh.issuer, counter) for sh in self._shards
+            if sh.issuer is not None
+        )
+
     @property
     def faults_n(self) -> int:
-        return self._base_faults + sum(sh.issuer.faults_n for sh in self._live())
+        return self._total("faults_n")
 
     @property
     def retries_n(self) -> int:
-        return self._base_retries + sum(sh.issuer.retries_n for sh in self._live())
+        return self._total("retries_n")
 
     @property
     def verified_n(self) -> int:
-        return self._base_verified + sum(
-            sh.issuer.verified_n for sh in self._live()
-        )
+        return self._total("verified_n")
 
     @property
     def corruptions_n(self) -> int:
-        return self._base_corruptions + sum(
-            sh.issuer.corruptions_n for sh in self._live()
-        )
+        return self._total("corruptions_n")
 
     @property
     def seam_verified_n(self) -> int:
-        return self._base_seam + sum(
-            sh.issuer.seam_verified_n for sh in self._live()
-        )
+        return self._total("seam_verified_n")
 
     @property
     def _corruptions(self) -> List:
@@ -542,12 +538,6 @@ class ShardedIssuer:
         return [
             e for sh in self._live() for e in sh.issuer._corruptions
         ]
-
-    @property
-    def meta(self):
-        """Command -> chunk mapping across shards (supports ``in``)."""
-        maps = [sh.issuer.meta for sh in self._shards if sh.issuer is not None]
-        return ChainMap(*maps) if maps else {}
 
     def remaining_kernel_bound(self, kernel) -> float:
         """Lower bound on remaining work: shards run concurrently, so
@@ -560,36 +550,6 @@ class ShardedIssuer:
             for sh in self._live()
         ]
         return max(bounds, default=0.0)
-
-    # ------------------------------------------------------------------
-    # fault routing
-    # ------------------------------------------------------------------
-    def _claim_all(self) -> List:
-        """Pop every member runtime's fault backlog (or the installed
-        scheduler router's view of it)."""
-        if self.claim_faults is not None:
-            return list(self.claim_faults())
-        out: List = []
-        for rt in {id(sh.runtime): sh.runtime for sh in self._shards}.values():
-            out.extend(rt.pop_faults())
-        return out
-
-    def _route_faults(self, asker: PipelineIssuer) -> List:
-        """Per-sub-issuer claim: park each fault with its owner, return
-        the asker's own (plus anything parked for it earlier).  Orphans
-        go to the asker, which claims-and-ignores them."""
-        out = self._parked.pop(id(asker), [])
-        for cmd in self._claim_all():
-            owner = None
-            for sh in self._shards:
-                if sh.issuer is not None and cmd in sh.issuer.meta:
-                    owner = sh.issuer
-                    break
-            if owner is None or owner is asker:
-                out.append(cmd)
-            else:
-                self._parked.setdefault(id(owner), []).append(cmd)
-        return out
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -635,17 +595,15 @@ class ShardedIssuer:
             policy=self.policy,
             stream_prefix=f"{prefix}{index}.",
             region_span=False,
+            router=self.router,
             recorder=self.recorder,
             reduction_residents=self.reduction_residents,
             integrity=self.integrity,
             halo_ranges=self._halo_ranges_for(sh),
         )
-        # weak references: a closure holding this issuer and the
-        # sub-issuer strongly would tie every sharded region, with all
-        # its retired commands, into a cycle only the cyclic GC frees
-        route = weakref.WeakMethod(self._route_faults)
-        asker = weakref.ref(issuer)
-        issuer.claim_faults = lambda: route()(asker())
+        # a shard's claim drains every member device, so one region's
+        # faults are popped together wherever they landed
+        issuer.claim_from = tuple(self.runtimes)
         sh.issuer = issuer
 
     def _charge_halo(self) -> None:
@@ -834,55 +792,60 @@ class ShardedIssuer:
                 return True
         return False
 
-    def drain(self) -> None:
-        """Issue any remaining work and wait for all shards' streams.
+    def _issue_all(self) -> None:
+        while self.issue_next() is not None:
+            pass
 
-        Self-healing: a shard dying mid-drain re-splits its incomplete
-        iterations, and the loop continues until a full pass issues
-        nothing and drains cleanly.
+    def _heal(self, step, after_reshard) -> None:
+        """Run ``step(issuer)`` on every live shard until a pass is clean.
+
+        Self-healing: a shard whose device dies mid-pass re-splits its
+        incomplete iterations onto the survivors, ``after_reshard()``
+        runs, and the pass starts over.  Without ``self_heal`` the loss
+        propagates.
         """
         while True:
-            while self.issue_next() is not None:
-                pass
-            retry = False
             for sh in list(self._shards):
                 if not sh.alive or sh.issuer is None:
                     continue
                 try:
-                    sh.issuer.drain()
+                    step(sh.issuer)
                 except DeviceLostError:
                     if not self.self_heal:
                         raise
                     self._reshard(sh)
-                    retry = True
+                    after_reshard()
                     break
-            if not retry:
+            else:
                 return
 
+    def drain(self) -> None:
+        """Issue any remaining work and wait for all shards' streams
+        (self-healing: work re-split off a dead shard is issued and
+        drained too)."""
+        self._issue_all()
+        self._heal(PipelineIssuer.drain, self._issue_all)
+
     def recover(self, budget: Optional[int] = None) -> None:
-        """Per-shard chunk-granular recovery: faults and corruptions."""
+        """Per-shard chunk-granular recovery: faults and corruptions.
+
+        ``budget`` caps the replays of all shards together; a shard
+        lost mid-recovery is re-split and drained, then every shard
+        recovers again.
+        """
         if self.policy is None and self.integrity == INTEGRITY_OFF:
             return
-        while True:
-            retry = False
-            for sh in list(self._shards):
-                if not sh.alive or sh.issuer is None:
-                    continue
-                before = sh.issuer.retries_n
-                try:
-                    sh.issuer.recover(budget=budget)
-                except DeviceLostError:
-                    if not self.self_heal:
-                        raise
-                    self._reshard(sh)
-                    self.drain()
-                    retry = True
+
+        def step(issuer: PipelineIssuer) -> None:
+            nonlocal budget
+            before = issuer.retries_n
+            try:
+                issuer.recover(budget=budget)
+            finally:
                 if budget is not None:
-                    budget = max(0, budget - (sh.issuer.retries_n - before))
-                if retry:
-                    break
-            if not retry:
-                return
+                    budget = max(0, budget - (issuer.retries_n - before))
+
+        self._heal(step, self.drain)
 
     def account_stalls(self) -> None:
         for sh in self._live():
@@ -989,12 +952,6 @@ class ShardedIssuer:
             )
         issuer = dead.issuer
         issuer.abort()
-        self._base_faults += issuer.faults_n
-        self._base_retries += issuer.retries_n
-        self._base_verified += issuer.verified_n
-        self._base_corruptions += issuer.corruptions_n
-        self._base_seam += issuer.seam_verified_n
-        self._parked.pop(id(issuer), None)
         done = self._completed_chunks(issuer)
         if issuer._corruptions:
             # a silently-corrupted chunk retires cleanly; anything a

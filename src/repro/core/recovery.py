@@ -33,7 +33,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.core.executor import RegionResult, execute_pipeline
+from repro.core.executor import RegionResult, _charge_backoff, execute_pipeline
 from repro.core.kernel import RegionKernel
 from repro.core.memlimit import MemLimitError, tune_plan
 from repro.core.offload import execute_manual_pipelined, execute_naive
@@ -47,16 +47,6 @@ from repro.gpu.errors import (
 from repro.gpu.runtime import Runtime
 
 __all__ = ["run_with_recovery"]
-
-
-def _charge_backoff(runtime: Runtime, policy: FaultPolicy, attempt: int) -> float:
-    """Charge one retry backoff to virtual host time; returns it."""
-    delay = policy.backoff_for(attempt)
-    runtime.host_now += delay
-    if runtime.metrics.enabled:
-        runtime.metrics.counter("faults.retries").inc()
-        runtime.metrics.counter("faults.backoff_seconds").inc(delay)
-    return delay
 
 
 def _tuned_plan(region, runtime: Runtime, arrays):

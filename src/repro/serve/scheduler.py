@@ -48,9 +48,10 @@ schedule bit-identical — on fault-free pools):
 
 - **chunk replay in place**: at retirement the issuer's
   :meth:`~repro.core.executor.PipelineIssuer.recover` replays faulted
-  chunks under the request's retry budget; a per-issuer *fault router*
-  makes sure one tenant's recovery never claims another tenant's
-  faults off the shared runtime.
+  chunks under the request's retry budget; one pool-wide
+  :class:`~repro.core.executor.FaultRouter` makes sure one tenant's
+  recovery never claims another tenant's faults off the shared
+  runtime, and feeds the faults it pops to the circuit breaker.
 - **failover**: ``DeviceLostError`` is non-terminal at the pool level.
   The dead device is marked lost, its reservations released, and its
   in-flight and waiting requests re-queued (restarting from chunk 0 —
@@ -86,7 +87,7 @@ from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.autotune import autotune
-from repro.core.executor import PipelineIssuer
+from repro.core.executor import FaultRouter, PipelineIssuer
 from repro.core.memlimit import MemLimitError, tune_plan
 from repro.core.multidevice import ShardedIssuer
 from repro.core.plan import RegionPlan
@@ -724,9 +725,6 @@ class _Active:
     plan: RegionPlan
     reserved: int
     admit_t: float
-    #: faulted commands owned by this issuer, claimed off the runtime
-    #: by another tenant's sync and parked here for its own recovery
-    backlog: List = field(default_factory=list)
     #: member device indices when the region is sharded across several
     #: devices (``None`` = ordinary single-device service; ``device``
     #: is then the primary member and ``reserved`` is per member)
@@ -795,6 +793,8 @@ class RegionScheduler:
         #: per-device quarantine expiry on that device's clock (None = in service)
         self._quarantined_until: List[Optional[float]] = [None] * n
         self._breaker_trips: List[int] = [0] * n
+        #: every issuer claims its faults through this router
+        self._router = FaultRouter(on_fault=self._on_fault)
         #: bounded post-mortem event ring; dumped on failures
         self.recorder = FlightRecorder(
             capacity=self.config.flight_recorder_capacity, clock=self._clock
@@ -1385,36 +1385,14 @@ class RegionScheduler:
                     device=device, until=self._quarantined_until[device],
                 )
 
-    def _claim_for(self, issuer: PipelineIssuer, device: int) -> List:
-        """Fault router: claim ``issuer``'s faults off its runtime.
-
-        ``Runtime.pop_faults`` hands over *every* unclaimed fault on
-        the device — including other tenants'.  This router pops them
-        once, feeds real faults to the circuit breaker, parks faults
-        owned by other issuers in their actives' backlogs, and returns
-        the asking issuer's own faults plus anything previously parked
-        for it.  Orphans (commands no live issuer owns) go to the asker,
-        which claims-and-ignores them exactly as ``recover`` always did.
-        """
-        rec = next((a for a in self._active if a.issuer is issuer), None)
-        out: List = []
-        if rec is not None and rec.backlog:
-            out.extend(rec.backlog)
-            rec.backlog = []
-        for cmd in self.pool.runtimes[device].pop_faults():
-            err = cmd.error
-            if err is not None and err.kind != KIND_DEVICE_LOST:
-                self._record_device_fault(device, cmd.finish_time)
-            owner = None
-            for a in self._active:
-                if device in (a.devices or [a.device]) and cmd in a.issuer.meta:
-                    owner = a
-                    break
-            if owner is not None and owner is not rec:
-                owner.backlog.append(cmd)
-            else:
-                out.append(cmd)
-        return out
+    def _on_fault(self, rt, cmd) -> None:
+        """Fault-router hook: a popped fault counts toward its device's
+        breaker (device loss has its own failover path)."""
+        err = cmd.error
+        if err is not None and err.kind != KIND_DEVICE_LOST:
+            self._record_device_fault(
+                self.pool.runtimes.index(rt), cmd.finish_time
+            )
 
     # ------------------------------------------------------------------
     # admission
@@ -1710,94 +1688,19 @@ class RegionScheduler:
         nbytes: int,
         members: Optional[List[int]] = None,
     ) -> bool:
-        """Reserve, charge planning, and open the pipeline for ``w``."""
-        if members is not None and len(members) > 1:
-            return self._open_sharded(w, members, plan, nbytes)
-        rt = self.pool.runtimes[device]
-        self.pool.reserve(device, nbytes)
-        admit_t = rt.elapsed
-        if w.dry_runs:
-            charge = w.dry_runs * self.config.plan_charge
-            rt.host_now += charge
-            self.plan_seconds += charge
-            w.dry_runs = 0  # charge once
-        policy = self._policy if self._fault_mode else None
-        issuer = PipelineIssuer(
-            rt, plan, w.req.arrays, w.req.kernel,
-            stream_prefix=f"t{w.seq}.pipe", region_span=False,
-            policy=policy,
-            integrity=self._integrity_for(w.req),
-        )
-        if policy is not None:
-            issuer.claim_faults = (
-                lambda i=issuer, d=device: self._claim_for(i, d)
-            )
-        issuer.recorder = self.recorder
-        try:
-            issuer.open()
-        except OutOfDeviceMemory:
-            # budget fits but the allocator is fragmented: retire
-            # something first, then retry this request
-            issuer.abort()
-            self.pool.release(device, nbytes)
-            w.planned.pop(device, None)
-            if self._active:
-                self._defer(w)
-                return False
-            self._fail(w, MemLimitError(nbytes, self.pool.budgets[device]))
-            return False
-        except DeviceLostError:
-            # the device died while staging: fail over, not fail
-            issuer.abort()
-            self.pool.release(device, nbytes)
-            w.faults_seen += issuer.faults_n
-            w.retries_used += issuer.retries_n
-            w.migrated = True
-            self._device_lost(device)
-            return False
-        except HostCrashError:
-            raise  # the injected host crash must not become a request failure
-        except Exception as exc:
-            issuer.abort()
-            self.pool.release(device, nbytes)
-            self._fail(w, exc)
-            return False
-        self._waiting.remove(w)
-        self.recorder.record(
-            "request.admit",
-            t=admit_t,
-            request=w.seq,
-            tenant=w.req.tenant,
-            device=device,
-            chunk_size=plan.chunk_size,
-            num_streams=plan.num_streams,
-            migrated=True if w.migrated else None,
-        )
-        self._enlist(_Active(
-            admit_seq=self._admit_seq,
-            waiting=w,
-            issuer=issuer,
-            device=device,
-            plan=plan,
-            reserved=nbytes,
-            admit_t=admit_t,
-        ))
-        return True
+        """Reserve, charge planning, and open the pipeline for ``w``.
 
-    def _open_sharded(
-        self, w: _Waiting, members: List[int], plan: RegionPlan, nbytes: int
-    ) -> bool:
-        """Reserve on every member and open one sharded pipeline.
-
-        The region's loop is split over the member devices by probed
+        With two or more ``members`` (``device`` first) the region is
+        sharded: its loop is split over the member devices by probed
         throughput on a shared virtual clock (halo exchange and shared
-        PCIe contention modelled by the :class:`ShardedIssuer`); the
+        PCIe contention modelled by the :class:`ShardedIssuer`), and the
         plan's full footprint is reserved on each member.  Device loss
-        is *not* self-healed here — it escalates to pool-level failover
+        is *not* self-healed there — it escalates to pool-level failover
         so the whole request re-queues onto healthy devices.
         """
-        primary = members[0]
-        rt = self.pool.runtimes[primary]
+        sharded = members is not None and len(members) > 1
+        members = list(members) if sharded else [device]
+        rt = self.pool.runtimes[device]
         reserved: List[int] = []
         try:
             for di in members:
@@ -1814,61 +1717,58 @@ class RegionScheduler:
             self.plan_seconds += charge
             w.dry_runs = 0  # charge once
         policy = self._policy if self._fault_mode else None
+        common = dict(
+            policy=policy, router=self._router, recorder=self.recorder,
+            integrity=self._integrity_for(w.req),
+        )
+        issuer = None
         try:
-            issuer = ShardedIssuer(
-                [self.pool.runtimes[di] for di in members],
-                plan, w.req.arrays, w.req.kernel,
-                policy=policy,
-                stream_prefix=f"t{w.seq}.shard",
-                recorder=self.recorder,
-                self_heal=False,
-                measure=False,
-                integrity=self._integrity_for(w.req),
-                watchdog=self.config.straggler_watchdog,
-            )
-        except HostCrashError:
-            raise
-        except Exception as exc:
-            for di in members:
-                self.pool.release(di, nbytes)
-            self._fail(w, exc)
-            return False
-        if policy is not None:
-            issuer.claim_faults = (
-                lambda i=issuer, ds=tuple(members): [
-                    cmd for d in ds for cmd in self._claim_for(i, d)
-                ]
-            )
-        try:
+            if sharded:
+                issuer = ShardedIssuer(
+                    [self.pool.runtimes[di] for di in members],
+                    plan, w.req.arrays, w.req.kernel,
+                    stream_prefix=f"t{w.seq}.shard",
+                    self_heal=False,
+                    measure=False,
+                    watchdog=self.config.straggler_watchdog,
+                    **common,
+                )
+            else:
+                issuer = PipelineIssuer(
+                    rt, plan, w.req.arrays, w.req.kernel,
+                    stream_prefix=f"t{w.seq}.pipe", region_span=False,
+                    **common,
+                )
             issuer.open()
-        except OutOfDeviceMemory:
-            issuer.abort()
-            for di in members:
-                self.pool.release(di, nbytes)
-                w.planned.pop(di, None)
-            if self._active:
-                self._defer(w)
-                return False
-            self._fail(w, MemLimitError(nbytes, self.pool.budgets[primary]))
-            return False
-        except DeviceLostError:
-            # a member died while staging: fail over, not fail
-            issuer.abort()
-            for di in members:
-                self.pool.release(di, nbytes)
-            w.faults_seen += issuer.faults_n
-            w.retries_used += issuer.retries_n
-            w.migrated = True
-            for di in self._lost_members(members):
-                self._device_lost(di)
-            return False
         except HostCrashError:
-            raise
+            raise  # the injected host crash must not become a request failure
         except Exception as exc:
-            issuer.abort()
+            # a constructor error fails the request; open() errors
+            # first tear the half-open pipeline down
+            if issuer is not None:
+                issuer.abort()
             for di in members:
                 self.pool.release(di, nbytes)
-            self._fail(w, exc)
+            if issuer is None:
+                self._fail(w, exc)
+            elif isinstance(exc, OutOfDeviceMemory):
+                # budget fits but the allocator is fragmented: retire
+                # something first, then retry this request
+                for di in members:
+                    w.planned.pop(di, None)
+                if self._active:
+                    self._defer(w)
+                else:
+                    self._fail(w, MemLimitError(nbytes, self.pool.budgets[device]))
+            elif isinstance(exc, DeviceLostError):
+                # a member died while staging: fail over, not fail
+                w.faults_seen += issuer.faults_n
+                w.retries_used += issuer.retries_n
+                w.migrated = True
+                for di in self._lost_members(members):
+                    self._device_lost(di)
+            else:
+                self._fail(w, exc)
             return False
         self._waiting.remove(w)
         self.recorder.record(
@@ -1876,24 +1776,24 @@ class RegionScheduler:
             t=admit_t,
             request=w.seq,
             tenant=w.req.tenant,
-            device=primary,
-            devices=list(members),
-            shards=len(members),
+            device=device,
+            devices=list(members) if sharded else None,
+            shards=len(members) if sharded else None,
             chunk_size=plan.chunk_size,
             num_streams=plan.num_streams,
             migrated=True if w.migrated else None,
         )
-        if self.obs.metrics.enabled:
+        if sharded and self.obs.metrics.enabled:
             self.obs.metrics.counter("serve.sharded").inc()
         self._enlist(_Active(
             admit_seq=self._admit_seq,
             waiting=w,
             issuer=issuer,
-            device=primary,
+            device=device,
             plan=plan,
             reserved=nbytes,
             admit_t=admit_t,
-            devices=list(members),
+            devices=members if sharded else None,
         ))
         return True
 
@@ -1923,68 +1823,98 @@ class RegionScheduler:
             return self.pool.elapsed
         return min(self.pool.runtimes[i].elapsed for i in alive)
 
-    def _fail(self, w: _Waiting, exc: Exception) -> None:
-        self._drop(w)
+    def _waiting_result(self, w: _Waiting, status: str, error: str) -> RequestResult:
+        """Result of a request settled before it entered service."""
         req = w.req
         finished = self._clock()
-        result = RequestResult(
+        return RequestResult(
             request_id=w.seq,
             tenant=req.tenant,
             label=req.label,
-            status="failed",
+            status=status,
             priority=req.priority,
             finished=finished,
             queue_wait=max(0.0, finished - req.arrival),
             overtaken=w.overtaken,
             deadline=req.deadline,
             deadline_met=False if req.deadline is not None else None,
-            error=f"{type(exc).__name__}: {exc}",
+            error=error,
             migrated=w.migrated,
             faults=w.faults_seen,
             retries=w.retries_used,
         )
-        self.recorder.record(
-            "request.fail",
-            t=finished,
-            request=w.seq,
+
+    def _active_result(
+        self, a: _Active, status: str, finish_t: float, **fields
+    ) -> RequestResult:
+        """Result of an in-service request leaving at ``finish_t``: a
+        completed one counts every chunk and may meet its deadline, a
+        cut one counts the chunks it issued.  ``fields`` adds ``busy``
+        or ``error``."""
+        w, req, issuer = a.waiting, a.waiting.req, a.issuer
+        done = status == "ok"
+        return RequestResult(
+            request_id=w.seq,
             tenant=req.tenant,
-            error=result.error,
+            label=req.label,
+            status=status,
+            priority=req.priority,
+            device=a.device,
+            admitted=a.admit_t,
+            finished=finish_t,
+            queue_wait=max(0.0, a.admit_t - req.arrival),
+            service=finish_t - a.admit_t,
+            cache_hit=w.cache_hit,
+            chunk_size=a.plan.chunk_size,
+            num_streams=issuer.streams_n,
+            nchunks=len(issuer.chunks) if done else issuer.issued,
+            device_bytes=a.reserved,
+            overtaken=w.overtaken,
+            commands=len(issuer.commands),
+            deadline=req.deadline,
+            deadline_met=(done and finish_t <= req.deadline)
+            if req.deadline is not None else None,
+            migrated=w.migrated,
+            faults=w.faults_seen + issuer.faults_n,
+            retries=w.retries_used + issuer.retries_n,
+            verified=issuer.verified_n,
+            corruptions=issuer.corruptions_n,
+            resplits=issuer.resplits if a.devices else 0,
+            shards=len(a.devices) if a.devices else 1,
+            devices=tuple(a.devices or ()),
+            **fields,
         )
+
+    def _settle(self, result: RequestResult) -> None:
+        """Report a final result: results list, observers, journal."""
         self._results.append(result)
         self._observe(result)
         self._journal_done(result)
 
+    def _fail(self, w: _Waiting, exc: Exception) -> None:
+        self._drop(w)
+        result = self._waiting_result(w, "failed", f"{type(exc).__name__}: {exc}")
+        self.recorder.record(
+            "request.fail",
+            t=result.finished,
+            request=w.seq,
+            tenant=w.req.tenant,
+            error=result.error,
+        )
+        self._settle(result)
+
     def _shed(self, w: _Waiting, reason: str) -> None:
         """Drop a still-waiting request (overload or hopeless deadline)."""
         self._drop(w)
-        req = w.req
-        finished = self._clock()
-        result = RequestResult(
-            request_id=w.seq,
-            tenant=req.tenant,
-            label=req.label,
-            status="shed",
-            priority=req.priority,
-            finished=finished,
-            queue_wait=max(0.0, finished - req.arrival),
-            overtaken=w.overtaken,
-            deadline=req.deadline,
-            deadline_met=False if req.deadline is not None else None,
-            error=reason,
-            migrated=w.migrated,
-            faults=w.faults_seen,
-            retries=w.retries_used,
-        )
+        result = self._waiting_result(w, "shed", reason)
         self.recorder.record(
             "request.shed",
-            t=finished,
+            t=result.finished,
             request=w.seq,
-            tenant=req.tenant,
+            tenant=w.req.tenant,
             reason=reason,
         )
-        self._results.append(result)
-        self._observe(result)
-        self._journal_done(result)
+        self._settle(result)
 
     def _release_active(self, a: _Active) -> None:
         """Abort an in-flight region and hand its memory back."""
@@ -2001,36 +1931,7 @@ class RegionScheduler:
         self._harvest_telemetry(a)
         finish_t = self._elapsed_of(a)
         w, req = a.waiting, a.waiting.req
-        result = RequestResult(
-            request_id=w.seq,
-            tenant=req.tenant,
-            label=req.label,
-            status="cancelled",
-            priority=req.priority,
-            device=a.device,
-            admitted=a.admit_t,
-            finished=finish_t,
-            queue_wait=max(0.0, a.admit_t - req.arrival),
-            service=finish_t - a.admit_t,
-            cache_hit=w.cache_hit,
-            chunk_size=a.plan.chunk_size,
-            num_streams=a.issuer.streams_n,
-            nchunks=a.issuer.issued,
-            device_bytes=a.reserved,
-            overtaken=w.overtaken,
-            commands=len(a.issuer.commands),
-            deadline=req.deadline,
-            deadline_met=False if req.deadline is not None else None,
-            error=reason,
-            migrated=w.migrated,
-            faults=w.faults_seen + a.issuer.faults_n,
-            retries=w.retries_used + a.issuer.retries_n,
-            verified=a.issuer.verified_n,
-            corruptions=a.issuer.corruptions_n,
-            resplits=a.issuer.resplits if a.devices else 0,
-            shards=len(a.devices) if a.devices else 1,
-            devices=tuple(a.devices or ()),
-        )
+        result = self._active_result(a, "cancelled", finish_t, error=reason)
         self.recorder.record(
             "request.cancel",
             t=finish_t,
@@ -2046,9 +1947,7 @@ class RegionScheduler:
             device=a.device,
             cause=reason,
         )
-        self._results.append(result)
-        self._observe(result)
-        self._journal_done(result)
+        self._settle(result)
 
     def _fail_active(self, a: _Active, exc: Exception) -> None:
         """Terminal in-flight failure (retry budget / policy exhausted)."""
@@ -2056,35 +1955,8 @@ class RegionScheduler:
         self._harvest_telemetry(a)
         finish_t = self._elapsed_of(a)
         w, req = a.waiting, a.waiting.req
-        result = RequestResult(
-            request_id=w.seq,
-            tenant=req.tenant,
-            label=req.label,
-            status="failed",
-            priority=req.priority,
-            device=a.device,
-            admitted=a.admit_t,
-            finished=finish_t,
-            queue_wait=max(0.0, a.admit_t - req.arrival),
-            service=finish_t - a.admit_t,
-            cache_hit=w.cache_hit,
-            chunk_size=a.plan.chunk_size,
-            num_streams=a.issuer.streams_n,
-            nchunks=a.issuer.issued,
-            device_bytes=a.reserved,
-            overtaken=w.overtaken,
-            commands=len(a.issuer.commands),
-            deadline=req.deadline,
-            deadline_met=False if req.deadline is not None else None,
-            error=f"{type(exc).__name__}: {exc}",
-            migrated=w.migrated,
-            faults=w.faults_seen + a.issuer.faults_n,
-            retries=w.retries_used + a.issuer.retries_n,
-            verified=a.issuer.verified_n,
-            corruptions=a.issuer.corruptions_n,
-            resplits=a.issuer.resplits if a.devices else 0,
-            shards=len(a.devices) if a.devices else 1,
-            devices=tuple(a.devices or ()),
+        result = self._active_result(
+            a, "failed", finish_t, error=f"{type(exc).__name__}: {exc}"
         )
         self.recorder.record(
             "request.fail",
@@ -2101,9 +1973,7 @@ class RegionScheduler:
             device=a.device,
             error=result.error,
         )
-        self._results.append(result)
-        self._observe(result)
-        self._journal_done(result)
+        self._settle(result)
 
     def _device_lost(self, device: int) -> None:
         """Pool-level failover: quarantine the device, re-queue its work.
@@ -2194,11 +2064,9 @@ class RegionScheduler:
             for di in self._lost_members(self._members_of(a)):
                 self._device_lost(di)
             return
-        except RegionFailure as exc:
-            self._fail_active(a, exc)
-            return
-        except (TransferError, KernelFaultError) as exc:
-            # a blocking resident copy exhausted its per-copy retries
+        except (RegionFailure, TransferError, KernelFaultError) as exc:
+            # replays exhausted, or a blocking resident copy exhausted
+            # its per-copy retries
             self._fail_active(a, exc)
             return
         if a.devices is None:
@@ -2219,38 +2087,7 @@ class RegionScheduler:
         for cmd in a.issuer.commands:
             if cmd.kind in busy:
                 busy[cmd.kind] += cmd.duration
-        queue_wait = max(0.0, a.admit_t - req.arrival)
-        result = RequestResult(
-            request_id=w.seq,
-            tenant=req.tenant,
-            label=req.label,
-            status="ok",
-            priority=req.priority,
-            device=a.device,
-            admitted=a.admit_t,
-            finished=finish_t,
-            queue_wait=queue_wait,
-            service=finish_t - a.admit_t,
-            cache_hit=w.cache_hit,
-            chunk_size=a.plan.chunk_size,
-            num_streams=a.issuer.streams_n,
-            nchunks=len(a.issuer.chunks),
-            device_bytes=a.reserved,
-            overtaken=w.overtaken,
-            busy=busy,
-            commands=len(a.issuer.commands),
-            deadline=req.deadline,
-            deadline_met=(finish_t <= req.deadline)
-            if req.deadline is not None else None,
-            migrated=w.migrated,
-            faults=w.faults_seen + a.issuer.faults_n,
-            retries=w.retries_used + a.issuer.retries_n,
-            verified=a.issuer.verified_n,
-            corruptions=a.issuer.corruptions_n,
-            resplits=a.issuer.resplits if a.devices else 0,
-            shards=len(a.devices) if a.devices else 1,
-            devices=tuple(a.devices or ()),
-        )
+        result = self._active_result(a, "ok", finish_t, busy=busy)
         self.recorder.record(
             "request.retire",
             t=finish_t,
@@ -2457,7 +2294,7 @@ class RegionScheduler:
         old_defer: List[bool] = []
         if self._fault_mode:
             # the scheduler owns async fault reporting: sync points
-            # stash faults for the per-issuer router instead of raising
+            # stash faults for the fault router instead of raising
             for rt in self.pool.runtimes:
                 old_defer.append(rt.defer_faults)
                 rt.defer_faults = True

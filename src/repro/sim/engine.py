@@ -20,15 +20,18 @@ The model is intentionally small and deterministic:
 Virtual time is in seconds (float).  The event loop is a single binary
 heap keyed by ``(time, sequence)``.
 
-This module is the serving hot path — millions of commands per mixed
-workload — so the :class:`Simulator` here is a *fast kernel*:
+Every region run and serve pass retires its commands through this
+loop, so the :class:`Simulator` here is a *fast kernel*:
 
-* **Free-listed objects** — :meth:`Command.acquire` /
-  :meth:`EventToken.acquire` recycle retired ``__slots__`` objects from
-  a bounded module-level pool (see :meth:`Simulator.recycle_completed`),
-  skipping allocation on long replays.  Once a simulator has recycled,
-  retirement also keeps the lists it drains for the next recycle round,
-  so a steady recycling replay allocates no containers at all.
+* **Free-listed objects (opt-in)** — :meth:`Command.acquire` /
+  :meth:`EventToken.acquire` take ``__slots__`` objects from a bounded
+  module-level pool, which only :meth:`Simulator.recycle_completed`
+  (or an explicit ``release``) refills.  Region runs and the serving
+  scheduler never recycle (their results keep the retired commands),
+  so they allocate fresh objects; the engine benchmark's replay loop
+  (:mod:`repro.sim.enginebench`) and the tests do.  Once a simulator
+  has recycled, retirement also keeps the lists it drains for the next
+  recycle round, so a steady recycling replay allocates no containers.
 * **Leftover-free retirement** — :meth:`Simulator._finish` drops every
   container a retired command no longer needs (its record list, drained
   waiter/dependent lists, its corruption ``sink``), keeping only the
