@@ -310,6 +310,18 @@ if ! echo "$paper_out" | tail -n 1 | grep -q '"correct": true'; then
     exit 1
 fi
 
+echo "== bench smoke: traced paper sweep is byte-identical at paper scale =="
+# one untraced and one traced pass: both must hit the paper bands and
+# produce byte-identical virtual results, so the chunk issue path
+# cannot drift between the plain and the instrumented run
+paper_traced_out="$(python3 bench/run.py --workload paper_sweep --seed 1 \
+    --seconds 2 --trace 1)"
+if ! echo "$paper_traced_out" | tail -n 1 | grep -q '"correct": true'; then
+    echo "traced paper_sweep bench smoke did not report correct results:" >&2
+    echo "$paper_traced_out" | tail -n 5 >&2
+    exit 1
+fi
+
 echo "== bench smoke: deep-queue admission serves the same work =="
 # serve_backlog admits 600 queued requests through the admission index;
 # a pass whose report differs from the first pass's byte for byte, or

@@ -56,6 +56,9 @@ class RingPiece(NamedTuple):
         return self.g_hi - self.g_lo
 
 
+_new = tuple.__new__
+
+
 def band_geometry(
     shape: Tuple[int, ...], split_dim: int, itemsize: int
 ) -> Tuple[Optional[int], int]:
@@ -91,10 +94,12 @@ def ring_pieces(g_lo: int, g_hi: int, cap: int) -> List[RingPiece]:
             f"range [{g_lo}, {g_hi}) wider than ring capacity {cap}"
         )
     pos = g_lo % cap
+    # tuple.__new__ builds the named tuple without its Python-level
+    # constructor: every chunk transfer of every region comes here
     if pos + (g_hi - g_lo) <= cap:
-        return [RingPiece(g_lo, g_hi, pos)]
+        return [_new(RingPiece, (g_lo, g_hi, pos))]
     split = g_lo + cap - pos
-    return [RingPiece(g_lo, split, pos), RingPiece(split, g_hi, 0)]
+    return [_new(RingPiece, (g_lo, split, pos)), _new(RingPiece, (split, g_hi, 0))]
 
 
 class DeviceRing:

@@ -89,16 +89,24 @@ class Device:
     # ------------------------------------------------------------------
     # engines
     # ------------------------------------------------------------------
-    def _dma_engine(self, direction: str) -> str:
-        """Pick the DMA engine for a transfer direction.
+    def copy_engine(self, direction: str) -> str:
+        """The DMA engine a transfer in ``direction`` runs on.
 
         With one engine (the default; PCIe bandwidth is shared) both
         directions contend.  With two, H2D uses ``dma0`` and D2H
-        ``dma1`` like the K40m's dual copy engines.
+        ``dma1`` like the K40m's dual copy engines.  Raises
+        ``ValueError`` for a direction other than ``"h2d"``/``"d2h"``.
         """
+        if direction not in ("h2d", "d2h"):
+            raise ValueError(f"bad direction {direction!r}")
         if len(self._dma_names) == 1:
             return self._dma_names[0]
         return self._dma_names[0] if direction == "h2d" else self._dma_names[1]
+
+    @property
+    def compute_engine(self) -> str:
+        """The engine kernels run on."""
+        return self._compute_names[0]
 
     # ------------------------------------------------------------------
     # memory
@@ -114,6 +122,37 @@ class Device:
     # ------------------------------------------------------------------
     # command submission
     # ------------------------------------------------------------------
+    def transfer_time(
+        self,
+        direction: str,
+        nbytes: int,
+        rows: Optional[int],
+        row_bytes: Optional[int],
+        pinned: bool,
+    ) -> float:
+        """Duration of one copy before per-command overheads.
+
+        The link cost model, memoized per shape (:attr:`_xfer_memo`),
+        then stretched by :attr:`shared_link` when one is attached.
+        ``direction`` must already be valid (see :meth:`copy_engine`).
+        """
+        link = self.profile.h2d if direction == "h2d" else self.profile.d2h
+        key = (direction, nbytes, rows, row_bytes, pinned)
+        duration = self._xfer_memo.get(key)
+        if duration is None:
+            if rows is not None and row_bytes is not None:
+                if rows * row_bytes != nbytes:
+                    raise ValueError("rows * row_bytes must equal nbytes")
+                duration = transfer_time_2d(link, rows, row_bytes, pinned=pinned)
+            else:
+                duration = transfer_time_1d(link, nbytes, pinned=pinned)
+            if len(self._xfer_memo) >= 1024:
+                self._xfer_memo.clear()
+            self._xfer_memo[key] = duration
+        if self.shared_link is not None:
+            duration = self.shared_link.contend(duration, link.latency)
+        return duration
+
     def submit_copy(
         self,
         direction: str,
@@ -146,27 +185,12 @@ class Device:
         pinned:
             Whether the host buffer is page-locked.
         """
-        if direction not in ("h2d", "d2h"):
-            raise ValueError(f"bad direction {direction!r}")
-        link = self.profile.h2d if direction == "h2d" else self.profile.d2h
-        key = (direction, nbytes, rows, row_bytes, pinned)
-        duration = self._xfer_memo.get(key)
-        if duration is None:
-            if rows is not None and row_bytes is not None:
-                if rows * row_bytes != nbytes:
-                    raise ValueError("rows * row_bytes must equal nbytes")
-                duration = transfer_time_2d(link, rows, row_bytes, pinned=pinned)
-            else:
-                duration = transfer_time_1d(link, nbytes, pinned=pinned)
-            if len(self._xfer_memo) >= 1024:
-                self._xfer_memo.clear()
-            self._xfer_memo[key] = duration
-        if self.shared_link is not None:
-            duration = self.shared_link.contend(duration, link.latency)
+        engine = self.copy_engine(direction)
+        duration = self.transfer_time(direction, nbytes, rows, row_bytes, pinned)
         duration += extra_seconds
         cmd = Command.acquire(
             direction,
-            self._dma_engine(direction),
+            engine,
             duration,
             stream=stream,
             payload=payload,
@@ -200,7 +224,7 @@ class Device:
         """
         cmd = Command.acquire(
             "kernel",
-            self._compute_names[0],
+            self.compute_engine,
             self.profile.kernel_launch_overhead + cost_seconds + extra_seconds,
             stream=stream,
             payload=payload,

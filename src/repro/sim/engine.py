@@ -228,7 +228,6 @@ class Command:
         kind: str,
         engine: str,
         duration: float,
-        *,
         stream: Optional[object] = None,
         payload: Optional[Callable[[], None]] = None,
         label: str = "",
@@ -312,10 +311,8 @@ class Command:
         """
         pool = _COMMAND_POOL
         if not pool or cls is not Command:
-            return cls(
-                kind, engine, duration,
-                stream=stream, payload=payload, label=label, nbytes=nbytes,
-            )
+            # positional: a class call with keywords builds a dict
+            return cls(kind, engine, duration, stream, payload, label, nbytes)
         if duration < 0:
             raise ValueError(f"negative duration: {duration}")
         self = pool.pop()
@@ -534,7 +531,7 @@ class Simulator:
         cmd.enqueue_time = enqueue_time
         pw = cmd._poison_waits
         if poison_waits is not None:
-            pw = cmd._poison_waits = tuple([id(t) for t in poison_waits])
+            pw = cmd._poison_waits = tuple(map(id, poison_waits))
         self._pending += 1
 
         unresolved = 0
