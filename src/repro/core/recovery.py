@@ -13,6 +13,9 @@ execution models through a :class:`~repro.faults.FaultPolicy`:
   so they are retried whole — their device arrays are freshly
   allocated and fully re-copied each attempt, which makes a whole
   re-run exact.
+* Both run through one attempt loop per model: each re-attempt (a
+  re-tune or a whole-region retry) charges its backoff through
+  :func:`~repro.core.executor._charge_backoff` and counts as a retry.
 * When a model exhausts its budget (or cannot fit memory at all), the
   policy's ``degrade`` chain falls back to the next model, mirroring
   how the paper's models trade memory footprint for machinery:
@@ -102,18 +105,6 @@ def run_with_recovery(
     last_chunk_status: Dict[int, str] = {}
     tracer = runtime.tracer
 
-    def finish(result: RegionResult) -> RegionResult:
-        result.faults += total_faults
-        result.retries += total_retries
-        return result
-
-    def lost(exc) -> RegionFailure:
-        return RegionFailure(
-            f"device lost; recovery impossible ({exc})",
-            attempts=attempts_log,
-            retries=total_retries,
-        )
-
     for mi, m in enumerate(models):
         if mi > 0:
             attempts_log.append(f"degrading to {m!r}")
@@ -122,68 +113,68 @@ def run_with_recovery(
             tracer.instant(
                 "degrade", "fault", model=m, after="; ".join(attempts_log[:-1])
             )
-        if m == "buffer":
-            retunes = 0
-            while True:
-                try:
+        buffer = m == "buffer"
+        if not buffer and integrity != "off":
+            # baselines have no chunk machinery: no checksums, no
+            # replay unit — record the coverage gap in the trail
+            attempts_log.append(
+                f"{m}: integrity {integrity!r} unavailable under a "
+                f"baseline model"
+            )
+        baseline = execute_manual_pipelined if m == "pipelined" else execute_naive
+        # one attempt loop: the buffer model re-tunes against the free
+        # pool after memory pressure, a baseline re-runs the whole region
+        # after a fault; both charge the backoff of ``attempt``
+        attempt = 0
+        while True:
+            try:
+                if buffer:
                     plan = _tuned_plan(region, runtime, arrays)
-                    return finish(
-                        execute_pipeline(
-                            runtime, plan, arrays, kernel, policy,
-                            integrity=integrity,
-                        )
+                    result = execute_pipeline(
+                        runtime, plan, arrays, kernel, policy, integrity=integrity,
                     )
-                except DeviceLostError as exc:
-                    raise lost(exc) from exc
-                except RegionFailure as exc:
-                    # chunk retries exhausted inside the executor
-                    total_retries += exc.retries
-                    attempts_log.extend(exc.attempts)
-                    last_chunk_status = exc.chunk_status
-                    break
-                except (TransferError, KernelFaultError) as exc:
+                else:
+                    result = baseline(runtime, region.bind(arrays), arrays, kernel)
+            except DeviceLostError as exc:
+                raise RegionFailure(
+                    f"device lost; recovery impossible ({exc})",
+                    attempts=attempts_log,
+                    retries=total_retries,
+                ) from exc
+            except RegionFailure as exc:
+                # chunk retries exhausted inside the executor
+                total_retries += exc.retries
+                attempts_log.extend(exc.attempts)
+                last_chunk_status = exc.chunk_status
+                break
+            except (TransferError, KernelFaultError) as exc:
+                total_faults += exc.pending
+                if buffer:
                     # a blocking resident copy exhausted its retries
-                    total_faults += exc.pending
                     attempts_log.append(f"buffer: {exc}")
                     break
-                except (OutOfMemoryError, MemLimitError) as exc:
-                    if policy.retune_on_pressure and retunes < policy.max_retries:
-                        _charge_backoff(runtime, policy, retunes)
-                        retunes += 1
-                        total_retries += 1
-                        if runtime.metrics.enabled:
-                            runtime.metrics.counter("faults.retunes").inc()
-                        continue
-                    attempts_log.append(f"buffer: cannot fit memory ({exc})")
+                if attempt >= policy.max_retries:
+                    attempts_log.append(
+                        f"{m}: retries exhausted after "
+                        f"{policy.max_retries} whole-region replays ({exc})"
+                    )
                     break
-        else:
-            if integrity != "off":
-                # baselines have no chunk machinery: no checksums, no
-                # replay unit — record the coverage gap in the trail
-                attempts_log.append(
-                    f"{m}: integrity {integrity!r} unavailable under a "
-                    f"baseline model"
-                )
-            fn = execute_manual_pipelined if m == "pipelined" else execute_naive
-            for attempt in range(policy.max_retries + 1):
-                try:
-                    plan = region.bind(arrays)
-                    return finish(fn(runtime, plan, arrays, kernel))
-                except DeviceLostError as exc:
-                    raise lost(exc) from exc
-                except (TransferError, KernelFaultError) as exc:
-                    total_faults += exc.pending
-                    if attempt >= policy.max_retries:
-                        attempts_log.append(
-                            f"{m}: retries exhausted after "
-                            f"{policy.max_retries} whole-region replays ({exc})"
-                        )
-                        break
-                    _charge_backoff(runtime, policy, attempt)
-                    total_retries += 1
-                except (OutOfMemoryError, MemLimitError) as exc:
+            except (OutOfMemoryError, MemLimitError) as exc:
+                if not (
+                    buffer and policy.retune_on_pressure
+                    and attempt < policy.max_retries
+                ):
                     attempts_log.append(f"{m}: cannot fit memory ({exc})")
                     break
+                if runtime.metrics.enabled:
+                    runtime.metrics.counter("faults.retunes").inc()
+            else:
+                result.faults += total_faults
+                result.retries += total_retries
+                return result
+            _charge_backoff(runtime, policy, attempt)
+            attempt += 1
+            total_retries += 1
 
     raise RegionFailure(
         "all execution models exhausted",
