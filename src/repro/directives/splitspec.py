@@ -161,11 +161,6 @@ class SplitSpec:
         """Mapped length of the split dimension."""
         return self.clause.dims[self.clause.split_dim][1]
 
-    @property
-    def split_lower(self) -> int:
-        """Mapped lower bound of the split dimension."""
-        return self.clause.dims[self.clause.split_dim][0]
-
     def chunk_extent(self, chunk_size: int) -> int:
         """Worst-case split-dim extent one chunk of ``chunk_size``
         iterations depends on (before clamping)."""

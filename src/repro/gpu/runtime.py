@@ -402,11 +402,6 @@ class Runtime:
         self.device.install_fault_injector(inj)
         return inj
 
-    @property
-    def fault_injector(self):
-        """The installed :class:`~repro.faults.FaultInjector` (or None)."""
-        return self.device.injector
-
     def pending_faults(self) -> list:
         """Faulted commands not yet claimed, without claiming them."""
         return list(self.device.sim.faulted[self._fault_cursor:])
@@ -512,11 +507,6 @@ class Runtime:
     def profile(self) -> DeviceProfile:
         """The device profile in use."""
         return self.device.profile
-
-    @property
-    def device_time(self) -> float:
-        """Device virtual clock (latest simulated event time)."""
-        return self.device.now
 
     @property
     def elapsed(self) -> float:

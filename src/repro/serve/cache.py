@@ -29,13 +29,6 @@ __all__ = ["PlanCache"]
 PlanParams = Tuple[int, int]
 
 
-def _freeze(value):
-    """Recursively turn lists back into tuples (JSON round-trip)."""
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    return value
-
-
 def _thaw(value):
     """Recursively turn tuples into lists for JSON encoding."""
     if isinstance(value, tuple):
@@ -133,18 +126,9 @@ class PlanCache:
         return self.hits / total if total else 0.0
 
     def dump_entries(self) -> list:
-        """JSON-safe LRU-ordered entry list for checkpoints.
-
-        Keys are nested tuples of str/int/``None``; JSON turns tuples
-        into lists, so :meth:`load_entries` re-freezes them.
-        """
+        """JSON-safe LRU-ordered entry list for checkpoints (keys, nested
+        tuples of str/int/``None``, become nested lists)."""
         return [[_thaw(key), list(params)] for key, params in self._entries.items()]
-
-    def load_entries(self, entries: list) -> None:
-        """Replace the cache contents from :meth:`dump_entries` output."""
-        self._entries.clear()
-        for key, params in entries:
-            self._entries[_freeze(key)] = (int(params[0]), int(params[1]))
 
     def stats(self) -> Dict[str, object]:
         """JSON-safe counters."""

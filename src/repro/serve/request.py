@@ -183,14 +183,6 @@ class RequestResult:
             state[f.name] = v
         return state
 
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "RequestResult":
-        """Inverse of :meth:`to_state`."""
-        data = dict(state)
-        data["devices"] = tuple(data.get("devices", ()))
-        data["busy"] = dict(data.get("busy", {}))
-        return cls(**data)
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe digest."""
         d: Dict[str, object] = {
