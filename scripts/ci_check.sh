@@ -53,6 +53,17 @@ if echo "$chaos_out" | grep -q "faults injected  0"; then
     exit 1
 fi
 
+echo "== CLI smoke: the degrade chain ends on naive with an exact result =="
+# no replays allowed: buffer and pipelined exhaust, so the run walks the
+# whole attempt loop of run_with_recovery down to naive
+degrade_out="$(python -m repro chaos stencil --profile chaos --seed 1 --retries 0)"
+if ! echo "$degrade_out" | grep -q "model            naive" \
+    || ! echo "$degrade_out" | grep -q "reference match  yes"; then
+    echo "degrade-chain smoke did not end on naive with a reference match:" >&2
+    echo "$degrade_out" >&2
+    exit 1
+fi
+
 echo "== CLI smoke: multi-tenant serve on the 3-tenant example =="
 serve_out="$(python -m repro serve examples/serve_workload.json)"
 if ! echo "$serve_out" | grep -q "requests         3 (3 ok, 0 failed, 0 shed, 0 cancelled)"; then
