@@ -1994,7 +1994,6 @@ class RegionScheduler:
             w.faults_seen += a.issuer.faults_n
             w.retries_used += a.issuer.retries_n
             w.migrated = True
-            w.oom_deferred = False
             self._waiting.append(w)
             self.recorder.record(
                 "request.requeue",
@@ -2005,9 +2004,13 @@ class RegionScheduler:
             )
             if self.obs.metrics.enabled:
                 self.obs.metrics.counter("serve.failover").inc()
-        # plans for the dead device are useless now
+        # plans for the dead device are useless now, and a request
+        # deferred by fragmentation is undeferred, as on every other
+        # exit from service: the memory it waited for may be gone, and
+        # another device may fit it
         for w in self._waiting:
             w.planned.pop(device, None)
+            w.oom_deferred = False
         self._waiting.sort(key=lambda w: w.seq)
         self._reindex()
         self.recorder.dump("device-lost", device=device, victims=len(victims))

@@ -12,9 +12,9 @@ other test reaches:
   ``open()`` stages it and while ``finalize()`` copies it back;
 * a sharded region whose member dies while the scheduler issues it;
 * the idle-pool infeasible head (a co-tenant holds budget outside the
-  scheduler, so a request that fits the budget fits no headroom), and
-  the same head when every waiting request is deferred (a device loss
-  left a fragmentation-deferred request waiting on an idle pool);
+  scheduler, so a request that fits the budget fits no headroom);
+* a fragmentation-deferred request whose device is lost: undeferred,
+  it is planned again on the surviving device;
 * device loss with no healthy device left;
 * a positive ``max_request_retries`` budget spent mid-replay;
 * a deadline cancelling a sharded region;
@@ -256,9 +256,8 @@ def _resident_copy_exhausted(kind: str) -> Callable[[], Served]:
 
 def _deferred_after_device_loss() -> Served:
     # "large" is deferred on device 0 (fragmentation) while "small" runs
-    # there; device 0 dies, "small" re-queues and fails planning on the
-    # 100 kB device 1, and the idle pool's only waiting request is the
-    # still-deferred "large", which fails as the infeasible head
+    # there; device 0 dies, which undefers "large", and both fail
+    # planning on the 100 kB device 1 with their own footprints
     def requests():
         return [_qcd("small", 5), _qcd("large", 7)]
 
@@ -472,6 +471,17 @@ def test_outcome_matches_golden(name):
 
 def _attempts(name: str) -> str:
     return " | ".join("; ".join(a) for a in _golden()[name]["attempts"])
+
+
+def test_device_loss_undefers_waiting_requests():
+    """The deferred request is planned again once its device is lost:
+    it fails on the surviving device's limit with its own footprint,
+    not as an idle pool's head that no live device has planned."""
+    small, large = SERVE["serve-deferred-after-device-loss"]().report.results
+    for result in (small, large):
+        assert result.status == "failed"
+        assert "limit is 100000 B" in result.error
+    assert "needs at least 0 B" not in large.error
 
 
 def test_golden_scenarios_take_their_branch():
