@@ -472,7 +472,7 @@ def _serve(args) -> int:
         return 2
 
     try:
-        # integrity verification needs real payloads to digest; plain
+        # integrity verification needs real payloads to compare; plain
         # scheduling runs stay virtual (metadata-only arrays)
         spec = load_workload(args.workload, virtual=args.integrity == "off")
     except (OSError, ValueError, TypeError, ReproError, json.JSONDecodeError) as exc:

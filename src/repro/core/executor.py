@@ -61,7 +61,8 @@ from repro.gpu.runtime import ChunkOp, CopyLane, Runtime, copy_op, launch_op
 from repro.integrity import (
     INTEGRITY_OFF,
     INTEGRITY_VOTE,
-    digest,
+    digest,  # noqa: F401 - bench/layers.py trace target
+    same_bytes,
     validate_integrity,
     verify_cost,
 )
@@ -622,8 +623,8 @@ class PipelineIssuer:
         the copy in place (with backoff) is an exact replay.  With
         integrity on, ``verify`` (a zero-arg callable returning the two
         array views that must be byte-identical after the copy) is
-        digested synchronously — the cost charged to host time — and a
-        mismatch reissues the copy exactly like a fail-stop fault.
+        compared synchronously — the modelled checksum charged to host
+        time — and a mismatch reissues the copy exactly like a fail-stop fault.
         """
         runtime = self.runtime
         policy = self.policy
@@ -648,7 +649,7 @@ class PipelineIssuer:
                 self.verified_n += 1
                 if not self.virtual:
                     a, b = verify()
-                    if digest(a) != digest(b):
+                    if not same_bytes(a, b):
                         corrupt = True
                         self._note_corruption(
                             what, 0, 0, -1, "resident", recover=False
@@ -708,8 +709,8 @@ class PipelineIssuer:
         ring, host = self.rings[var], self.arrays[var]
 
         def run() -> None:
-            if digest(ring.device_view(piece).backing) != digest(
-                ring.host_section(host, piece)
+            if not same_bytes(
+                ring.device_view(piece).backing, ring.host_section(host, piece)
             ):
                 self._note_corruption(
                     var, piece.g_lo, piece.g_hi, chunk_index, kind
@@ -747,7 +748,7 @@ class PipelineIssuer:
         reduction residents recompute into scratch and are compared
         against the chunk's snapshotted delta.  Any mismatch means the
         primary kernel miscomputed — checksums alone cannot see that,
-        because a wrong-but-self-consistent output digests equal on
+        because a wrong-but-self-consistent output checks equal on
         both sides of its drain.
         """
         if self.virtual:
@@ -763,7 +764,7 @@ class PipelineIssuer:
                     views[var] = ChunkView(tmp, None, 0, tmp.shape[0])
             self.kernel.run(views, chunk.t0, chunk.t1)
             for var, (lo, hi) in out_ranges.items():
-                if digest(views[var].data) != digest(rings[var].gather(lo, hi)):
+                if not same_bytes(views[var].data, rings[var].gather(lo, hi)):
                     self._note_corruption(var, lo, hi, chunk.index, "vote")
             if red_tmp:
                 part = None
@@ -773,7 +774,7 @@ class PipelineIssuer:
                         break
                 for var, tmp in red_tmp.items():
                     if part is None or var not in part or \
-                            digest(tmp) != digest(part[var]):
+                            not same_bytes(tmp, part[var]):
                         self._note_corruption(
                             var, chunk.t0, chunk.t1, chunk.index, "vote"
                         )
@@ -1396,7 +1397,7 @@ class PipelineIssuer:
         """Synchronously re-verify a replayed chunk's data.
 
         The pipeline is drained, so this runs host-side: each piece's
-        digest cost is charged to virtual host time (same cost model as
+        modelled checksum cost is charged to virtual host time (same cost model as
         the async verify commands), keeping replay verification visible
         in the clock and in wait attribution.
         """
@@ -1409,8 +1410,9 @@ class PipelineIssuer:
                 self.verified_n += 1
                 if self.virtual:
                     continue
-                if digest(ring.device_view(piece).backing) != digest(
-                    ring.host_section(lane.host, piece)
+                if not same_bytes(
+                    ring.device_view(piece).backing,
+                    ring.host_section(lane.host, piece),
                 ):
                     kind = "h2d" if lane.is_input else "d2h"
                     self._note_corruption(

@@ -9,9 +9,13 @@ and the serving layer:
 
 * the integrity **modes** (``off`` / ``checksum`` / ``vote``) and
   their validation;
+* the **byte comparison** used for chunk-granular transfer
+  verification, halo-seam checks and vote checks: :func:`same_bytes`
+  answers "do these two views hold identical bytes?" exactly, with no
+  hashing, because both sides of every check live in this process;
 * the **digest** primitive (BLAKE2b over the raw bytes of an array
-  view) used for chunk-granular transfer verification and halo-seam
-  checks; and
+  view), kept as public API for callers that need a fingerprint to
+  store or send rather than a yes/no answer; and
 * the verification **cost model**: checksums are not free — every
   verify command occupies the device for
   ``nbytes / CHECKSUM_BYTES_PER_SECOND`` virtual seconds, so overlap
@@ -23,9 +27,9 @@ Mode semantics:
     No verification.  Zero extra commands; results are bit-identical
     to builds without this module.
 ``checksum``
-    Every H2D/D2H piece is re-read and digested on a dedicated verify
-    stream after the transfer retires; the device copy is compared
-    against the host copy.  Catches transfer bit flips (and halo-seam
+    Every H2D/D2H piece is re-read on a dedicated verify stream after
+    the transfer retires (the modelled device-side checksum), and the
+    device copy is compared byte for byte against the host copy.  Catches transfer bit flips (and halo-seam
     corruption in sharded runs) but **not** kernel miscomputes — a
     checksum of wrong-but-self-consistent data matches itself.
 ``vote``
@@ -48,6 +52,7 @@ __all__ = [
     "INTEGRITY_OFF",
     "INTEGRITY_VOTE",
     "digest",
+    "same_bytes",
     "validate_integrity",
     "verify_cost",
 ]
@@ -90,6 +95,25 @@ def digest(view) -> bytes:
     """
     arr = np.ascontiguousarray(view)
     return hashlib.blake2b(arr.tobytes(), digest_size=16).digest()
+
+
+def same_bytes(a, b) -> bool:
+    """Whether two array views hold byte-identical data.
+
+    Exactly ``a.tobytes() == b.tobytes()``, without materializing
+    either side as a ``bytes`` object: non-contiguous views are copied
+    once (the rule :func:`digest` follows too), then the raw bytes are
+    compared.  Byte-exact like :func:`digest` — ``0.0`` differs from
+    ``-0.0`` and distinct NaN payloads differ — and stronger than
+    comparing digests, because it has no collisions.
+    """
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    if a.nbytes != b.nbytes:
+        return False
+    return np.array_equal(
+        a.reshape(-1).view(np.uint8), b.reshape(-1).view(np.uint8)
+    )
 
 
 def verify_cost(nbytes: int) -> float:
