@@ -101,7 +101,7 @@ from repro.gpu.errors import (
     TransferError,
 )
 from repro.integrity import INTEGRITY_OFF, validate_integrity
-from repro.obs.io import atomic_write_json, atomic_write_text
+from repro.obs.io import atomic_write_text
 from repro.obs.metrics import Histogram
 from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import (
@@ -1080,15 +1080,14 @@ class RegionScheduler:
             "device_elapsed": [rt.elapsed for rt in self.pool.runtimes],
         }
         if self._journal is not None:
-            digest = hashlib.sha256(
-                encode_record(state).encode("utf-8")
-            ).hexdigest()[:16]
+            text = encode_record(state)
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
             hwm = self._journal.records
-            atomic_write_json(
+            # encode_record({"digest", "records", "state"}) built around
+            # the one encoding of ``state`` (keys in sorted order)
+            atomic_write_text(
                 snapshot_path(self._journal.path),
-                {"digest": digest, "records": hwm, "state": state},
-                indent=1,
-                sort_keys=True,
+                f'{{"digest":"{digest}","records":{hwm},"state":{text}}}',
             )
             self.recorder.record("journal.snapshot", records=hwm, digest=digest)
         return state

@@ -276,11 +276,17 @@ class TestJournalledServe:
         sp = snapshot_path(path)
         assert os.path.exists(sp)
         with open(sp, encoding="utf-8") as fh:
-            snap = json.load(fh)
+            text = fh.read()
+        snap = json.loads(text)
         digest = hashlib.sha256(
             encode_record(snap["state"]).encode()
         ).hexdigest()[:16]
         assert snap["digest"] == digest
+        # the sidecar is the canonical encoding of the whole snapshot
+        assert text == encode_record(
+            {"digest": digest, "records": snap["records"],
+             "state": snap["state"]}
+        )
         assert snap["records"] <= report.journal["records"]
         assert JournalReader(path).snapshot == snap
         # the digest is journalled on the cadence too
