@@ -2304,10 +2304,18 @@ class RegionScheduler:
                         # a quarantined device just became probeable
                         continue
                     # idle pool, nothing fits: the head request is infeasible
-                    candidates = [w for w in self._waiting if not w.oom_deferred]
-                    if not candidates:
-                        candidates = self._waiting
-                    w = candidates[0]
+                    w = next(
+                        (w for w in self._waiting if not w.oom_deferred), None
+                    )
+                    if w is None:
+                        # a request is deferred only while another one
+                        # holds memory, and every exit from service
+                        # undefers all of them
+                        raise RuntimeError(
+                            "internal error: the pool is idle but every "
+                            "waiting request is OOM-deferred; each exit "
+                            "from service must undefer them"
+                        )
                     needed = min(
                         (nbytes for _p, nbytes in w.planned.values()),
                         default=0,

@@ -420,3 +420,17 @@ def test_admission_cost_is_bounded_per_request(monkeypatch):
     # a whole-queue rescan makes ~n/2 of each per request
     assert calls["device_bytes"] <= 3 * n, calls
     assert calls["fits"] <= 3 * n, calls
+
+
+def test_idle_pool_with_only_deferred_requests_is_an_internal_error():
+    # break the invariant on purpose: memory frees, nothing undefers
+    class NoUndefer(RegionScheduler):
+        def _undefer(self):
+            pass
+
+    pool, config, requests = _oom_deferral()
+    sched = NoUndefer(pool, config)
+    sched.submit_all(requests)
+    with pytest.raises(RuntimeError, match="every waiting request is OOM-deferred"):
+        sched.run()
+    pool.close()
