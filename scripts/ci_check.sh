@@ -309,6 +309,11 @@ fi
 # the saved stream renders on the dashboard (and is a valid stream)
 python -m repro top "$tele_dir/tele.jsonl" | grep -q "slo tenant"
 
+echo "== bench self-tests =="
+# the harness's own tests, among them that every layer bench/layers.py
+# wraps still resolves, so a renamed trace target fails here
+python -m pytest -q bench/tests
+
 echo "== bench smoke: paper bands hold on the issue path =="
 # every paper_sweep pass checks the paper's headline bands (speedup
 # 1.30-1.85x over Naive, memory savings) and reports "correct": false
