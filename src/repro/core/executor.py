@@ -624,7 +624,8 @@ class PipelineIssuer:
         integrity on, ``verify`` (a zero-arg callable returning the two
         array views that must be byte-identical after the copy) is
         compared synchronously — the modelled checksum charged to host
-        time — and a mismatch reissues the copy exactly like a fail-stop fault.
+        time — and a mismatch reissues the copy exactly like a
+        fail-stop fault.
         """
         runtime = self.runtime
         policy = self.policy
@@ -1397,9 +1398,9 @@ class PipelineIssuer:
         """Synchronously re-verify a replayed chunk's data.
 
         The pipeline is drained, so this runs host-side: each piece's
-        modelled checksum cost is charged to virtual host time (same cost model as
-        the async verify commands), keeping replay verification visible
-        in the clock and in wait attribution.
+        modelled checksum cost is charged to virtual host time (same
+        cost model as the async verify commands), keeping replay
+        verification visible in the clock and in wait attribution.
         """
         runtime = self.runtime
         row = self._work[chunk.index]

@@ -29,9 +29,10 @@ Mode semantics:
 ``checksum``
     Every H2D/D2H piece is re-read on a dedicated verify stream after
     the transfer retires (the modelled device-side checksum), and the
-    device copy is compared byte for byte against the host copy.  Catches transfer bit flips (and halo-seam
-    corruption in sharded runs) but **not** kernel miscomputes — a
-    checksum of wrong-but-self-consistent data matches itself.
+    device copy is compared byte for byte against the host copy.
+    Catches transfer bit flips (and halo-seam corruption in sharded
+    runs) but **not** kernel miscomputes — a checksum of
+    wrong-but-self-consistent data matches itself.
 ``vote``
     Checksum verification *plus* dual execution: each chunk's kernel
     is re-run into scratch on the verify stream and the two outputs
