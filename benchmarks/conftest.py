@@ -109,7 +109,7 @@ def measure_rate(run_pool: Callable[[], object]) -> Dict[str, float]:
     t0 = time.perf_counter()
     pool = run_pool()
     seconds = time.perf_counter() - t0
-    events = sum(len(rt.device.sim.completed) for rt in pool.runtimes)
+    events = sum(rt.device.retired for rt in pool.runtimes)
     return {
         "wall_seconds": seconds,
         "events": events,

@@ -126,19 +126,17 @@ def _aggregate(model: str, results, rt) -> RegionResult:
     """Fold per-sweep results into one (sums times, max memory)."""
     from repro.sim.trace import Timeline
 
-    recs = [r for res in results for r in res.timeline.records]
     first = results[0]
     return RegionResult(
         model=model,
         elapsed=sum(r.elapsed for r in results),
         memory_peak=max(r.memory_peak for r in results),
         data_peak=max(r.data_peak for r in results),
-        timeline=Timeline(recs),
+        timeline=Timeline.join(r.timeline for r in results),
         nchunks=sum(r.nchunks for r in results),
         chunk_size=first.chunk_size,
         num_streams=first.num_streams,
         t_begin=first.t_begin,
-        commands=[c for res in results for c in res.commands],
         faults=sum(r.faults for r in results),
         retries=sum(r.retries for r in results),
     )

@@ -92,9 +92,10 @@ class RegionResult:
         Peak memory minus the context overhead (the region's own
         allocations).
     timeline:
-        All commands the region retired, as records built from
-        ``commands`` on first access (a caller that reads only
-        ``elapsed`` never builds them).
+        The rows of the commands the region retired: a view of the
+        device's timeline store, which the retired ``Command`` objects
+        were folded into when the region finished.  It is the input of
+        :func:`repro.obs.analyze.analyze_result`.
     nchunks, chunk_size, num_streams:
         Effective pipeline shape (1/NA for the naive model).
     metrics:
@@ -105,11 +106,6 @@ class RegionResult:
         Virtual time (``runtime.elapsed``) when the measurement window
         opened; ``t_begin + elapsed`` closes it.  The critical-path
         analyzer partitions exactly this window.
-    commands:
-        The retired :class:`~repro.sim.engine.Command` objects behind
-        ``timeline``, with their dependency metadata — the input of
-        :func:`repro.obs.analyze.analyze_result`.  Excluded from
-        :meth:`to_dict`.
     faults:
         Faulted commands (injected + poisoned) the region absorbed.
         Zero unless a fault injector was installed.
@@ -134,7 +130,6 @@ class RegionResult:
     num_streams: int
     metrics: Dict[str, object] = field(default_factory=dict)
     t_begin: float = 0.0
-    commands: List[Command] = field(default_factory=list, repr=False)
     faults: int = 0
     retries: int = 0
     verified: int = 0
@@ -219,7 +214,7 @@ class _Measurer:
     def __init__(self, runtime: Runtime) -> None:
         self.rt = runtime
         self.t0 = runtime.elapsed
-        self.n0 = len(runtime.device.sim.completed)
+        self.n0 = runtime.device.retired
         runtime.device.memory.reset_peak()
 
     def finish(
@@ -229,9 +224,8 @@ class _Measurer:
     ) -> RegionResult:
         """Close the measurement window and package the result."""
         rt = self.rt
-        cmds = rt.device.sim.completed[self.n0:]
         mem = rt.device.memory
-        timeline = Timeline.from_commands(cmds)
+        timeline = rt.device.timeline(self.n0)
         snapshot: Dict[str, object] = {}
         m = rt.metrics
         if m.enabled:
@@ -251,7 +245,6 @@ class _Measurer:
             num_streams=num_streams,
             metrics=snapshot,
             t_begin=self.t0,
-            commands=cmds,
             faults=faults,
             retries=retries,
             verified=verified,

@@ -103,8 +103,8 @@ __all__ = [
     "TelemetrySampler",
     "Tracer",
     "WaitBreakdown",
-    "analyze_commands",
     "analyze_result",
+    "analyze_timeline",
     "atomic_write_json",
     "atomic_write_text",
     "chrome_counter_events",
@@ -124,7 +124,7 @@ __all__ = [
 ]
 
 #: names resolved lazily from :mod:`repro.obs.analyze` (PEP 562) so the
-#: analyzer — which imports :mod:`repro.sim.engine` — never joins the
+#: analyzer — which imports :mod:`repro.sim.trace` — never joins the
 #: eager import graph of packages that only want the tracer/metrics
 _ANALYZE_NAMES = frozenset(
     {
@@ -132,8 +132,8 @@ _ANALYZE_NAMES = frozenset(
         "CriticalPath",
         "RegionAnalysis",
         "WaitBreakdown",
-        "analyze_commands",
         "analyze_result",
+        "analyze_timeline",
         "diff_analyses",
         "extract_critical_path",
         "what_if_bounds",

@@ -3,9 +3,9 @@
 The paper's claims come down to *where time goes*: how much transfer
 time hides under kernels, which engine saturates, where chunks stall on
 ring-slot reuse.  This package answers that from a finished run's
-retired commands, with no re-simulation:
+timeline rows, with no re-simulation:
 
-* :func:`analyze_result` / :func:`analyze_commands` — full analysis of
+* :func:`analyze_result` / :func:`analyze_timeline` — full analysis of
   one region: critical path, per-chunk wait breakdown (sums exactly to
   wall time), engine occupancy, transfer overlap, what-if bounds.
 * :mod:`~repro.obs.analyze.critpath` — the backward dependency walk.
@@ -22,7 +22,7 @@ analysis output itself is golden-tested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.obs.analyze.breakdown import (
     WaitBreakdown,
@@ -41,8 +41,7 @@ from repro.obs.analyze.snapshot import (
     write_analysis,
 )
 from repro.obs.analyze.whatif import engine_busy, what_if_bounds
-from repro.obs.intervals import union_length
-from repro.sim.engine import Command
+from repro.sim.trace import Timeline, overlap_fraction
 
 __all__ = [
     "AnalysisDiff",
@@ -50,8 +49,8 @@ __all__ = [
     "PathSegment",
     "RegionAnalysis",
     "WaitBreakdown",
-    "analyze_commands",
     "analyze_result",
+    "analyze_timeline",
     "breakdown_from_path",
     "categorize_segment",
     "diff_analyses",
@@ -61,26 +60,6 @@ __all__ = [
     "what_if_bounds",
     "write_analysis",
 ]
-
-
-def _overlap(done: Sequence[Command]) -> float:
-    """Fraction of transfer busy-time overlapped with kernel execution."""
-    kernels = sorted(
-        (c.start_time, c.finish_time) for c in done if c.kind == "kernel"
-    )
-    transfers = [c for c in done if c.kind in ("h2d", "d2h")]
-    if not transfers:
-        return 0.0
-    hidden = total = 0.0
-    for t in transfers:
-        total += t.finish_time - t.start_time
-        pieces = [
-            (max(lo, t.start_time), min(hi, t.finish_time))
-            for lo, hi in kernels
-            if hi > t.start_time and lo < t.finish_time
-        ]
-        hidden += union_length(pieces)
-    return hidden / total if total else 0.0
 
 
 @dataclass
@@ -230,8 +209,8 @@ class RegionAnalysis:
         return "\n".join(lines)
 
 
-def analyze_commands(
-    commands: Sequence[Command],
+def analyze_timeline(
+    timeline: Timeline,
     t0: float,
     t_end: float,
     *,
@@ -243,9 +222,9 @@ def analyze_commands(
     retries: int = 0,
     meta: Optional[Dict[str, object]] = None,
 ) -> RegionAnalysis:
-    """Analyze an arbitrary command set over the window ``[t0, t_end]``."""
-    done = [c for c in commands if c.finish_time is not None]
-    path = extract_critical_path(done, t0, t_end)
+    """Analyze a timeline's rows over the window ``[t0, t_end]``."""
+    rows = timeline.rows()
+    path = extract_critical_path(rows, t0, t_end)
     bd = breakdown_from_path(path)
     wall = t_end - t0
     return RegionAnalysis(
@@ -255,13 +234,13 @@ def analyze_commands(
         t_end=t_end,
         path=path,
         breakdown=bd,
-        what_if=what_if_bounds(done, wall, bd),
-        engines=engine_busy(done),
-        overlap=_overlap(done),
+        what_if=what_if_bounds(rows, wall, bd),
+        engines=engine_busy(rows),
+        overlap=overlap_fraction(timeline),
         nchunks=nchunks,
         chunk_size=chunk_size,
         num_streams=num_streams,
-        ncommands=len(done),
+        ncommands=len(rows),
         faults=faults,
         retries=retries,
         meta=dict(meta or {}),
@@ -271,17 +250,14 @@ def analyze_commands(
 def analyze_result(result, *, meta: Optional[Dict[str, object]] = None) -> RegionAnalysis:
     """Analyze a :class:`~repro.core.executor.RegionResult`.
 
-    The result must carry its retired commands (every result produced
-    by ``region.run`` does); the analysis window is the result's own
-    measurement window ``[t_begin, t_begin + elapsed]``.
+    The analysis window is the result's own measurement window
+    ``[t_begin, t_begin + elapsed]``; raises ``ValueError`` when the
+    result's timeline is empty.
     """
-    if not result.commands:
-        raise ValueError(
-            "result carries no retired commands to analyze "
-            "(was it produced by an older aggregation path?)"
-        )
-    return analyze_commands(
-        result.commands,
+    if not len(result.timeline):
+        raise ValueError("result carries no retired commands to analyze")
+    return analyze_timeline(
+        result.timeline,
         result.t_begin,
         result.t_begin + result.elapsed,
         model=result.model,

@@ -1,12 +1,15 @@
 """Critical-path extraction over the retired command graph.
 
-The simulator keeps, on every retired :class:`~repro.sim.engine.Command`,
-enough dependency metadata to reconstruct *why* it started when it did:
-``ready_time`` vs ``start_time`` separates engine queueing from
-dependency waits, ``stream_pred`` is the implicit in-order stream edge,
-``wait_toks`` are the explicit cross-stream event edges, and
-``_poison_waits`` distinguishes true data dependencies from
-ordering-only ring-slot-reuse guards.
+Every row of a timeline (:class:`~repro.sim.trace.TimelineRow`) keeps
+enough dependency metadata to reconstruct *why* its command started
+when it did: ``ready_time`` vs ``start_time`` separates engine queueing
+from dependency waits, ``pred`` is the seq of the implicit in-order
+stream predecessor, and ``waits`` lists the explicit cross-stream event
+edges as ``(recorder seq, is_data)`` pairs, ``is_data`` telling true
+data dependencies from ordering-only ring-slot-reuse guards.  The walk
+resolves those seqs through an index of the rows it was given; an edge
+to a command outside them is dropped, since that command finished
+before the analysed window opened.
 
 :func:`extract_critical_path` walks backward from the last completion:
 at each command it identifies the *binding* constraint (the edge that
@@ -34,7 +37,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.engine import Command
+from repro.sim.trace import TimelineRow
 
 __all__ = [
     "CriticalPath",
@@ -73,8 +76,8 @@ class PathSegment:
     start: float
     end: float
     edge: str
-    cmd: Optional[Command] = None
-    waiter: Optional[Command] = None
+    cmd: Optional[TimelineRow] = None
+    waiter: Optional[TimelineRow] = None
 
     @property
     def duration(self) -> float:
@@ -116,15 +119,15 @@ def _queue_edge(engine: str) -> str:
 
 
 def extract_critical_path(
-    commands: Sequence[Command], t0: float, t_end: float
+    commands: Sequence[TimelineRow], t0: float, t_end: float
 ) -> CriticalPath:
     """Walk dependencies backward from the last completion in the window.
 
     Parameters
     ----------
     commands:
-        Retired commands (e.g. :attr:`RegionResult.commands`).  Only
-        finished ones participate.
+        Retired commands' rows (e.g. ``RegionResult.timeline.rows()``).
+        Only finished ones participate.
     t0, t_end:
         The wall window to partition (the region's measurement window).
     """
@@ -141,7 +144,7 @@ def extract_critical_path(
     # per-engine occupancy order, for "who held the engine until I
     # started" lookups; ties on finish break by (start, seq) so the
     # *latest* occupant ending at an instant wins
-    by_engine: Dict[str, List[Command]] = {}
+    by_engine: Dict[str, List[TimelineRow]] = {}
     for c in done:
         by_engine.setdefault(c.engine, []).append(c)
     fins_of: Dict[str, List[float]] = {}
@@ -153,7 +156,7 @@ def extract_critical_path(
     all_sorted = sorted(done, key=lambda c: (c.finish_time, c.start_time, c.seq))
     all_fins = [c.finish_time for c in all_sorted]
 
-    def engine_pred(cur: Command) -> Optional[Command]:
+    def engine_pred(cur: TimelineRow) -> Optional[TimelineRow]:
         """The command that occupied ``cur``'s engine until ``cur`` started."""
         lst = by_engine[cur.engine]
         i = bisect_right(fins_of[cur.engine], cur.start_time + _EPS) - 1
@@ -168,18 +171,18 @@ def extract_critical_path(
             i -= 1
         return None
 
-    def dep_blocker(cur: Command) -> Tuple[Optional[Command], str]:
+    by_seq = {c.seq: c for c in done}
+
+    def dep_blocker(cur: TimelineRow) -> Tuple[Optional[TimelineRow], str]:
         """The dependency that resolved last (the binding constraint)."""
         cands = []
-        sp = cur.stream_pred
-        if sp is not None and sp.finish_time is not None:
+        sp = by_seq.get(cur.pred)
+        if sp is not None:
             cands.append((sp.finish_time, 0, sp.seq, sp, EDGE_STREAM))
-        poison = cur._poison_waits
-        for tok in cur.wait_toks:
-            rb = tok.recorded_by
-            if rb is None or rb.finish_time is None:
+        for seq, is_data in cur.waits:
+            rb = by_seq.get(seq)
+            if rb is None:
                 continue
-            is_data = poison is None or id(tok) in poison
             cands.append(
                 (rb.finish_time, 1, rb.seq, rb, EDGE_DATA if is_data else EDGE_SLOT)
             )
@@ -192,7 +195,7 @@ def extract_critical_path(
             return None, EDGE_HOST
         return blocker, cause
 
-    def global_pred(cur: Command) -> Optional[Command]:
+    def global_pred(cur: TimelineRow) -> Optional[TimelineRow]:
         """Latest-finishing command at or before ``cur``'s start."""
         i = bisect_right(all_fins, cur.start_time + _EPS) - 1
         while i >= 0:
@@ -211,7 +214,7 @@ def extract_critical_path(
         frontier = cur.finish_time
 
     edge = EDGE_END
-    waiter: Optional[Command] = None
+    waiter: Optional[TimelineRow] = None
     visited = set()
     while cur is not None and frontier > t0:
         if id(cur) in visited:  # pragma: no cover - defensive
@@ -226,7 +229,7 @@ def extract_critical_path(
         if frontier <= t0:
             break
         # why did cur start only at frontier?
-        blocker: Optional[Command] = None
+        blocker: Optional[TimelineRow] = None
         cause = EDGE_HOST
         ready = cur.ready_time if cur.ready_time is not None else cur.start_time
         if cur.start_time > ready + _EPS:

@@ -2,7 +2,7 @@
 
 Each entry is a deterministic, closed-form estimate of the wall time a
 hypothetical resource/plan change could reach, computed from the same
-command set the analyzer already holds — no re-simulation:
+timeline rows the analyzer already holds — no re-simulation:
 
 - ``perfect_overlap``: the busiest single engine's occupancy.  No
   schedule can finish before its most-loaded exclusive resource, so
@@ -27,12 +27,12 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.obs.analyze.breakdown import WaitBreakdown
-from repro.sim.engine import Command
+from repro.sim.trace import TimelineRow
 
 __all__ = ["engine_busy", "what_if_bounds"]
 
 
-def engine_busy(commands: Sequence[Command]) -> Dict[str, float]:
+def engine_busy(commands: Sequence[TimelineRow]) -> Dict[str, float]:
     """Busy seconds per engine over the finished commands."""
     busy: Dict[str, float] = {}
     for c in commands:
@@ -43,7 +43,7 @@ def engine_busy(commands: Sequence[Command]) -> Dict[str, float]:
 
 
 def what_if_bounds(
-    commands: Sequence[Command],
+    commands: Sequence[TimelineRow],
     wall: float,
     breakdown: Optional[WaitBreakdown] = None,
 ) -> Dict[str, Dict[str, object]]:

@@ -9,7 +9,9 @@ object the host runtime (:mod:`repro.gpu`) programs against.  It
 * converts logical operations (an ``nbytes`` H2D copy, a kernel with a
   given cost) into :class:`~repro.sim.engine.Command` objects with
   durations from the profile's cost models, and
-* records every retired command into a :class:`~repro.sim.trace.Timeline`.
+* owns the :class:`~repro.sim.trace.TimelineColumns` store its retired
+  commands are folded into (:meth:`Device.compact`), which every
+  :class:`~repro.sim.trace.Timeline` of this device views.
 
 The device knows nothing about arrays or pipelining — that is the job
 of :mod:`repro.gpu` and :mod:`repro.core`.
@@ -24,7 +26,7 @@ from repro.sim.engine import Command, EventToken, make_simulator
 from repro.sim.memory import AllocationRecord, MemoryAllocator
 from repro.sim.profiles import DeviceProfile
 from repro.sim.stream import SimStream
-from repro.sim.trace import Timeline
+from repro.sim.trace import Timeline, TimelineColumns
 
 __all__ = ["Device"]
 
@@ -65,6 +67,9 @@ class Device:
         #: :class:`~repro.sim.bandwidth.BandwidthShared` this device's
         #: transfers contend on (None = private link, the default)
         self.shared_link = None
+        #: one row per compacted command, in retirement order; made by
+        #: the first :meth:`compact`, so building a device stays cheap
+        self._history: Optional[TimelineColumns] = None
 
     # ------------------------------------------------------------------
     # fault injection
@@ -278,6 +283,44 @@ class Device:
         """Current virtual time in seconds."""
         return self.sim.now
 
-    def timeline(self) -> Timeline:
-        """Timeline of every retired command so far."""
-        return Timeline.from_commands(list(self.sim.completed))
+    @property
+    def retired(self) -> int:
+        """Commands retired so far, compacted or not.
+
+        Row ``i`` of this device's store is the ``i``-th command to
+        retire, so a count taken now is where the rows of commands
+        retiring from now on start.
+        """
+        hist = self._history
+        return (0 if hist is None else len(hist)) + len(self.sim.completed)
+
+    def compact(self) -> int:
+        """Fold retired commands into the timeline store; returns its rows.
+
+        The simulator's retired, not yet compacted commands
+        (``sim.completed``) become rows in one batch and leave that
+        list.  Each loses its ``stream_pred`` and ``wait_toks``: the
+        rows keep those edges as sequence numbers, and the references
+        would otherwise let a live stream tail or event token pin the
+        whole chain of commands before it.  The event loop never reads
+        either field after retirement.
+        """
+        hist = self._history
+        if hist is None:
+            hist = self._history = TimelineColumns()
+        done = self.sim.completed
+        if done:
+            hist.append_commands(done)
+            for cmd in done:
+                cmd.stream_pred = None
+                cmd.wait_toks = ()
+            done.clear()
+        return len(hist)
+
+    def timeline(self, start: int = 0) -> Timeline:
+        """Timeline of the commands retired from row ``start`` on.
+
+        Compacts first; the result views this device's store.
+        """
+        end = self.compact()
+        return Timeline.view(self._history, start, end)

@@ -1,8 +1,16 @@
 """Execution timeline capture and analysis.
 
-Every command the simulator retires is recorded as a
-:class:`TimelineRecord`.  The analysis helpers here answer the
-questions the paper's figures ask of a profiler:
+Every command the simulator retires becomes one row of a column store:
+``array`` columns for its virtual timestamps and integer metadata,
+string columns for its kind, engine, stream and label, and its
+dependency edges as recorder sequence numbers.  A
+:class:`~repro.sim.device.Device` folds retired commands into its store
+in batches (:meth:`~repro.sim.device.Device.compact`), after which the
+``Command`` objects themselves can be freed; a :class:`Timeline` is a
+row range of such a store.
+
+The analysis helpers here answer the questions the paper's figures ask
+of a profiler:
 
 * :func:`time_distribution` — how much busy time went to HtoD, DtoH,
   and kernel work (Figure 3's stacked bars),
@@ -14,19 +22,26 @@ questions the paper's figures ask of a profiler:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from itertools import accumulate
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.intervals import union_length
 from repro.sim.stream import SimStream
 
 __all__ = [
+    "TimelineColumns",
     "TimelineRecord",
+    "TimelineRow",
     "Timeline",
     "time_distribution",
     "overlap_fraction",
     "audit",
 ]
+
+#: "none" in the chunk and stream-predecessor columns
+_NONE = -1
 
 
 @dataclass(frozen=True)
@@ -64,58 +79,276 @@ class TimelineRecord:
         return self.finish - self.start
 
 
-def _start_finish(r: TimelineRecord):
-    return (r.start, r.finish)
+class TimelineRow:
+    """One row read back as an object, for post-run analysis.
+
+    It carries the attribute names of a retired
+    :class:`~repro.sim.engine.Command` that analysis reads (``kind``,
+    ``label``, ``engine``, ``chunk``, ``seq`` and the ``*_time``
+    stamps), with the command's dependency edges as sequence numbers:
+    ``pred`` is the stream predecessor's (``-1`` for none) and
+    ``waits`` holds one ``(recorder seq, is_data)`` pair per waited
+    token.  ``stream`` is the stream's name and ``chunk`` is ``None``
+    for non-pipelined work.
+    """
+
+    __slots__ = (
+        "kind", "label", "stream", "engine", "seq", "enqueue_time",
+        "ready_time", "start_time", "finish_time", "nbytes", "queue_depth",
+        "chunk", "pred", "waits", "error", "poisoned",
+    )
+
+    def __init__(self, kind, label, stream, engine, seq, enqueue_time,
+                 ready_time, start_time, finish_time, nbytes, queue_depth,
+                 chunk, pred, waits, error, poisoned) -> None:
+        self.kind = kind
+        self.label = label
+        self.stream = stream
+        self.engine = engine
+        self.seq = seq
+        self.enqueue_time = enqueue_time
+        self.ready_time = ready_time
+        self.start_time = start_time
+        self.finish_time = finish_time
+        self.nbytes = nbytes
+        self.queue_depth = queue_depth
+        self.chunk = chunk
+        self.pred = pred
+        self.waits = waits
+        self.error = error
+        self.poisoned = poisoned
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"TimelineRow(#{self.seq} {self.kind} {self.label!r} on {self.engine})"
+
+
+class TimelineColumns:
+    """The column store behind :class:`Timeline`.
+
+    One row per retired command, in retirement order.  Times are
+    ``array('d')`` columns; ``seq``, ``nbytes``, ``queue_depth``,
+    ``chunk`` and ``pred`` (the stream predecessor's seq) are
+    ``array('q')`` columns with ``-1`` for "none"; ``kind``, ``engine``,
+    ``stream`` (its name) and ``label`` are lists of ``str``.  The
+    ``(recorder seq, is_data)`` pairs of every row's waits lie flat in
+    ``wait_seq`` and ``wait_data``, and row ``i``'s end at
+    ``wait_end[i]``; a recorder seq of ``-1`` marks a token whose
+    recorder was gone (recycled) when the row was made, and reads back
+    as no edge.  ``errors`` maps the seq of a command that faulted to
+    its error.  Rows are only ever appended.
+    """
+
+    __slots__ = (
+        "enqueue", "ready", "start", "finish", "seq", "nbytes",
+        "queue_depth", "chunk", "pred", "kind", "engine", "stream", "label",
+        "poisoned", "wait_seq", "wait_data", "wait_end", "errors",
+    )
+
+    #: the per-row columns, in :meth:`take` order
+    _ROW_COLUMNS = (
+        "enqueue", "ready", "start", "finish", "seq", "nbytes",
+        "queue_depth", "chunk", "pred", "kind", "engine", "stream", "label",
+        "poisoned",
+    )
+
+    def __init__(self) -> None:
+        self.enqueue = array("d")
+        self.ready = array("d")
+        self.start = array("d")
+        self.finish = array("d")
+        self.seq = array("q")
+        self.nbytes = array("q")
+        self.queue_depth = array("q")
+        self.chunk = array("q")
+        self.pred = array("q")
+        self.kind: List[str] = []
+        self.engine: List[str] = []
+        self.stream: List[str] = []
+        self.label: List[str] = []
+        self.poisoned = array("b")
+        self.wait_seq = array("q")
+        self.wait_data = array("b")
+        self.wait_end = array("q")
+        self.errors: Dict[int, object] = {}
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def append_commands(self, cmds: Sequence) -> None:
+        """Fold retired commands into new rows, in the given order.
+
+        One comprehension per column (``fromlist`` is the fast way into
+        an ``array``); the commands are read, not changed.
+        """
+        self.enqueue.fromlist([c.enqueue_time for c in cmds])
+        self.ready.fromlist([c.ready_time for c in cmds])
+        self.start.fromlist([c.start_time for c in cmds])
+        self.finish.fromlist([c.finish_time for c in cmds])
+        self.seq.fromlist([c.seq for c in cmds])
+        self.nbytes.fromlist([c.nbytes for c in cmds])
+        self.queue_depth.fromlist([c.queue_depth for c in cmds])
+        self.chunk.fromlist([_NONE if c.chunk is None else c.chunk for c in cmds])
+        self.pred.fromlist([
+            _NONE if c.stream_pred is None else c.stream_pred.seq for c in cmds
+        ])
+        self.kind += [c.kind for c in cmds]
+        self.engine += [c.engine for c in cmds]
+        self.stream += [
+            c.stream.name if isinstance(c.stream, SimStream) else "" for c in cmds
+        ]
+        self.label += [c.label for c in cmds]
+        self.poisoned.fromlist([c.poisoned for c in cmds])
+        toks = [c.wait_toks for c in cmds]
+        self.wait_end.fromlist(
+            list(accumulate(map(len, toks), initial=len(self.wait_seq)))[1:]
+        )
+        self.wait_seq.fromlist([
+            _NONE if (rb := t.recorded_by) is None else rb.seq
+            for ts in toks for t in ts
+        ])
+        self.wait_data.fromlist([
+            pw is None or id(t) in pw
+            for ts, pw in zip(toks, [c._poison_waits for c in cmds]) for t in ts
+        ])
+        self.errors.update({c.seq: c.error for c in cmds if c.error is not None})
+
+    def append_records(self, records: Iterable[TimelineRecord]) -> None:
+        """Append records as rows with no edges; a row's seq is its index."""
+        for r in records:
+            self.seq.append(len(self.seq))
+            self.enqueue.append(r.enqueue)
+            self.ready.append(r.start)
+            self.start.append(r.start)
+            self.finish.append(r.finish)
+            self.nbytes.append(r.nbytes)
+            self.queue_depth.append(0)
+            self.chunk.append(_NONE)
+            self.pred.append(_NONE)
+            self.kind.append(r.kind)
+            self.engine.append(r.engine)
+            self.stream.append(r.stream)
+            self.label.append(r.label)
+            self.poisoned.append(False)
+            self.wait_end.append(len(self.wait_seq))
+
+    def wait_pairs(self, i: int) -> Tuple[Tuple[int, bool], ...]:
+        """Row ``i``'s ``(recorder seq, is_data)`` pairs, gone recorders
+        left out."""
+        seqs, data = self.wait_seq, self.wait_data
+        lo = self.wait_end[i - 1] if i else 0
+        return tuple(
+            (seqs[j], bool(data[j]))
+            for j in range(lo, self.wait_end[i]) if seqs[j] != _NONE
+        )
+
+    def take(self, src: "TimelineColumns", rows: Iterable[int]) -> None:
+        """Append copies of ``src``'s ``rows``, in the given order."""
+        rows = list(rows)
+        for name in self._ROW_COLUMNS:
+            col = getattr(src, name)
+            getattr(self, name).extend([col[i] for i in rows])
+        seqs, data, end = src.wait_seq, src.wait_data, src.wait_end
+        for i in rows:
+            lo = end[i - 1] if i else 0
+            self.wait_seq.extend(seqs[lo:end[i]])
+            self.wait_data.extend(data[lo:end[i]])
+            self.wait_end.append(len(self.wait_seq))
+            err = src.errors.get(src.seq[i])
+            if err is not None:
+                self.errors[src.seq[i]] = err
 
 
 class Timeline:
-    """An ordered collection of :class:`TimelineRecord` with queries."""
+    """A row range of a :class:`TimelineColumns` store, with queries.
 
-    def __init__(self, records: Sequence[TimelineRecord]) -> None:
-        self._records: Optional[List[TimelineRecord]] = sorted(records, key=_start_finish)
-        self._commands: Optional[Sequence] = None
+    ``Timeline(records)`` builds a store of its own; a device's store
+    hands out views (:meth:`view`), which copy nothing.  The queries
+    read rows ordered by ``(start, finish)``, ties in row order, which
+    is the order of :attr:`records`.
+    """
+
+    __slots__ = ("_cols", "_lo", "_hi", "_records", "_sorted")
+
+    def __init__(self, records: Iterable[TimelineRecord] = ()) -> None:
+        cols = TimelineColumns()
+        cols.append_records(records)
+        self._bind(cols, 0, len(cols))
+
+    def _bind(self, cols: TimelineColumns, lo: int, hi: int) -> None:
+        self._cols = cols
+        self._lo = lo
+        self._hi = hi
+        self._records: Optional[List[TimelineRecord]] = None
+        self._sorted: Optional[List[int]] = None
 
     @classmethod
-    def from_commands(cls, commands: Sequence) -> "Timeline":
-        """The timeline of retired :class:`~repro.sim.engine.Command`\\ s.
-
-        Identical to ``Timeline(records)`` built from the commands, but
-        the records are built and sorted on first access to
-        :attr:`records`, so a caller that never looks at the timeline
-        (one that reads only a result's ``elapsed``) never pays for it.
-        The commands must not be mutated or recycled before then.
-        """
+    def view(cls, columns: TimelineColumns, lo: int = 0,
+             hi: Optional[int] = None) -> "Timeline":
+        """Rows ``[lo, hi)`` of ``columns`` (to the end by default)."""
         tl = cls.__new__(cls)
-        tl._records = None
-        tl._commands = commands
+        tl._bind(columns, lo, len(columns) if hi is None else hi)
         return tl
+
+    @classmethod
+    def join(cls, timelines: Iterable["Timeline"]) -> "Timeline":
+        """One timeline holding the rows of ``timelines``, in order.
+
+        Adjacent views of one store join into a view; anything else is
+        copied into a new store.
+        """
+        parts = list(timelines)
+        if parts and all(
+            a._cols is b._cols and a._hi == b._lo for a, b in zip(parts, parts[1:])
+        ):
+            return cls.view(parts[0]._cols, parts[0]._lo, parts[-1]._hi)
+        cols = TimelineColumns()
+        for p in parts:
+            cols.take(p._cols, range(p._lo, p._hi))
+        return cls.view(cols)
+
+    def _order(self) -> List[int]:
+        """Row indices ordered by ``(start, finish)``, ties in row order."""
+        order = self._sorted
+        if order is None:
+            st, fin = self._cols.start, self._cols.finish
+            order = self._sorted = sorted(
+                range(self._lo, self._hi), key=lambda i: (st[i], fin[i])
+            )
+        return order
 
     @property
     def records(self) -> List[TimelineRecord]:
         """The records, ordered by ``(start, finish)``."""
         recs = self._records
         if recs is None:
-            recs = self._records = sorted(
-                [
-                    TimelineRecord(
-                        c.kind,
-                        c.label,
-                        c.stream.name if isinstance(c.stream, SimStream) else "",
-                        c.engine,
-                        c.enqueue_time,
-                        c.start_time,
-                        c.finish_time,
-                        c.nbytes,
-                    )
-                    for c in self._commands
-                ],
-                key=_start_finish,
-            )
-            self._commands = None
+            c = self._cols
+            recs = self._records = [
+                TimelineRecord(
+                    c.kind[i], c.label[i], c.stream[i], c.engine[i],
+                    c.enqueue[i], c.start[i], c.finish[i], c.nbytes[i],
+                )
+                for i in self._order()
+            ]
         return recs
 
+    def rows(self) -> List[TimelineRow]:
+        """The rows in retirement order, as :class:`TimelineRow` objects."""
+        c = self._cols
+        errors = c.errors
+        return [
+            TimelineRow(
+                c.kind[i], c.label[i], c.stream[i], c.engine[i], c.seq[i],
+                c.enqueue[i], c.ready[i], c.start[i], c.finish[i],
+                c.nbytes[i], c.queue_depth[i],
+                None if c.chunk[i] == _NONE else c.chunk[i],
+                c.pred[i], c.wait_pairs(i), errors.get(c.seq[i]),
+                bool(c.poisoned[i]),
+            )
+            for i in range(self._lo, self._hi)
+        ]
+
     def __len__(self) -> int:
-        return len(self.records)
+        return self._hi - self._lo
 
     def __iter__(self):
         return iter(self.records)
@@ -132,32 +365,45 @@ class Timeline:
         out of a shared device timeline for attribution and busy-time
         conservation checks.
         """
-        return Timeline([r for r in self.records if r.stream.startswith(prefix)])
+        stream = self._cols.stream
+        cols = TimelineColumns()
+        cols.take(self._cols, [
+            i for i in range(self._lo, self._hi) if stream[i].startswith(prefix)
+        ])
+        return Timeline.view(cols)
 
     @property
     def makespan(self) -> float:
         """End-to-end virtual time (first start to last finish)."""
-        if not self.records:
+        if self._hi == self._lo:
             return 0.0
-        return max(r.finish for r in self.records) - min(r.start for r in self.records)
+        lo, hi = self._lo, self._hi
+        return max(self._cols.finish[lo:hi]) - min(self._cols.start[lo:hi])
 
     @property
     def end(self) -> float:
         """Latest finish time."""
-        return max((r.finish for r in self.records), default=0.0)
+        return max(self._cols.finish[self._lo:self._hi], default=0.0)
 
     def busy_time(self, kind: Optional[str] = None) -> float:
         """Total occupancy of all (or one kind of) commands."""
-        return sum(r.duration for r in self.records if kind is None or r.kind == kind)
+        c = self._cols
+        st, fin, kinds = c.start, c.finish, c.kind
+        return sum(
+            fin[i] - st[i] for i in self._order() if kind is None or kinds[i] == kind
+        )
 
     def engine_utilization(self) -> Dict[str, float]:
         """Fraction of the makespan each engine spent busy."""
         span = self.makespan
         if span <= 0:
             return {}
+        c = self._cols
+        st, fin, engines = c.start, c.finish, c.engine
         busy: Dict[str, float] = {}
-        for r in self.records:
-            busy[r.engine] = busy.get(r.engine, 0.0) + r.duration
+        for i in self._order():
+            e = engines[i]
+            busy[e] = busy.get(e, 0.0) + (fin[i] - st[i])
         return {e: b / span for e, b in busy.items()}
 
 
@@ -172,22 +418,25 @@ def overlap_fraction(timeline: Timeline) -> float:
     1.0 means every transferred byte moved while a kernel was running
     (perfect pipelining); 0.0 means fully synchronous behaviour.
     """
-    kernels = [(r.start, r.finish) for r in timeline.records if r.kind == "kernel"]
-    transfers = [r for r in timeline.records if r.kind in ("h2d", "d2h")]
+    c = timeline._cols
+    kinds, st, fin = c.kind, c.start, c.finish
+    order = timeline._order()
+    kernel_ivs = sorted([(st[i], fin[i]) for i in order if kinds[i] == "kernel"])
+    transfers = [i for i in order if kinds[i] in ("h2d", "d2h")]
     if not transfers:
         return 0.0
-    kernel_ivs = sorted(kernels)
     hidden = 0.0
     total = 0.0
-    for t in transfers:
-        total += t.duration
+    for i in transfers:
+        t_start, t_finish = st[i], fin[i]
+        total += t_finish - t_start
         pieces = []
         for lo, hi in kernel_ivs:
-            if hi <= t.start:
+            if hi <= t_start:
                 continue
-            if lo >= t.finish:
+            if lo >= t_finish:
                 break
-            pieces.append((max(lo, t.start), min(hi, t.finish)))
+            pieces.append((max(lo, t_start), min(hi, t_finish)))
         hidden += union_length(pieces)
     return hidden / total if total else 0.0
 
@@ -216,12 +465,9 @@ def audit(timeline: Timeline) -> None:
             if b.start < a.finish - eps:
                 raise AssertionError(f"engine {eng} overlap: {a} / {b}")
     for s, recs in by_stream.items():
-        # enqueue order within a stream must match execution order
-        in_enqueue_order = sorted(recs, key=lambda r: r.enqueue)
+        # ties in enqueue time are possible (same host call burst), so
+        # require only that execution order never overlaps
         in_exec_order = sorted(recs, key=lambda r: r.start)
-        # ties in enqueue time are possible (same host call burst);
-        # require only that finishes are monotone w.r.t. starts
         for a, b in zip(in_exec_order, in_exec_order[1:]):
             if b.start < a.finish - eps:
                 raise AssertionError(f"stream {s} commands overlap: {a} / {b}")
-        del in_enqueue_order

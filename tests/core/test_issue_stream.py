@@ -130,7 +130,7 @@ SCENARIOS: Dict[str, Callable[[Optional[Observability]], object]] = {
 }
 
 
-def _fingerprint(cmd, poison) -> list:
+def _fingerprint(cmd, waits, poison) -> list:
     return [
         cmd.kind,
         cmd.engine,
@@ -141,7 +141,7 @@ def _fingerprint(cmd, poison) -> list:
         repr(cmd.finish_time),
         cmd.nbytes,
         cmd.chunk,
-        [None if t.recorded_by is None else t.recorded_by.label for t in cmd.wait_toks],
+        [None if t.recorded_by is None else t.recorded_by.label for t in waits],
         poison,
     ]
 
@@ -160,7 +160,8 @@ def capture(name: str, obs: Optional[Observability] = None) -> dict:
             poison_waits = tuple(poison_waits)
             ids = {id(t) for t in poison_waits}
             poison = [id(t) in ids for t in waits]
-        issued.append((cmd, poison))
+        # the waits as enqueued: compaction cuts ``wait_toks`` at region end
+        issued.append((cmd, waits, poison))
         return real_enqueue(self, cmd, waits=waits, poison_waits=poison_waits, **kw)
 
     Simulator.enqueue = enqueue
@@ -171,7 +172,7 @@ def capture(name: str, obs: Optional[Observability] = None) -> dict:
     if name.startswith("autotune"):
         rows = [repr(result.best), *(repr(c) for c in result.candidates)]
     else:
-        rows = [_fingerprint(cmd, poison) for cmd, poison in issued]
+        rows = [_fingerprint(*entry) for entry in issued]
     text = json.dumps(rows, separators=(",", ":"))
     return {"commands": len(rows), "sha256": hashlib.sha256(text.encode()).hexdigest()}
 

@@ -156,7 +156,9 @@ class TestEmptyAndReport:
     def test_no_commands_raises(self):
         from types import SimpleNamespace
 
-        res = SimpleNamespace(commands=[])
+        from repro.sim.trace import Timeline
+
+        res = SimpleNamespace(timeline=Timeline([]))
         with pytest.raises(ValueError, match="no retired commands"):
             analyze_result(res)
 

@@ -64,10 +64,20 @@ def _matmul():
 APPS = {"conv3d": _conv3d, "stencil": _stencil, "qcd": _qcd, "matmul": _matmul}
 
 
-def _pipeline(app):
+def _pipeline(app, observer=None):
     region, arrays, kernel = APPS[app]()
     rt = new_runtime("k40m", virtual=True)
+    rt.device.sim.observer = observer
     return execute_pipeline(rt, region.plan_for(rt, arrays), arrays, kernel)
+
+
+def _retired(app):
+    """Run ``app``'s pipeline; returns the result and, per retired
+    command, the command and the tokens it waited on (the region's end
+    folds commands into timeline rows and clears their ``wait_toks``)."""
+    seen = []
+    res = _pipeline(app, lambda cmd: seen.append((cmd, cmd.wait_toks)))
+    return res, seen
 
 
 def _autotune():
@@ -113,16 +123,16 @@ def test_dropped_results_leave_no_command_cycles(work):
 
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_retired_command_holds_no_containers(app):
-    res = _pipeline(app)
-    assert res.commands
+    res, retired = _retired(app)
+    assert retired and len(retired) == len(res.timeline)
     containers = (list, set, frozenset, dict)
-    for cmd in res.commands:
+    for cmd, waits in retired:
         assert cmd.done
         assert cmd.sink is None
         for slot in Command.__slots__:
             value = getattr(cmd, slot)
             assert not isinstance(value, containers), (cmd, slot)
-        for tok in cmd.wait_toks:
+        for tok in waits:
             assert tok._waiters == ()
             assert tok.recorded_by is not None
 

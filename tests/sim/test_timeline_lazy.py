@@ -1,8 +1,9 @@
-"""``Timeline.from_commands`` is byte-identical to an eager build.
+"""A timeline's column store is byte-identical to an eager build.
 
-A region's timeline is built from its retired commands on first access.
-Every surface that reads it must render exactly what the eager
-``Timeline(records)`` construction renders.
+A region's timeline is a view of the rows its retired commands were
+folded into, and its records are built from those rows on first
+access.  Every surface that reads it must render exactly what the
+eager ``Timeline(records)`` construction renders.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.sim import NVIDIA_K40M, Device
 from repro.sim.stream import SimStream
 from repro.sim.trace import Timeline, TimelineRecord
 
-from tests.sim.test_retirement_refs import APPS, _pipeline
+from tests.sim.test_retirement_refs import APPS, _retired
 
 
 def _eager(commands):
@@ -39,8 +40,8 @@ def _eager(commands):
 
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_region_timeline_matches_eager_build(app):
-    res = _pipeline(app)
-    eager = dataclasses.replace(res, timeline=_eager(res.commands))
+    res, retired = _retired(app)
+    eager = dataclasses.replace(res, timeline=_eager([c for c, _ in retired]))
     assert res.timeline.records == eager.timeline.records
     assert json.dumps(res.to_dict(), sort_keys=True) == json.dumps(
         eager.to_dict(), sort_keys=True
@@ -55,15 +56,15 @@ def test_device_timeline_matches_eager_build():
     dev.submit_copy("d2h", 1 << 16, stream=SimStream("s1"))
     dev.submit_copy("h2d", 1 << 10)
     dev.wait_all()
-    lazy = dev.timeline()
     eager = _eager(dev.sim.completed)
+    lazy = dev.timeline()
     assert len(lazy) == 3
     assert lazy.records == eager.records
 
 
 def test_records_built_once_on_first_access():
-    res = _pipeline("stencil")
+    res, retired = _retired("stencil")
     tl = res.timeline
     assert tl._records is None
     assert tl.records is tl.records
-    assert len(tl) == len(res.commands)
+    assert len(tl) == len(retired)
