@@ -254,7 +254,7 @@ def analyze_result(result, *, meta: Optional[Dict[str, object]] = None) -> Regio
     ``[t_begin, t_begin + elapsed]``; raises ``ValueError`` when the
     result's timeline is empty.
     """
-    if not len(result.timeline):
+    if not result.timeline:
         raise ValueError("result carries no retired commands to analyze")
     return analyze_timeline(
         result.timeline,

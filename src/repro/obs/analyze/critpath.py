@@ -7,9 +7,9 @@ from dependency waits, ``pred`` is the seq of the implicit in-order
 stream predecessor, and ``waits`` lists the explicit cross-stream event
 edges as ``(recorder seq, is_data)`` pairs, ``is_data`` telling true
 data dependencies from ordering-only ring-slot-reuse guards.  The walk
-resolves those seqs through an index of the rows it was given; an edge
-to a command outside them is dropped, since that command finished
-before the analysed window opened.
+resolves those seqs through an index of the rows it was given and
+drops an edge to a command outside them: for a region's timeline, that
+command retired before the region's measurement window opened.
 
 :func:`extract_critical_path` walks backward from the last completion:
 at each command it identifies the *binding* constraint (the edge that

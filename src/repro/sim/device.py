@@ -295,7 +295,7 @@ class Device:
         return (0 if hist is None else len(hist)) + len(self.sim.completed)
 
     def compact(self) -> int:
-        """Fold retired commands into the timeline store; returns its rows.
+        """Fold retired commands into the timeline store; returns its row count.
 
         The simulator's retired, not yet compacted commands
         (``sim.completed``) become rows in one batch and leave that

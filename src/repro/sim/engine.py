@@ -27,9 +27,11 @@ loop, so the :class:`Simulator` here is a *fast kernel*:
   :meth:`EventToken.acquire` take ``__slots__`` objects from a bounded
   module-level pool, which only :meth:`Simulator.recycle_completed`
   (or an explicit ``release``) refills.  Region runs and the serving
-  scheduler never recycle (their results keep the retired commands),
-  so they allocate fresh objects; the engine benchmark's replay loop
-  (:mod:`repro.sim.enginebench`) and the tests do.  Once a simulator
+  scheduler never recycle, so they allocate fresh objects: a region's
+  device folds its retired commands into timeline columns when the
+  region ends (:meth:`repro.sim.device.Device.compact`) and lets them
+  go, and a serve pass keeps them.  The engine benchmark's replay loop
+  (:mod:`repro.sim.enginebench`) and the tests recycle.  Once a simulator
   has recycled, retirement also keeps the lists it drains for the next
   recycle round, so a steady recycling replay allocates no containers.
 * **Leftover-free retirement** — :meth:`Simulator._finish` drops every
@@ -484,7 +486,9 @@ class Simulator:
 
     @property
     def completed(self) -> List[Command]:
-        """Commands that have finished, in completion order."""
+        """Commands that have finished and not yet been compacted into
+        their device's timeline (:meth:`repro.sim.device.Device.compact`),
+        in completion order."""
         return self._completed
 
     # ------------------------------------------------------------------
