@@ -25,7 +25,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.obs.intervals import union_length
 from repro.sim.stream import SimStream
@@ -79,7 +79,7 @@ class TimelineRecord:
         return self.finish - self.start
 
 
-class TimelineRow:
+class TimelineRow(NamedTuple):
     """One row read back as an object, for post-run analysis.
 
     It carries the attribute names of a retired
@@ -92,34 +92,22 @@ class TimelineRow:
     for non-pipelined work.
     """
 
-    __slots__ = (
-        "kind", "label", "stream", "engine", "seq", "enqueue_time",
-        "ready_time", "start_time", "finish_time", "nbytes", "queue_depth",
-        "chunk", "pred", "waits", "error", "poisoned",
-    )
-
-    def __init__(self, kind, label, stream, engine, seq, enqueue_time,
-                 ready_time, start_time, finish_time, nbytes, queue_depth,
-                 chunk, pred, waits, error, poisoned) -> None:
-        self.kind = kind
-        self.label = label
-        self.stream = stream
-        self.engine = engine
-        self.seq = seq
-        self.enqueue_time = enqueue_time
-        self.ready_time = ready_time
-        self.start_time = start_time
-        self.finish_time = finish_time
-        self.nbytes = nbytes
-        self.queue_depth = queue_depth
-        self.chunk = chunk
-        self.pred = pred
-        self.waits = waits
-        self.error = error
-        self.poisoned = poisoned
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"TimelineRow(#{self.seq} {self.kind} {self.label!r} on {self.engine})"
+    kind: str
+    label: str
+    stream: str
+    engine: str
+    seq: int
+    enqueue_time: float
+    ready_time: float
+    start_time: float
+    finish_time: float
+    nbytes: int
+    queue_depth: int
+    chunk: Optional[int]
+    pred: int
+    waits: Tuple[Tuple[int, bool], ...]
+    error: object
+    poisoned: bool
 
 
 class TimelineColumns:
@@ -142,13 +130,6 @@ class TimelineColumns:
         "enqueue", "ready", "start", "finish", "seq", "nbytes",
         "queue_depth", "chunk", "pred", "kind", "engine", "stream", "label",
         "poisoned", "wait_seq", "wait_data", "wait_end", "errors",
-    )
-
-    #: the per-row columns, in :meth:`take` order
-    _ROW_COLUMNS = (
-        "enqueue", "ready", "start", "finish", "seq", "nbytes",
-        "queue_depth", "chunk", "pred", "kind", "engine", "stream", "label",
-        "poisoned",
     )
 
     def __init__(self) -> None:
@@ -241,22 +222,6 @@ class TimelineColumns:
             for j in range(lo, self.wait_end[i]) if seqs[j] != _NONE
         )
 
-    def take(self, src: "TimelineColumns", rows: Iterable[int]) -> None:
-        """Append copies of ``src``'s ``rows``, in the given order."""
-        rows = list(rows)
-        for name in self._ROW_COLUMNS:
-            col = getattr(src, name)
-            getattr(self, name).extend([col[i] for i in rows])
-        seqs, data, end = src.wait_seq, src.wait_data, src.wait_end
-        for i in rows:
-            lo = end[i - 1] if i else 0
-            self.wait_seq.extend(seqs[lo:end[i]])
-            self.wait_data.extend(data[lo:end[i]])
-            self.wait_end.append(len(self.wait_seq))
-            err = src.errors.get(src.seq[i])
-            if err is not None:
-                self.errors[src.seq[i]] = err
-
 
 class Timeline:
     """A row range of a :class:`TimelineColumns` store, with queries.
@@ -291,20 +256,17 @@ class Timeline:
 
     @classmethod
     def join(cls, timelines: Iterable["Timeline"]) -> "Timeline":
-        """One timeline holding the rows of ``timelines``, in order.
+        """The view spanning ``timelines``: adjacent views of one store,
+        in row order (the regions one runtime ran back to back).
 
-        Adjacent views of one store join into a view; anything else is
-        copied into a new store.
+        Raises ``ValueError`` for anything else.
         """
         parts = list(timelines)
-        if parts and all(
+        if not parts or not all(
             a._cols is b._cols and a._hi == b._lo for a, b in zip(parts, parts[1:])
         ):
-            return cls.view(parts[0]._cols, parts[0]._lo, parts[-1]._hi)
-        cols = TimelineColumns()
-        for p in parts:
-            cols.take(p._cols, range(p._lo, p._hi))
-        return cls.view(cols)
+            raise ValueError("Timeline.join needs adjacent views of one store")
+        return cls.view(parts[0]._cols, parts[0]._lo, parts[-1]._hi)
 
     def _order(self) -> List[int]:
         """Row indices ordered by ``(start, finish)``, ties in row order."""
@@ -365,12 +327,7 @@ class Timeline:
         out of a shared device timeline for attribution and busy-time
         conservation checks.
         """
-        stream = self._cols.stream
-        cols = TimelineColumns()
-        cols.take(self._cols, [
-            i for i in range(self._lo, self._hi) if stream[i].startswith(prefix)
-        ])
-        return Timeline.view(cols)
+        return Timeline([r for r in self.records if r.stream.startswith(prefix)])
 
     @property
     def makespan(self) -> float:

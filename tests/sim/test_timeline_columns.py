@@ -26,6 +26,7 @@ from repro.faults import FaultPolicy, fault_profile
 from repro.sim import NVIDIA_K40M, Device
 from repro.sim.engine import Command, EventToken, engine_kernel
 from repro.sim.stream import SimStream
+from repro.sim.trace import Timeline
 
 from tests.integration.test_integrity import _setup
 from tests.sim.test_retirement_refs import APPS
@@ -176,3 +177,20 @@ def test_wait_on_a_released_token_is_no_edge():
     first.release()
     rows = device.timeline().rows()
     assert rows[-1].seq == waiter.seq and rows[-1].waits == ((1, True),)
+
+
+def test_join_spans_adjacent_views_only():
+    device = Device(NVIDIA_K40M)
+    for _ in range(3):
+        device.submit_copy("h2d", 1 << 10, stream=SimStream("s"))
+        device.wait_all()
+        device.compact()
+    parts = [Timeline.view(device._history, i, i + 1) for i in range(3)]
+    joined = Timeline.join(parts)
+    assert joined.records == device.timeline().records
+    assert joined.records == [r for p in parts for r in p.records]
+    assert joined.rows() == device.timeline().rows()
+    with pytest.raises(ValueError, match="adjacent"):
+        Timeline.join([parts[0], parts[2]])
+    with pytest.raises(ValueError, match="adjacent"):
+        Timeline.join([Timeline([]), Timeline([])])
