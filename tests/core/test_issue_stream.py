@@ -88,12 +88,12 @@ def _run(setup, *, virtual=True, faults=None, **run_kw):
     return scenario
 
 
-def _sharded(obs):
+def _sharded(obs, **run_kw):
     region, arrays, kernel = _conv3d()
     if obs is None:
-        return region.run(None, arrays, kernel, devices=2)
+        return region.run(None, arrays, kernel, devices=2, **run_kw)
     devices = [new_runtime("k40m", virtual=True, obs=obs) for _ in range(2)]
-    return region.run(None, arrays, kernel, devices=devices)
+    return region.run(None, arrays, kernel, devices=devices, **run_kw)
 
 
 def _autotune(obs):
@@ -110,6 +110,11 @@ SCENARIOS: Dict[str, Callable[[Optional[Observability]], object]] = {
     "stencil-duplicate": _run(lambda: _stencil(halo_mode="duplicate")),
     "stencil-adaptive": _run(lambda: _stencil(schedule="adaptive")),
     "matmul-pipelined": _run(_matmul, model="pipelined"),
+    # the hand-pipelined model's own dedup and duplicate halo books
+    "stencil-pipelined": _run(_stencil, model="pipelined"),
+    "stencil-pipelined-duplicate": _run(
+        lambda: _stencil(halo_mode="duplicate"), model="pipelined"
+    ),
     "stencil-checksum": _run(
         lambda: _stencil(virtual=False), virtual=False, integrity="checksum"
     ),
@@ -120,12 +125,20 @@ SCENARIOS: Dict[str, Callable[[Optional[Observability]], object]] = {
     "stencil-checksum-long": _run(
         lambda: _long_stencil(virtual=True), integrity="checksum"
     ),
+    # vote readers of every range on the same small ring
+    "stencil-vote-long": _run(
+        lambda: _long_stencil(virtual=True), integrity="vote"
+    ),
+    # a tofrom array: its output slot waits on drains and readers both
+    "matmul-checksum": _run(_matmul, integrity="checksum"),
     "stencil-transient": _run(
         lambda: _stencil(virtual=False), virtual=False,
         faults=fault_profile("transient", 7),
         fault_policy=FaultPolicy(max_retries=8),
     ),
     "conv3d-2shard": _sharded,
+    # halo transfers across the shard seam are checked as such
+    "conv3d-2shard-checksum": lambda obs: _sharded(obs, integrity="checksum"),
     "autotune-stencil": _autotune,
 }
 
