@@ -5,8 +5,11 @@ This script runs one workload of ``bench/workloads.py`` the way
 ``bench/run.py`` does (prepare, then setup and run per pass), first one
 warm pass, then:
 
-1. one pass with a ``gc.callbacks`` hook: collections and seconds per
-   generation, over setup and run together;
+1. one pass timed as ``bench/run.py`` times it (a full collection,
+   setup, a full collection, then the run) with a ``gc.callbacks`` hook
+   on the run only: collections and seconds per generation, and
+   ``gc.get_count()`` as the run ends, which shows how far the pass
+   stands from its next gen-1 or gen-2 collection;
 2. one pass under ``tracemalloc``: the MB still allocated once the pass
    has run while its results are alive (a full collection first), and
    at that point the live ``Command`` and ``EventToken`` counts and the
@@ -46,7 +49,8 @@ from repro.sim.engine import Command, EventToken  # noqa: E402
 
 
 def gc_costs(wl):
-    """Per-generation ``(collections, seconds)`` over one setup and run."""
+    """Per-generation ``(collections, seconds)`` over one timed run, and
+    ``gc.get_count()`` as it ends."""
     stats = {g: [0, 0.0] for g in range(3)}
     started = {}
 
@@ -59,12 +63,15 @@ def gc_costs(wl):
             row[1] += time.perf_counter() - started["t"]
 
     gc.collect()
+    state = wl.setup()
+    gc.collect()
     gc.callbacks.append(hook)
     try:
-        wl.run(wl.setup())
+        raw = wl.run(state)
+        count = gc.get_count()
     finally:
         gc.callbacks.remove(hook)
-    return stats
+    return stats, count
 
 
 def retained(wl):
@@ -98,13 +105,14 @@ def main(argv=None) -> int:
         wl = WORKLOADS[args.workload](args.seed, quick=False, workdir=workdir)
         wl.prepare()
         wl.run(wl.setup())  # warm pass
-        stats = gc_costs(wl)
+        stats, count = gc_costs(wl)
         mb, cmds, toks, growth = retained(wl)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print(f"workload {args.workload} seed {args.seed}")
     for g, (n, s) in stats.items():
         print(f"gc gen{g}: {n} collections, {s:.3f} s")
+    print(f"gc count at the end of the run: {count}")
     print(f"retained after the pass: {mb:.1f} MB (tracemalloc)")
     print(f"live Command {cmds}, EventToken {toks}, tracked objects +{growth}")
     return 0

@@ -43,10 +43,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.core.kernel import ChunkView, RegionKernel
-from repro.core.pipemodel import chunk_work
+from repro.core.pipemodel import Books, chunk_work, drain_outputs, stage_inputs
 from repro.core.plan import Chunk, RegionPlan
 from repro.core.ringbuffer import DeviceRing, RingPiece, ring_pieces
-from repro.directives.clauses import PipelineMapClause
 from repro.errors import ReproError
 from repro.faults.policy import (
     CHUNK_EXHAUSTED,
@@ -252,38 +251,13 @@ class _Measurer:
         )
 
 
-@dataclass
-class _Records:
-    """Event bookkeeping for one pipelined array."""
-
-    h2d: List[Tuple[int, int, EventToken]] = field(default_factory=list)
-    readers: List[Tuple[int, int, EventToken]] = field(default_factory=list)
-    d2h: List[Tuple[int, int, EventToken]] = field(default_factory=list)
-    covered_hi: Optional[int] = None
-
-
-def _intersecting(
-    records: List[Tuple[int, int, EventToken]], lo: int, hi: int
-) -> List[EventToken]:
-    """Tokens of records whose range intersects ``[lo, hi)``."""
-    return [tok for (rlo, rhi, tok) in records if rlo < hi and rhi > lo]
-
-
-def _prune(records: List[Tuple[int, int, EventToken]], lo: int) -> None:
-    """Drop records that can never intersect future (monotone) ranges."""
-    records[:] = [(rlo, rhi, tok) for (rlo, rhi, tok) in records if rhi > lo]
-
-
 class _Lane(NamedTuple):
-    """One pipelined array's issue program, resolved once at ``open()``."""
+    """One pipelined array's issue program, resolved once at ``open()``
+    and carried as its :class:`~repro.core.pipemodel.Books`' ``lane``."""
 
     var: str
     ring: DeviceRing
-    book: _Records
     host: object
-    is_input: bool
-    is_output: bool
-    capacity: int
     #: the array's transfers into and out of its ring
     h2d: CopyLane
     d2h: CopyLane
@@ -496,9 +470,10 @@ class PipelineIssuer:
             router.register(self.meta)
         self.resident_dev: Dict[str, object] = {}
         self.rings: Dict[str, DeviceRing] = {}
-        self.books: Dict[str, _Records] = {}
-        #: per-array issue state in ``plan.specs`` order (built by open)
-        self._lanes: List[_Lane] = []
+        self.books: Dict[str, Books] = {}
+        #: the same books in ``plan.specs`` order, each carrying its
+        #: array's :class:`_Lane` (built by open)
+        self._books: List[Books] = []
         #: the chunk table (:func:`~repro.core.pipemodel.chunk_work`,
         #: read by open)
         self._work: list = []
@@ -509,6 +484,10 @@ class PipelineIssuer:
         self.virtual = any(is_virtual(arrays[v]) for v in arrays) or runtime.virtual
         self.rspan = None
         self._cursor = 0
+        #: the chunk issue_next is issuing, as its issue_h2d / issue_d2h
+        #: callbacks read it: stream, index, op lists, gates, check counts
+        self._st = self._h2d_ops = self._d2h_ops = self._gated = None
+        self._index = self._checks = self._seams = 0
         self._opened = False
         self._finalized = False
         #: silent-failure defense mode: off / checksum / vote
@@ -713,7 +692,7 @@ class PipelineIssuer:
         return run
 
     def _verify_op(
-        self, lane: _Lane, piece: RingPiece, tok: EventToken, chunk_index: int,
+        self, book: Books, piece: RingPiece, tok: EventToken, chunk_index: int,
         kind: str,
     ) -> ChunkOp:
         """The checksum command covering one transfer piece (``kind``:
@@ -725,10 +704,11 @@ class PipelineIssuer:
         and is registered as a *reader* of the piece's range so ring-slot
         reuse cannot overwrite data that has not been verified yet.
         """
+        lane = book.lane
         var, g_lo, g_hi = lane.var, piece.g_lo, piece.g_hi
         nbytes = (g_hi - g_lo) * lane.h2d.unit_bytes
         vtok = EventToken.acquire(f"verify:{var}:{g_lo}")
-        lane.book.readers.append((g_lo, g_hi, vtok))
+        book.readers.append((g_lo, g_hi, vtok))
         return launch_op(
             self.verify_stream, (tok,), (vtok,), None,
             f"verify:{kind}:{var}[{g_lo}:{g_hi})", verify_cost(nbytes), nbytes,
@@ -784,8 +764,8 @@ class PipelineIssuer:
         keeping slot reuse honest.
         """
         v2tok = EventToken.acquire(f"vote:{chunk.index}")
-        for lane, (lo, hi) in zip(self._lanes, ranges):
-            lane.book.readers.append((lo, hi, v2tok))
+        for book, (lo, hi) in zip(self._books, ranges):
+            book.readers.append((lo, hi, v2tok))
         return launch_op(
             self.verify_stream, (ktok,), (v2tok,), None,
             f"verify:vote:{self.kernel.name}[{chunk.t0}:{chunk.t1})", cost, 0,
@@ -804,16 +784,17 @@ class PipelineIssuer:
         if self.virtual:
             return None
         plan = self.plan
-        lanes = dict(zip(plan.specs, zip(self._lanes, self._work[chunk.index][3])))
+        books = dict(zip(plan.specs, zip(self._books, self._work[chunk.index][3])))
 
         def resolve():
-            for var in sorted(lanes):
-                lane, (lo, hi) = lanes[var]
-                if not lane.is_output:
+            for var in sorted(books):
+                book, (lo, hi) = books[var]
+                if not book.is_output:
                     continue
-                pieces = lane.ring.pieces(lo, hi)
+                ring = book.lane.ring
+                pieces = ring.pieces(lo, hi)
                 if pieces:
-                    return lane.ring.device_view(pieces[0]).backing
+                    return ring.device_view(pieces[0]).backing
             if self.reduction_residents:
                 for t0, part in reversed(self.reduction_parts):
                     if t0 != chunk.t0:
@@ -894,13 +875,16 @@ class PipelineIssuer:
                 )
         finally:
             runtime.call_overhead_scale, runtime.command_overhead = prev
-        self.books = {v: _Records() for v in plan.specs}
-        self._lanes = [self._lane(var, spec.clause) for var, spec in plan.specs.items()]
+        self._books = [
+            Books(spec.clause, self.rings[var].capacity, self._lane(var))
+            for var, spec in plan.specs.items()
+        ]
+        self.books = dict(zip(plan.specs, self._books))
         #: per chunk ``(index, t0, t1, ranges, launch, cost)``: the table
         #: the analytic dry-run model prices autotune candidates from
         self._work = chunk_work(plan, self.kernel, self.profile, self.chunks)
 
-    def _lane(self, var: str, clause: PipelineMapClause) -> _Lane:
+    def _lane(self, var: str) -> _Lane:
         """Resolve and check one pipelined array's issue program.
 
         What a public copy call checks per call is checked here once:
@@ -925,8 +909,7 @@ class PipelineIssuer:
             for kind in ("h2d", "d2h")
         )
         return _Lane(
-            var, ring, self.books[var], host, clause.is_input, clause.is_output,
-            ring.capacity, h2d, d2h, not ring.darr.is_virtual, not is_virtual(host),
+            var, ring, host, h2d, d2h, not ring.darr.is_virtual, not is_virtual(host),
         )
 
     def _chunk_views(
@@ -937,16 +920,16 @@ class PipelineIssuer:
         ranges to scatter back."""
         views: Dict[str, ChunkView] = {}
         out_ranges: Dict[str, Tuple[int, int]] = {}
-        for lane, (lo, hi) in zip(self._lanes, self._work[chunk.index][3]):
-            var, ring = lane.var, lane.ring
-            if lane.is_input:
+        for book, (lo, hi) in zip(self._books, self._work[chunk.index][3]):
+            var, ring = book.lane.var, book.lane.ring
+            if book.is_input:
                 data = ring.gather(lo, hi)
             else:
                 shape = list(ring.host_shape)
                 shape[ring.split_dim] = hi - lo
                 data = np.zeros(shape, dtype=self.arrays[var].dtype)
             views[var] = ChunkView(data, ring.split_dim, lo, hi)
-            if lane.is_output:
+            if book.is_output:
                 out_ranges[var] = (lo, hi)
         for var, dev in self.resident_dev.items():
             views[var] = ChunkView(dev.backing, None, 0, dev.shape[0])
@@ -1009,82 +992,19 @@ class PipelineIssuer:
             return None
         chunk = self.chunks[cursor]
         self._cursor = cursor + 1
-        # repro.core.pipemodel.dry_run_elapsed prices autotune candidates
-        # from the same chunk table (pipemodel.chunk_work) and replays
-        # these books, filters and issue order on plain numbers;
-        # tests/core/test_pipemodel.py holds its elapsed bit-equal to
-        # this path's, so change the two together
         index, t0, t1, ranges, _launch, cost = self._work[cursor]
-        lanes, tracer, tr_on = self._lanes, self.tracer, self.tr_on
-        verify, dedup, piece_op = self._verify, self._dedup, self._piece_op
+        books, tracer, tr_on = self._books, self.tracer, self.tr_on
         st = self.streams[index % self.streams_n]
-        h2d_ops: list = []
-        d2h_ops: list = []
+        # the shared wait policy calls back issue_h2d / issue_d2h
+        self._st, self._index = st, index
+        h2d_ops = self._h2d_ops = []
+        d2h_ops = self._d2h_ops = []
+        #: (op position, slot-reuse gate) pairs for stall accounting
+        gated = self._gated = []
+        self._checks = self._seams = 0
         in_tokens: List[EventToken] = []
         out_reuse: List[EventToken] = []
-        #: (op position, slot-reuse gate) pairs for stall accounting
-        gated: list = []
-        checks = seams = 0
-
-        for lane, (lo, hi) in zip(lanes, ranges):
-            book, cap = lane.book, lane.capacity
-            if lane.is_input:
-                covered = book.covered_hi
-                new_lo = max(lo, covered) if dedup and covered is not None else lo
-                if new_lo < hi:
-                    var = lane.var
-                    for piece in ring_pieces(new_lo, hi, cap):
-                        g_lo, g_hi = piece.g_lo, piece.g_hi
-                        r_lo, r_hi = g_lo - cap, g_hi - cap
-                        reuse = [
-                            tok for (a, b, tok) in book.readers
-                            if a < r_hi and b > r_lo
-                        ]
-                        if book.d2h:
-                            reuse += [
-                                tok for (a, b, tok) in book.d2h
-                                if a < r_hi and b > r_lo
-                            ]
-                        if reuse and self.m_on:
-                            gated.append((len(h2d_ops), reuse))
-                        tok = EventToken.acquire(f"h2d:{var}:{g_lo}")
-                        # slot-reuse waits are ordering-only: a faulted
-                        # drain must not poison the next lap's transfer
-                        h2d_ops.append(piece_op(
-                            lane, lane.h2d, piece, st, reuse, (tok,), (),
-                            f"h2d:{var}[{g_lo}:{g_hi})",
-                        ))
-                        book.h2d.append((g_lo, g_hi, tok))
-                        if verify:
-                            kind = "h2d"
-                            if self._in_halo(var, g_lo, g_hi):
-                                kind = "halo"
-                                seams += 1
-                            h2d_ops.append(self._verify_op(lane, piece, tok, index, kind))
-                            checks += 1
-                    book.covered_hi = max(covered or hi, hi)
-                h2d = book.h2d
-                in_tokens += [tok for (a, b, tok) in h2d if a < hi and b > lo]
-                book.h2d = [r for r in h2d if r[1] > lo]
-            floor = lo - cap
-            readers = book.readers
-            if lane.is_output:
-                # a kernel writing positions p must wait until the
-                # previous lap's data at p has drained to the host
-                # (and, for tofrom arrays, been read by its kernels)
-                ceil = hi - cap
-                d2h = book.d2h
-                if d2h:
-                    out_reuse += [tok for (a, b, tok) in d2h if a < ceil and b > floor]
-                    book.d2h = [r for r in d2h if r[1] > floor]
-                if readers:
-                    out_reuse += [
-                        tok for (a, b, tok) in readers if a < ceil and b > floor
-                    ]
-            # issue ranges are monotone, so a reader ending at or
-            # before this lap's floor never gates a transfer again
-            if readers:
-                book.readers = [r for r in readers if r[1] > floor]
+        stage_inputs(books, ranges, self._dedup, self, in_tokens, out_reuse)
         if out_reuse and self.m_on:
             gated.append((len(h2d_ops), out_reuse))
 
@@ -1098,28 +1018,11 @@ class PipelineIssuer:
             f"{kernel.name}[{t0}:{t1})", cost, 0,
             self._kernel_payload(chunk), self._kernel_sink(chunk),
         )
-
-        for lane, (lo, hi) in zip(lanes, ranges):
-            book = lane.book
-            if lane.is_input:
-                book.readers.append((lo, hi, ktok))
-            if not lane.is_output:
-                continue
-            var = lane.var
-            for piece in ring_pieces(lo, hi, lane.capacity):
-                g_lo, g_hi = piece.g_lo, piece.g_hi
-                dtok = EventToken.acquire(f"d2h:{var}:{g_lo}")
-                d2h_ops.append(piece_op(
-                    lane, lane.d2h, piece, st, (), (dtok,), None,
-                    f"d2h:{var}[{g_lo}:{g_hi})",
-                ))
-                book.d2h.append((g_lo, g_hi, dtok))
-                if verify:
-                    d2h_ops.append(self._verify_op(lane, piece, dtok, index, "d2h"))
-                    checks += 1
+        drain_outputs(books, ranges, ktok, self)
         if self._vote:
             d2h_ops.append(self._vote_op(chunk, ktok, ranges, cost))
-            checks += 1
+            self._checks += 1
+        self._h2d_ops = self._d2h_ops = self._gated = None
 
         prev = self._impose_overheads()
         try:
@@ -1132,8 +1035,8 @@ class PipelineIssuer:
                 # plan: this chunk's dependency slices and ring slots
                 psp = tracer.begin("plan", "phase", chunk=index)
                 psp.set(slots={
-                    lane.var: lo % lane.capacity
-                    for lane, (lo, _hi) in zip(lanes, ranges)
+                    book.lane.var: lo % book.capacity
+                    for book, (lo, _hi) in zip(books, ranges)
                 })
                 tracer.end(psp)
                 phase = [tracer.begin("h2d", "phase", chunk=index)]
@@ -1158,8 +1061,8 @@ class PipelineIssuer:
                 tracer.instant(
                     "slot-release", "phase", chunk=index,
                     released={
-                        lane.var: [lo % lane.capacity, lo, hi]
-                        for lane, (lo, hi) in zip(lanes, ranges)
+                        book.lane.var: [lo % book.capacity, lo, hi]
+                        for book, (lo, hi) in zip(books, ranges)
                     },
                 )
                 tracer.end(cspan)
@@ -1170,14 +1073,53 @@ class PipelineIssuer:
             self.meta.update(dict.fromkeys(cmds, index))
         for i, toks in gated:
             self.stall_watch.append((cmds[i], toks))
-        self.verified_n += checks
-        self.seam_verified_n += seams
+        self.verified_n += self._checks
+        self.seam_verified_n += self._seams
         if self.recorder is not None:
             self.recorder.record(
                 "chunk.issue", t=self.runtime.elapsed, chunk=index,
                 stream=st.name, region=kernel.name,
             )
         return chunk
+
+    def issue_h2d(self, book: Books, piece: RingPiece, reuse: list) -> EventToken:
+        """:meth:`issue_next`'s input piece, and its checksum (called back
+        by :func:`~repro.core.pipemodel.stage_inputs`)."""
+        lane = book.lane
+        var, g_lo, g_hi = lane.var, piece.g_lo, piece.g_hi
+        ops = self._h2d_ops
+        if reuse and self.m_on:
+            self._gated.append((len(ops), reuse))
+        tok = EventToken.acquire(f"h2d:{var}:{g_lo}")
+        # slot-reuse waits are ordering-only: a faulted drain must not
+        # poison the next lap's transfer
+        ops.append(self._piece_op(
+            lane, lane.h2d, piece, self._st, reuse, (tok,), (),
+            f"h2d:{var}[{g_lo}:{g_hi})",
+        ))
+        if self._verify:
+            kind = "h2d"
+            if self._in_halo(var, g_lo, g_hi):
+                kind = "halo"
+                self._seams += 1
+            ops.append(self._verify_op(book, piece, tok, self._index, kind))
+            self._checks += 1
+        return tok
+
+    def issue_d2h(self, book: Books, piece: RingPiece) -> EventToken:
+        """:meth:`issue_next`'s output piece, and its checksum (called back
+        by :func:`~repro.core.pipemodel.drain_outputs`)."""
+        lane = book.lane
+        var, g_lo, g_hi = lane.var, piece.g_lo, piece.g_hi
+        dtok = EventToken.acquire(f"d2h:{var}:{g_lo}")
+        self._d2h_ops.append(self._piece_op(
+            lane, lane.d2h, piece, self._st, (), (dtok,), None,
+            f"d2h:{var}[{g_lo}:{g_hi})",
+        ))
+        if self._verify:
+            self._d2h_ops.append(self._verify_op(book, piece, dtok, self._index, "d2h"))
+            self._checks += 1
+        return dtok
 
     def drain(self) -> None:
         """Block until all commands on this issuer's streams retired.
@@ -1198,10 +1140,11 @@ class PipelineIssuer:
         st = self.streams[index % self.streams_n]
         ops: list = []
         rtoks: List[EventToken] = []
-        for lane, (lo, hi) in zip(self._lanes, ranges):
-            if not lane.is_input:
+        for book, (lo, hi) in zip(self._books, ranges):
+            if not book.is_input:
                 continue
-            for piece in ring_pieces(lo, hi, lane.capacity):
+            lane = book.lane
+            for piece in ring_pieces(lo, hi, book.capacity):
                 tok = EventToken.acquire(f"replay-h2d:{lane.var}:{piece.g_lo}")
                 ops.append(self._piece_op(
                     lane, lane.h2d, piece, st, (), (tok,), None,
@@ -1213,10 +1156,11 @@ class PipelineIssuer:
             st, rtoks, (ktok,), None, f"replay:{self.kernel.name}[{t0}:{t1})",
             cost, 0, self._kernel_payload(chunk), self._kernel_sink(chunk),
         ))
-        for lane, (lo, hi) in zip(self._lanes, ranges):
-            if not lane.is_output:
+        for book, (lo, hi) in zip(self._books, ranges):
+            if not book.is_output:
                 continue
-            for piece in ring_pieces(lo, hi, lane.capacity):
+            lane = book.lane
+            for piece in ring_pieces(lo, hi, book.capacity):
                 ops.append(self._piece_op(
                     lane, lane.d2h, piece, st, (ktok,), (), None,
                     f"replay:d2h:{lane.var}[{piece.g_lo}:{piece.g_hi})",
@@ -1397,7 +1341,8 @@ class PipelineIssuer:
         """
         runtime = self.runtime
         row = self._work[chunk.index]
-        for lane, (lo, hi) in zip(self._lanes, row[3]):
+        for book, (lo, hi) in zip(self._books, row[3]):
+            lane = book.lane
             ring = lane.ring
             for piece in ring.pieces(lo, hi):
                 runtime.host_now += verify_cost(piece.extent * lane.h2d.unit_bytes)
@@ -1408,7 +1353,7 @@ class PipelineIssuer:
                     ring.device_view(piece).backing,
                     ring.host_section(lane.host, piece),
                 ):
-                    kind = "h2d" if lane.is_input else "d2h"
+                    kind = "h2d" if book.is_input else "d2h"
                     self._note_corruption(
                         lane.var, piece.g_lo, piece.g_hi, chunk.index, kind
                     )

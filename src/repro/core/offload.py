@@ -30,10 +30,7 @@ import numpy as np
 from repro.core.executor import (
     RegionResult,
     _Measurer,
-    _Records,
     _cleanup_after_failure,
-    _intersecting,
-    _prune,
     _axis_slice,
 )
 from repro.core.kernel import ChunkView, RegionKernel
@@ -148,7 +145,10 @@ def execute_manual_pipelined(
             if clause.direction in ("to", "tofrom"):
                 runtime.memcpy_h2d(dev[var], arrays[var], label=f"h2d:{var}:resident")
 
-        books: Dict[str, _Records] = {v: _Records() for v in plan.specs}
+        #: per input array: the end of what is copied in so far, and the
+        #: ``(lo, hi, token)`` copies a later chunk's kernel may still read
+        covered_hi: Dict[str, Optional[int]] = dict.fromkeys(plan.specs)
+        staged: Dict[str, list] = {v: [] for v in plan.specs}
         virtual = runtime.virtual or any(is_virtual(arrays[v]) for v in arrays)
         geometry = {
             var: band_geometry(
@@ -190,8 +190,8 @@ def execute_manual_pipelined(
                 if not cl.is_input:
                     continue
                 lo, hi = plan.chunk_dep_range(var, chunk)
-                book = books[var]
-                new_lo = lo if book.covered_hi is None else max(lo, book.covered_hi)
+                covered = covered_hi[var]
+                new_lo = lo if covered is None else max(lo, covered)
                 if plan.halo_mode == "duplicate":
                     new_lo = lo
                 if new_lo < hi:
@@ -209,10 +209,11 @@ def execute_manual_pipelined(
                         row_bytes=row_bytes,
                         label=f"h2d:{var}[{new_lo}:{hi})",
                     )
-                    book.h2d.append((new_lo, hi, tok))
-                    book.covered_hi = max(book.covered_hi or hi, hi)
-                in_tokens.extend(_intersecting(book.h2d, lo, hi))
-                _prune(book.h2d, lo)
+                    staged[var].append((new_lo, hi, tok))
+                    covered_hi[var] = max(covered or hi, hi)
+                copies = staged[var]
+                in_tokens += [tok for (a, b, tok) in copies if a < hi and b > lo]
+                staged[var] = [r for r in copies if r[1] > lo]
 
             ktok = EventToken.acquire(f"kernel:{chunk.index}")
             runtime.launch(

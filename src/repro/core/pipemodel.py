@@ -17,10 +17,10 @@ plain numbers instead:
   :func:`~repro.core.ringbuffer.band_geometry`,
   :func:`~repro.core.ringbuffer.ring_pieces`, the link cost model, the
   kernel's ``chunk_cost`` and a real allocator for out-of-memory;
-* **the same dependencies**: :meth:`PipelineIssuer.issue_next
-  <repro.core.executor.PipelineIssuer.issue_next>`'s per-array books,
-  with command ids in place of event tokens, the same filters and the
-  same duplicates in the same order;
+* **the same dependencies**: the one wait policy both sides run,
+  :class:`Books` with :func:`stage_inputs` and :func:`drain_outputs`,
+  with command ids where :meth:`PipelineIssuer.issue_next
+  <repro.core.executor.PipelineIssuer.issue_next>` books event tokens;
 * **the same event order**: a flat event loop over command ids with the
   engine's discipline — a ``(time, seq, event)`` heap, per-engine queues
   keyed by ``(ready_time, seq)``, an idle engine starting a ready
@@ -58,33 +58,14 @@ from repro.sim.bandwidth import transfer_time_1d, transfer_time_2d
 from repro.sim.memory import MemoryAllocator
 from repro.sim.profiles import DeviceProfile
 
-__all__ = ["SearchModel", "chunk_work", "dry_run_elapsed"]
+__all__ = [
+    "Books", "SearchModel", "chunk_work", "drain_outputs", "dry_run_elapsed",
+    "stage_inputs",
+]
 
 #: heap event tags, in the engine's order (a finish sorts before a ready)
 _FINISH = 0
 _READY = 1
-
-
-class _Lane:
-    """One pipelined array: transfer geometry and its issue books."""
-
-    __slots__ = (
-        "is_input", "is_output", "capacity", "h2d_time", "d2h_time",
-        "h2d", "readers", "d2h", "covered_hi",
-    )
-
-    def __init__(self, clause, capacity: int, h2d_time, d2h_time) -> None:
-        self.is_input = clause.is_input
-        self.is_output = clause.is_output
-        self.capacity = capacity
-        #: ``extent -> duration`` of one piece in each direction (_PieceTimes)
-        self.h2d_time = h2d_time
-        self.d2h_time = d2h_time
-        #: ``(lo, hi, command id)`` records, as in the issuer's books
-        self.h2d: List[tuple] = []
-        self.readers: List[tuple] = []
-        self.d2h: List[tuple] = []
-        self.covered_hi = None
 
 
 class _PieceTimes(dict):
@@ -171,6 +152,119 @@ def chunk_work(
         work.append((chunk.index, t0, t1, ranges, klo + cost, cost))
     last[:] = [plan.specs, kernel, profile, key, work]
     return work
+
+
+class Books:
+    """One pipelined array's wait books, kept by :func:`stage_inputs` and
+    :func:`drain_outputs`: ``(lo, hi, ref)`` records of the transfers into
+    its ring, the commands reading it (a caller may append more, as
+    checksums and votes do) and the drains out of it.  A ``ref`` is what
+    later commands wait on: an event token in the issuer, a command id in
+    the dry-run model.  ``lane`` carries the caller's own per-array data.
+    """
+
+    __slots__ = (
+        "capacity", "is_input", "is_output", "h2d", "readers", "d2h",
+        "covered_hi", "lane",
+    )
+
+    def __init__(self, clause, capacity: int, lane=None) -> None:
+        self.capacity = capacity
+        self.is_input = clause.is_input
+        self.is_output = clause.is_output
+        self.h2d: List[tuple] = []
+        self.readers: List[tuple] = []
+        self.d2h: List[tuple] = []
+        self.covered_hi = None
+        self.lane = lane
+
+
+def stage_inputs(books, ranges, dedup: bool, issue, inputs: list, out_reuse: list) -> None:
+    """Stage one chunk's inputs and collect its kernel's waits.
+
+    Per array (``books`` and ``ranges`` in ``plan.specs`` order), each
+    input ring piece not yet staged (under ``dedup``) is issued through
+    ``issue.issue_h2d(book, piece, reuse)``, which returns its ref;
+    ``reuse`` are the previous lap's readers and drains of the slots it
+    overwrites.  The staged records the range touches go to ``inputs``;
+    for outputs, the previous lap's drains and readers of the slots the
+    kernel writes go to ``out_reuse``.  Ranges are monotone, so records
+    no later chunk can touch are pruned.
+    """
+    for book, (lo, hi) in zip(books, ranges):
+        cap = book.capacity
+        if book.is_input:
+            covered = book.covered_hi
+            new_lo = max(lo, covered) if dedup and covered is not None else lo
+            if new_lo < hi:
+                for piece in ring_pieces(new_lo, hi, cap):
+                    g_lo, g_hi = piece.g_lo, piece.g_hi
+                    r_lo, r_hi = g_lo - cap, g_hi - cap
+                    reuse = [c for (a, b, c) in book.readers if a < r_hi and b > r_lo]
+                    if book.d2h:
+                        reuse += [c for (a, b, c) in book.d2h if a < r_hi and b > r_lo]
+                    book.h2d.append((g_lo, g_hi, issue.issue_h2d(book, piece, reuse)))
+                book.covered_hi = max(covered or hi, hi)
+            h2d = book.h2d
+            inputs += [c for (a, b, c) in h2d if a < hi and b > lo]
+            book.h2d = [r for r in h2d if r[1] > lo]
+        floor = lo - cap
+        readers = book.readers
+        if book.is_output:
+            # a kernel writing positions p must wait until the previous
+            # lap's data at p has drained to the host (and, for tofrom
+            # arrays, been read by its kernels)
+            ceil = hi - cap
+            d2h = book.d2h
+            if d2h:
+                out_reuse += [c for (a, b, c) in d2h if a < ceil and b > floor]
+                book.d2h = [r for r in d2h if r[1] > floor]
+            if readers:
+                out_reuse += [c for (a, b, c) in readers if a < ceil and b > floor]
+        # a reader ending at or before this lap's floor never gates a
+        # transfer again
+        if readers:
+            book.readers = [r for r in readers if r[1] > floor]
+
+
+def drain_outputs(books, ranges, kernel_ref, issue) -> None:
+    """Book one chunk's kernel as a reader of its inputs and drain its
+    outputs, each ring piece through ``issue.issue_d2h(book, piece)``,
+    which returns the drain's ref."""
+    for book, (lo, hi) in zip(books, ranges):
+        if book.is_input:
+            book.readers.append((lo, hi, kernel_ref))
+        if book.is_output:
+            d2h = book.d2h
+            for piece in ring_pieces(lo, hi, book.capacity):
+                d2h.append((piece.g_lo, piece.g_hi, issue.issue_d2h(book, piece)))
+
+
+class _Issue:
+    """The dry run's side of the wait policy: each call issues one piece
+    as a command ``(duration, engine, issue time, waited command ids)``
+    and returns its id.  A book's ``lane`` is its ``(H2D, D2H)`` piece
+    times; engines: 0 = dma0, 1 = dma1 (D2H, with two DMA engines), 2 =
+    compute0."""
+
+    __slots__ = ("cmds", "host", "call", "contention", "d2h_engine")
+
+    def __init__(self, host: float, call: float, contention: float, d2h_engine: int):
+        self.cmds: List[tuple] = []
+        self.host, self.call, self.contention = host, call, contention
+        self.d2h_engine = d2h_engine
+
+    def issue_h2d(self, book: Books, piece, reuse: list) -> int:
+        self.host += self.call
+        dur = book.lane[0][piece.g_hi - piece.g_lo] + self.contention
+        self.cmds.append((dur, 0, self.host, reuse))
+        return len(self.cmds) - 1
+
+    def issue_d2h(self, book: Books, piece) -> int:
+        self.host += self.call
+        dur = book.lane[1][piece.g_hi - piece.g_lo] + self.contention
+        self.cmds.append((dur, self.d2h_engine, self.host, ()))
+        return len(self.cmds) - 1
 
 
 class SearchModel:
@@ -426,71 +520,33 @@ def _replay(profile, plan, shapes, work, tables) -> float:
     host, now, resident_out, capacities = _open(
         profile, plan, shapes, tables, streams_n, call, contention
     )
-    lanes = [
-        _Lane(spec.clause, capacity, h2d_time, d2h_time)
-        for spec, capacity, (h2d_time, d2h_time)
-        in zip(plan.specs.values(), capacities, tables)
+    books = [
+        Books(spec.clause, capacity, times)
+        for spec, capacity, times in zip(plan.specs.values(), capacities, tables)
     ]
 
     # ---- issue: one command per H2D piece, kernel and D2H piece ---------
-    # a command is ``(duration, engine, issue time, waited command ids)``;
-    # engines: 0 = dma0, 1 = dma1 (D2H, with two DMA engines), 2 = compute0
-    cmds: List[tuple] = []
+    issue = _Issue(host, call, contention, 1 if profile.dma_engines > 1 else 0)
+    cmds = issue.cmds
     #: each command's predecessor on its stream (-1 for a stream's first)
     pred: List[int] = []
     tails = [-1] * streams_n
-    d2h_engine = 1 if profile.dma_engines > 1 else 0
     dedup = plan.halo_mode == "dedup"
     for index, t0, t1, ranges, launch, _cost in work:
         first = len(cmds)
         in_ids: list = []
         out_reuse: list = []
-        for lane, (lo, hi) in zip(lanes, ranges):
-            cap = lane.capacity
-            if lane.is_input:
-                covered = lane.covered_hi
-                new_lo = max(lo, covered) if dedup and covered is not None else lo
-                if new_lo < hi:
-                    for g_lo, g_hi, _pos in ring_pieces(new_lo, hi, cap):
-                        r_lo, r_hi = g_lo - cap, g_hi - cap
-                        reuse = [c for (a, b, c) in lane.readers if a < r_hi and b > r_lo]
-                        reuse += [c for (a, b, c) in lane.d2h if a < r_hi and b > r_lo]
-                        host += call
-                        lane.h2d.append((g_lo, g_hi, len(cmds)))
-                        cmds.append(
-                            (lane.h2d_time[g_hi - g_lo] + contention, 0, host, reuse)
-                        )
-                    lane.covered_hi = max(covered or hi, hi)
-                h2d = lane.h2d
-                in_ids += [c for (a, b, c) in h2d if a < hi and b > lo]
-                lane.h2d = [r for r in h2d if r[1] > lo]
-            floor = lo - cap
-            if lane.is_output:
-                ceil = hi - cap
-                d2h = lane.d2h
-                out_reuse += [c for (a, b, c) in d2h if a < ceil and b > floor]
-                out_reuse += [c for (a, b, c) in lane.readers if a < ceil and b > floor]
-                lane.d2h = [r for r in d2h if r[1] > floor]
-            lane.readers = [r for r in lane.readers if r[1] > floor]
-        host += call
+        stage_inputs(books, ranges, dedup, issue, in_ids, out_reuse)
+        issue.host += call
         kernel_id = len(cmds)
-        cmds.append((float(launch + contention), 2, host, in_ids + out_reuse))
-        for lane, (lo, hi) in zip(lanes, ranges):
-            if lane.is_input:
-                lane.readers.append((lo, hi, kernel_id))
-            if not lane.is_output:
-                continue
-            for g_lo, g_hi, _pos in ring_pieces(lo, hi, lane.capacity):
-                host += call
-                lane.d2h.append((g_lo, g_hi, len(cmds)))
-                cmds.append(
-                    (lane.d2h_time[g_hi - g_lo] + contention, d2h_engine, host, ())
-                )
+        cmds.append((float(launch + contention), 2, issue.host, in_ids + out_reuse))
+        drain_outputs(books, ranges, kernel_id, issue)
         # one stream per chunk: its commands follow each other in order
         stream = index % streams_n
         pred.append(tails[stream])
         pred.extend(range(first, len(cmds) - 1))
         tails[stream] = len(cmds) - 1
+    host = issue.host
 
     # ---- the event loop, as the engine runs it -------------------------
     # nothing retires while the issuer enqueues (the device clock stands

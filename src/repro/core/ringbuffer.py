@@ -221,15 +221,3 @@ class DeviceRing:
     def nbytes(self) -> int:
         """Device bytes held by the ring."""
         return self.capacity * self.unit_elems * self.itemsize
-
-    def transfer_geometry(self, piece: RingPiece) -> Tuple[Optional[int], Optional[int]]:
-        """(rows, row_bytes) for pricing one piece's DMA, or (None,
-        None) when the piece is contiguous in host memory.
-
-        A split along the outermost dimension is contiguous; splitting
-        an inner dimension (matmul's column bands) produces a strided
-        2-D copy of ``rows`` rows.
-        """
-        if self.rows is None:
-            return None, None
-        return self.rows, (piece.g_hi - piece.g_lo) * self.unit_row_bytes

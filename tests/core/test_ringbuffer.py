@@ -111,17 +111,3 @@ class TestDataMovement:
         r = ring(rt)
         assert r.gather(0, 3) is None
         r.scatter(None, 0, 3)  # no-op, must not raise
-
-
-class TestTransferGeometry:
-    def test_outer_split_contiguous(self, rt):
-        r = ring(rt, shape=(64, 8), split_dim=0)
-        p = r.pieces(0, 3)[0]
-        assert r.transfer_geometry(p) == (None, None)
-
-    def test_inner_split_is_2d(self, rt):
-        r = ring(rt, shape=(128, 64, 4), split_dim=1, capacity=8)
-        p = r.pieces(0, 2)[0]
-        rows, row_bytes = r.transfer_geometry(p)
-        assert rows == 128
-        assert row_bytes == 2 * 4 * 4  # extent * inner * itemsize
