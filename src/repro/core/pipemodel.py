@@ -168,7 +168,7 @@ class Books:
         "covered_hi", "lane",
     )
 
-    def __init__(self, clause, capacity: int, lane=None) -> None:
+    def __init__(self, clause, capacity: int, lane) -> None:
         self.capacity = capacity
         self.is_input = clause.is_input
         self.is_output = clause.is_output
