@@ -1,8 +1,8 @@
 """Exhaustive differential check of the analytic dry-run model and its bound.
 
-For every request shape of the benchmark's serve mixes (``MIX_SHAPES``)
-and a 40-shape slice of its cold-plan shapes, on the K40m and the
-HD 7970, under dedup and duplicate halo, this evaluates every candidate
+For every request shape of the benchmark's serve mixes (``MIX_SHAPES``),
+a 40-shape slice of its cold-plan shapes and a pipelined ``tofrom``
+array over many ring laps, on the K40m and the HD 7970, under dedup and duplicate halo, this evaluates every candidate
 ``autotune`` would dry-run over the full ``candidate_grid`` three ways:
 with :func:`repro.core.pipemodel.dry_run_elapsed`, with
 ``execute_pipeline`` on a fresh virtual runtime and with
@@ -40,20 +40,49 @@ for p in (ROOT / "src", ROOT / "bench"):
     if str(p) not in sys.path:
         sys.path.insert(0, str(p))
 
+import numpy as np  # noqa: E402
 from workloads import MIX_SHAPES, cold_plan_shapes  # noqa: E402
 
 from repro.core.autotune import autotune, candidate_grid  # noqa: E402
 from repro.core.executor import execute_pipeline  # noqa: E402
+from repro.core.kernel import make_kernel  # noqa: E402
 from repro.core.memlimit import MemLimitError, tune_plan  # noqa: E402
 from repro.core.pipemodel import SearchModel, chunk_work, dry_run_elapsed  # noqa: E402
+from repro.core.region import TargetRegion  # noqa: E402
+from repro.directives.clauses import Loop  # noqa: E402
 from repro.gpu.runtime import Runtime  # noqa: E402
 from repro.serve.workload import build_request  # noqa: E402
 from repro.sim.memory import OutOfDeviceMemory  # noqa: E402
 from repro.sim.profiles import AMD_HD7970, NVIDIA_K40M  # noqa: E402
+from repro.sim.varray import VirtualArray  # noqa: E402
 
 COLD_SLICE = 40
 #: rounding allowance of ``bound <= exact``
 BOUND_RTOL = 1e-12
+
+
+def _tofrom():
+    """An in-place update with a halo over 30 chunks: with a ring of a
+    few planes, each input transfer waits on the previous lap's drain
+    of its slot (the one wait no app region exercises)."""
+    region = TargetRegion.parse(
+        "pipeline(static[1,2]) pipeline_map(tofrom: A[k-1:3][0:32][0:32])",
+        loop=Loop("k", 1, 31),
+    )
+    kernel = make_kernel(
+        lambda profile, t0, t1: (t1 - t0) * 2e-5, lambda views, t0, t1: None,
+        name="tofrom",
+    )
+    return region, {"A": VirtualArray((32, 32, 32), np.float32)}, kernel
+
+
+def _cases(shapes):
+    """``(label, region, arrays, kernel)`` of every checked shape, built
+    fresh, so the caller may set the region's halo mode."""
+    for app, config in shapes:
+        req = build_request(app, config=dict(config), virtual=True)
+        yield f"{app} {config}", req.region, req.arrays, req.kernel
+    yield "tofrom", *_tofrom()
 
 
 def _outcome(run):
@@ -117,11 +146,10 @@ def main() -> int:
     searches = candidates = failed = violated = dry_runs = skipped = 0
     for profile in (NVIDIA_K40M, AMD_HD7970):
         for halo in ("dedup", "duplicate"):
-            for app, config in shapes:
-                req = build_request(app, config=dict(config), virtual=True)
-                req.region.halo_mode = halo
+            for label, region, arrays, kernel in _cases(shapes):
+                region.halo_mode = halo
                 n, violations, bad, feasible, spared = check_request(
-                    profile, req.region, req.arrays, req.kernel
+                    profile, region, arrays, kernel
                 )
                 searches += 1
                 candidates += n
@@ -129,7 +157,7 @@ def main() -> int:
                 skipped += spared
                 for kind, lines in (("BOUND", violations), ("MISMATCH", bad)):
                     if lines:
-                        print(f"{kind} {profile.name} {halo} {app} {config}:")
+                        print(f"{kind} {profile.name} {halo} {label}:")
                         for line in lines[:5]:
                             print(f"  {line}")
                 violated += bool(violations)

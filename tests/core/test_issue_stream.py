@@ -27,6 +27,7 @@ import json
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
 import pytest
 
 from repro.apps import conv3d as cv
@@ -36,6 +37,9 @@ from repro.apps import stencil as st
 from repro.apps.common import new_runtime
 from repro.core.autotune import autotune
 from repro.core.executor import PipelineIssuer
+from repro.core.kernel import make_kernel
+from repro.core.region import TargetRegion
+from repro.directives.clauses import Loop
 from repro.faults import fault_profile
 from repro.faults.policy import FaultPolicy
 from repro.kernels.conv3d import Conv3dKernel
@@ -44,6 +48,7 @@ from repro.kernels.qcd import DslashKernel
 from repro.kernels.stencil3d import StencilKernel
 from repro.obs import Observability
 from repro.sim.engine import Simulator
+from repro.sim.varray import VirtualArray
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "issue_stream.json"
 
@@ -75,6 +80,21 @@ def _matmul(virtual=True):
 def _qcd(virtual=True):
     cfg = qc.QcdConfig(n=6)
     return qc.make_region(cfg), qc.make_arrays(cfg, virtual=virtual), DslashKernel(cfg.n, cfg.n, cfg.n)
+
+
+def _tofrom():
+    """An in-place update with a halo, ``A[k] <- A[k-1..k+1]``: 22 chunks
+    on two streams through a 7-plane ring, so every input transfer after
+    the first lap overwrites planes an earlier chunk drained."""
+    region = TargetRegion.parse(
+        "pipeline(static[1,2]) pipeline_map(tofrom: A[k-1:3][0:16][0:16])",
+        loop=Loop("k", 1, 23),
+    )
+    kernel = make_kernel(
+        lambda profile, t0, t1: (t1 - t0) * 2e-5, lambda views, t0, t1: None,
+        name="tofrom",
+    )
+    return region, {"A": VirtualArray((24, 16, 16), np.float32)}, kernel
 
 
 def _run(setup, *, virtual=True, faults=None, **run_kw):
@@ -131,6 +151,9 @@ SCENARIOS: Dict[str, Callable[[Optional[Observability]], object]] = {
     ),
     # a tofrom array: its output slot waits on drains and readers both
     "matmul-checksum": _run(_matmul, integrity="checksum"),
+    # a pipelined tofrom array over many laps: each transfer into a slot
+    # waits on the previous lap's drain of it
+    "tofrom-long": _run(_tofrom),
     "stencil-transient": _run(
         lambda: _stencil(virtual=False), virtual=False,
         faults=fault_profile("transient", 7),
