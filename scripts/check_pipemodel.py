@@ -2,15 +2,16 @@
 
 For every request shape of the benchmark's serve mixes (``MIX_SHAPES``),
 a 40-shape slice of its cold-plan shapes and a pipelined ``tofrom``
-array over many ring laps, on the K40m and the HD 7970, under dedup and duplicate halo, this evaluates every candidate
-``autotune`` would dry-run over the full ``candidate_grid`` three ways:
-with :func:`repro.core.pipemodel.dry_run_elapsed`, with
-``execute_pipeline`` on a fresh virtual runtime and with
-the bound of :class:`repro.core.pipemodel.SearchModel`.  For every
+array over many ring laps, on the K40m and the HD 7970, under dedup and
+duplicate halo, this evaluates every candidate ``autotune`` would
+dry-run over the full ``candidate_grid`` three ways: with
+:func:`repro.core.pipemodel.dry_run_elapsed`, with ``execute_pipeline``
+on a fresh virtual runtime and with the bound of
+:class:`repro.core.pipemodel.PlanFamily`.  For every
 candidate:
 
 * the model's ``elapsed`` must be ``==`` to the simulator's (and to
-  ``SearchModel.exact``, the search's copy), and a plan must run out of
+  ``PlanFamily.exact``, the search's copy), and a plan must run out of
   device memory on both sides or on neither;
 * the bound must be at most the exact ``elapsed`` (up to a relative
   1e-12 for rounding), and must run out of memory exactly when the dry
@@ -18,8 +19,12 @@ candidate:
 
 Then the pruned ``autotune`` must return the ``best`` candidate and the
 ``dry_runs`` count of an exhaustive search in grid order over the same
-dry runs.  Prints the share of feasible candidates the bound spared a
-dry run.  Exits 1 on any mismatch or bound violation.
+dry runs, and every row an exhaustive search lists: the same grid, each
+``buffer_bytes`` equal to ``with_params(cs, ns).device_bytes()``,
+infeasible rows at ``inf``, dry-run rows at the exact time and pruned
+rows at the family's bound.  Prints the share of feasible candidates
+the bound spared a dry run.  Exits 1 on any mismatch or bound
+violation.
 
 Run from the repository root::
 
@@ -31,6 +36,7 @@ bytecode is written there).
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -47,7 +53,7 @@ from repro.core.autotune import autotune, candidate_grid  # noqa: E402
 from repro.core.executor import execute_pipeline  # noqa: E402
 from repro.core.kernel import make_kernel  # noqa: E402
 from repro.core.memlimit import MemLimitError, tune_plan  # noqa: E402
-from repro.core.pipemodel import SearchModel, chunk_work, dry_run_elapsed  # noqa: E402
+from repro.core.pipemodel import PlanFamily, dry_run_elapsed  # noqa: E402
 from repro.core.region import TargetRegion  # noqa: E402
 from repro.directives.clauses import Loop  # noqa: E402
 from repro.gpu.runtime import Runtime  # noqa: E402
@@ -99,13 +105,17 @@ def check_request(profile, region, arrays, kernel):
     not dry-run."""
     base = region.bind(arrays)
     limit = region.mem_limit.limit_bytes if region.mem_limit is not None else None
-    search = SearchModel(profile, base, arrays)
+    family = PlanFamily(profile, base, arrays, kernel)
     n, violations, bad = 0, [], []
     best, feasible = None, 0
+    #: the exhaustive search's rows, ``(cs, ns, exact or "oom", bytes, bound)``
+    rows = []
     for cs, ns in candidate_grid(base.loop.trip_count):
+        plan = base.with_params(cs, ns)
         try:
-            plan = tune_plan(base.with_params(cs, ns), limit)
+            plan = tune_plan(plan, limit)
         except MemLimitError:
+            rows.append((cs, ns, "oom", plan.device_bytes(), None))
             continue
         if (plan.chunk_size, plan.num_streams) != (cs, ns):
             continue
@@ -114,9 +124,9 @@ def check_request(profile, region, arrays, kernel):
         sim = _outcome(lambda: execute_pipeline(
             Runtime(profile, virtual=True), plan, arrays, kernel
         ).elapsed)
-        work = chunk_work(plan, kernel, profile)
-        exact = _outcome(lambda: search.exact(plan, work))
-        low = _outcome(lambda: search.bound(plan, work))
+        exact = _outcome(lambda: family.exact(cs, ns))
+        low = _outcome(lambda: family.bound(cs, ns))
+        rows.append((cs, ns, model, plan.device_bytes(), low))
         if not model == sim == exact:
             bad.append(
                 f"cs={cs} ns={ns}: model {model!r} vs simulator {sim!r} "
@@ -137,8 +147,36 @@ def check_request(profile, region, arrays, kernel):
             f"pruned search: best {got} in {report.dry_runs} dry runs, "
             f"exhaustive {best} in {feasible}"
         )
+    bad += check_rows(report.candidates, rows)
     skipped = sum(1 for c in report.candidates if c.feasible and not c.exact)
     return n, violations, bad, report.dry_runs, skipped
+
+
+def check_rows(candidates, rows):
+    """Every row of the pruned search against the exhaustive one: the
+    same grid, each ``buffer_bytes`` the plan's ``device_bytes()``, an
+    infeasible row at ``inf``, an exact row at its dry-run time and a
+    pruned row at the family's bound.  Returns the mismatches."""
+    bad = []
+    if [(c.chunk_size, c.num_streams) for c in candidates] != [r[:2] for r in rows]:
+        return [
+            f"rows {[(c.chunk_size, c.num_streams) for c in candidates]} vs "
+            f"exhaustive {[r[:2] for r in rows]}"
+        ]
+    for c, (cs, ns, model, nbytes, low) in zip(candidates, rows):
+        if model == "oom":
+            want = (math.inf, False, True)
+        elif c.exact:
+            want = (model, True, True)
+        else:
+            want = (low, True, False)
+        got = (c.elapsed, c.feasible, c.exact)
+        if got != want or c.buffer_bytes != nbytes:
+            bad.append(
+                f"row cs={cs} ns={ns}: (elapsed, feasible, exact) {got} and "
+                f"{c.buffer_bytes} B vs {want} and {nbytes} B"
+            )
+    return bad
 
 
 def main() -> int:

@@ -22,20 +22,30 @@ the fastest feasible candidate.  The search space is tiny (tens of
 candidates) because both axes act monotonically on each cost term —
 the trade-off the paper maps out in Figures 4 and 8.
 
-The search is a branch and bound:
+The search is a branch and bound over one
+:class:`~repro.core.pipemodel.PlanFamily`, built once from the bound
+region, the profile, the arrays and the kernel.  The family holds what
+every candidate shares (piece times, capacity inputs, resident sizes,
+the ``open()`` clocks per stream count and the chunk table per chunk
+size), so the grid is walked on integers and no
+:class:`~repro.core.plan.RegionPlan` is built per candidate:
 
 1. One pass over the grid decides each candidate's feasibility (the
-   memory limit, then the dry run's own allocations) and prices every
-   feasible one with a closed-form lower bound
-   (:meth:`SearchModel.bound <repro.core.pipemodel.SearchModel.bound>`:
+   memory limit, then whether the dry run's own allocations fit: their
+   aligned sizes sum to at most the device's one free block) and prices
+   every feasible one with a closed-form lower bound
+   (:meth:`PlanFamily.bound <repro.core.pipemodel.PlanFamily.bound>`:
    the host's issue time, the busiest engine or stream and the last
-   chunk's tail, over sums taken once per chunk size).
+   chunk's tail, over sums taken once per chunk size).  A grid point
+   whose plan would keep fewer streams than it names (no more streams
+   than chunks) is the same plan as a smaller point and is skipped, as
+   is one the memory limit shrinks.
 2. Feasible candidates are then dry-run
-   (:meth:`SearchModel.exact <repro.core.pipemodel.SearchModel.exact>`)
-   in ascending ``(bound, grid index)`` order.  Once a bound exceeds the best exact time so far,
-   no remaining candidate can win, and the search stops.  Exact ties go
-   to the lower grid index, so ``best`` is the candidate an exhaustive
-   search in grid order keeps.
+   (:meth:`PlanFamily.exact <repro.core.pipemodel.PlanFamily.exact>`)
+   in ascending ``(bound, grid index)`` order.  Once a bound exceeds
+   the best exact time so far, no remaining candidate can win, and the
+   search stops.  Exact ties go to the lower grid index, so ``best`` is
+   the candidate an exhaustive search in grid order keeps.
 
 A candidate the search never dry-ran is listed with its bound as
 ``elapsed`` and ``exact=False``.  ``dry_runs`` still counts every
@@ -52,7 +62,7 @@ import numpy as np
 
 from repro.core.kernel import RegionKernel
 from repro.core.memlimit import MemLimitError, tune_plan
-from repro.core.pipemodel import SearchModel, chunk_work
+from repro.core.pipemodel import PlanFamily
 from repro.sim.memory import OutOfDeviceMemory
 
 __all__ = ["AutotuneReport", "Candidate", "autotune", "candidate_grid"]
@@ -175,43 +185,49 @@ def autotune(
     """
     base_plan = region.bind(arrays)
     limit = region.mem_limit.limit_bytes if region.mem_limit is not None else None
-    profile = runtime.profile
+    family = PlanFamily(runtime.profile, base_plan, arrays, kernel)
 
     # one pass over the grid: feasibility and every feasible lower bound
     candidates: List[Candidate] = []
-    #: ``(bound, grid index, plan, chunk table)`` of each feasible candidate
+    #: ``(bound, grid index, chunk_size, num_streams)`` of each feasible candidate
     live: List[tuple] = []
-    model = SearchModel(profile, base_plan, arrays)
     for cs, ns in candidate_grid(base_plan.loop.trip_count, max_streams=max_streams):
-        plan = base_plan.with_params(cs, ns)
+        # the plan ``with_params(cs, ns)`` keeps at most one stream per chunk
+        kept = family.streams(cs, ns)
+        if limit is not None and family.device_bytes(cs, kept) > limit:
+            try:
+                tune_plan(base_plan.with_params(cs, ns), limit)
+            except MemLimitError:
+                candidates.append(
+                    Candidate(cs, ns, float("inf"), family.device_bytes(cs, kept), False)
+                )
+            # otherwise the limit forces a smaller config, which the
+            # grid holds; skip the duplicate evaluation
+            continue
+        if kept != ns:
+            continue  # the same plan as a smaller stream count of the grid
         try:
-            plan = tune_plan(plan, limit)
-            if (plan.chunk_size, plan.num_streams) != (cs, ns):
-                # the limit already forces a smaller config; skip the
-                # duplicate evaluation (the smaller config is in the grid)
-                continue
-            work = chunk_work(plan, kernel, profile)
-            bound = model.bound(plan, work)
-        except (MemLimitError, OutOfDeviceMemory):
+            bound = family.bound(cs, ns)
+        except OutOfDeviceMemory:
             candidates.append(
-                Candidate(cs, ns, float("inf"), plan.device_bytes(), False)
+                Candidate(cs, ns, float("inf"), family.device_bytes(cs, ns), False)
             )
             continue
-        live.append((bound, len(candidates), plan, work))
-        candidates.append(Candidate(cs, ns, bound, plan.device_bytes(), True, False))
+        live.append((bound, len(candidates), cs, ns))
+        candidates.append(Candidate(cs, ns, bound, family.device_bytes(cs, ns), True, False))
     if not live:
-        raise MemLimitError(base_plan.with_params(1, 1).device_bytes(), limit or 0)
+        raise MemLimitError(family.device_bytes(1, 1), limit or 0)
 
     # exact dry runs in ascending bound order, while one can still win
-    live.sort(key=lambda row: row[:2])
+    live.sort()
     best = -1
     best_elapsed = float("inf")
-    for bound, i, plan, work in live:
+    for bound, i, cs, ns in live:
         if bound > best_elapsed * (1.0 + _BOUND_SLACK):
             break
-        elapsed = model.exact(plan, work)
+        elapsed = family.exact(cs, ns)
         c = candidates[i]
-        candidates[i] = Candidate(c.chunk_size, c.num_streams, elapsed, c.buffer_bytes, True)
+        candidates[i] = Candidate(cs, ns, elapsed, c.buffer_bytes, True)
         if elapsed < best_elapsed or (elapsed == best_elapsed and i < best):
             best, best_elapsed = i, elapsed
     return AutotuneReport(best=candidates[best], candidates=candidates, dry_runs=len(live))

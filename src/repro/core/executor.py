@@ -476,7 +476,7 @@ class PipelineIssuer:
         self._books: List[Books] = []
         #: the chunk table (:func:`~repro.core.pipemodel.chunk_work`,
         #: read by open)
-        self._work: list = []
+        self._work: tuple = ()
         self.streams: List = []
         # (command, gating tokens) pairs for slot-reuse stall accounting;
         # resolved after the pipeline drains, once tokens have times

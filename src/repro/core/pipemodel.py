@@ -12,11 +12,17 @@ plain numbers instead:
   creation, each resident's malloc and blocking H2D, the ring mallocs,
   one scaled API call per issued command, the device synchronize, the
   blocking resident D2H and the frees;
-* **the same inputs**, through the code the issuer uses: ``plan.chunks()``,
-  :func:`~repro.directives.splitspec.chunk_ranges`, ``plan.ring_capacity``,
+* **the same inputs**, through the code the issuer uses: the schedule's
+  chunks, :func:`chunk_work`, :func:`~repro.core.plan.ring_capacity`,
   :func:`~repro.core.ringbuffer.band_geometry`,
-  :func:`~repro.core.ringbuffer.ring_pieces`, the link cost model, the
-  kernel's ``chunk_cost`` and a real allocator for out-of-memory;
+  :func:`~repro.core.ringbuffer.ring_pieces`, the link cost model and
+  the kernel's ``chunk_cost``;
+* **the same out-of-memory failures**: a fresh device's allocator has
+  one free block of ``capacity - align(context)`` bytes and nothing is
+  freed while a region opens, so first fit places each allocation at
+  the block's start, and a plan fits exactly when its aligned
+  allocations sum to at most that block.  Where they do not, the model
+  raises what the allocator would, at the allocation that fails;
 * **the same dependencies**: the one wait policy both sides run,
   :class:`Books` with :func:`stage_inputs` and :func:`drain_outputs`,
   with command ids where :meth:`PipelineIssuer.issue_next
@@ -32,13 +38,19 @@ device, so the replay covers every plan a dry run can see, and its
 result is ``==`` to the simulator's.  ``tests/core/test_pipemodel.py``
 and ``scripts/check_pipemodel.py`` hold the two bit for bit.
 
-:class:`SearchModel` also bounds the same plans from below in closed
-form, with no event loop, for the search to decide which candidates the
-exact model still has to price.  The bound shares the dry run's
-``open()`` and ``finalize()`` phases (:func:`_open`, :func:`_finalize`),
-so it runs out of memory on exactly the same plans.
+A search prices the members of one :class:`PlanFamily`: the
+``with_params`` copies of one bound plan, told apart by ``(chunk_size,
+num_streams)`` alone.  The family is built once per search and holds
+what its members share (piece times, capacity inputs, resident sizes,
+the ``open()`` clocks per stream count, the chunk table per chunk size),
+so a member costs a few integer sums until it is priced.  It also
+bounds its members from below in closed form, with no event loop, for
+the search to decide which candidates the exact model still has to
+price.  The bound shares the dry run's ``open()`` and ``finalize()``
+phases, so it runs out of memory on exactly the same plans.
 ``tests/core/test_autotune_bound.py`` and ``scripts/check_pipemodel.py``
-hold it at or below the exact time.
+hold it at or below the exact time, and ``tests/core/test_plan_family.py``
+holds the family's shared parts to the code each one stands for.
 """
 
 from __future__ import annotations
@@ -51,21 +63,23 @@ from typing import Dict, List, Mapping
 import numpy as np
 
 from repro.core.kernel import RegionKernel
-from repro.core.plan import RegionPlan
+from repro.core.plan import RegionPlan, max_chunk_size, ring_capacity, stream_count
 from repro.core.ringbuffer import band_geometry, ring_pieces
+from repro.core.scheduler import schedule_chunks
 from repro.directives.splitspec import chunk_ranges
 from repro.sim.bandwidth import transfer_time_1d, transfer_time_2d
-from repro.sim.memory import MemoryAllocator
+from repro.sim.memory import OutOfDeviceMemory, aligned
 from repro.sim.profiles import DeviceProfile
 
 __all__ = [
-    "Books", "SearchModel", "chunk_work", "drain_outputs", "dry_run_elapsed",
+    "Books", "PlanFamily", "chunk_work", "drain_outputs", "dry_run_elapsed",
     "stage_inputs",
 ]
 
 #: heap event tags, in the engine's order (a finish sorts before a ready)
 _FINISH = 0
 _READY = 1
+
 
 
 class _PieceTimes(dict):
@@ -98,40 +112,23 @@ class _PieceTimes(dict):
         return d
 
 
-#: ``[specs, kernel, profile, key, work]`` of the last :func:`chunk_work`
-_last_work: list = [None, None, None, None, None]
-
 
 def chunk_work(
     plan: RegionPlan, kernel: RegionKernel, profile: DeviceProfile, chunks=None
-):
+) -> tuple:
     """Per chunk in schedule order: ``(index, t0, t1, ranges, launch, cost)``.
 
     ``ranges`` are the chunk's dependency ranges in ``plan.specs`` order
     (tuples all the way down, so the collector soon stops tracking them),
     ``cost`` is the kernel's ``chunk_cost`` and ``launch`` is
     ``kernel_launch_overhead + cost``, the kernel duration before the
-    region's contention is added.  This table is the one source of
-    :func:`dry_run_elapsed`, :class:`SearchModel` and the issuer
+    region's contention is added.  This table is the one source of the
+    dry-run model (:class:`PlanFamily`) and the issuer
     (:class:`~repro.core.executor.PipelineIssuer` reads it at ``open()``),
-    so they cannot drift.  None of it depends on the stream count
-    under the static schedule, and autotune bounds every stream count of
-    a chunk size in a row, so the last result is kept and reused while
-    the plan family (the same ``specs`` mapping, which ``with_params``
-    shares), loop, schedule, chunk size, kernel and profile stay the
-    same.  Callers must not mutate it.  A caller already holding
-    ``plan.chunks()`` passes it as ``chunks``.
+    so they cannot drift.  It is a tuple, so a family's members share it
+    safely.  A caller already holding ``plan.chunks()`` passes it as
+    ``chunks``.
     """
-    key = (
-        plan.loop, plan.schedule, plan.chunk_size,
-        plan.num_streams if plan.schedule != "static" else 0,
-    )
-    last = _last_work
-    if (
-        last[0] is plan.specs and last[1] is kernel and last[2] is profile
-        and last[3] == key
-    ):
-        return last[4]
     if chunks is None:
         chunks = plan.chunks()
     bounds = [(chunk.t0, chunk.t1) for chunk in chunks]
@@ -150,8 +147,7 @@ def chunk_work(
             if uniform:
                 costs[t1 - t0] = cost
         work.append((chunk.index, t0, t1, ranges, klo + cost, cost))
-    last[:] = [plan.specs, kernel, profile, key, work]
-    return work
+    return tuple(work)
 
 
 class Books:
@@ -267,20 +263,32 @@ class _Issue:
         return len(self.cmds) - 1
 
 
-class SearchModel:
-    """Prices the candidates of one search: a lower bound and the exact time.
 
-    One instance serves the plans of one family (``with_params`` copies
-    of one bound region, so one ``specs`` mapping and halo mode) on one
-    profile, and holds what they share: the piece-time tables and, per
-    chunk table, the sums the bound is taken over.  Both methods take a
-    plan and that plan's :func:`chunk_work` table.
+class PlanFamily:
+    """The plans of one search, compiled once, priced exactly or bounded.
+
+    A family is the ``with_params`` copies of one bound plan (one
+    ``specs`` mapping, residents, loop, schedule and halo mode) with one
+    kernel on one profile.  A member is named by its ``(chunk_size,
+    num_streams)``, with the stream count its plan keeps
+    (:meth:`streams`).  The family holds what its members share and
+    computes the rest once per key:
+
+    * the piece-time tables, each pipelined array's bytes per ring unit
+      and the residents' sizes and copy times;
+    * per stream count, the host and device clocks after ``open()``
+      (:func:`_open`);
+    * per chunk size (and stream count, under the adaptive schedule),
+      the :func:`chunk_work` table and the sums :meth:`bound` is taken
+      over;
+    * per member, the ring capacities, :meth:`device_bytes` and whether
+      its allocations fit the device (:meth:`fits`).
 
     :meth:`exact` is :func:`dry_run_elapsed`.  :meth:`bound` returns a
     time no greater than it, in closed form, and raises
-    ``OutOfDeviceMemory`` exactly where the dry run would: it runs the
-    dry run's own ``open()``, then the last command retires no earlier
-    than the largest of
+    ``OutOfDeviceMemory`` exactly where the dry run would: after the dry
+    run's own ``open()``, the last command retires no earlier than the
+    largest of
 
     * the host issuing every command, one scaled API call each;
     * the busiest engine, or the busiest stream, running its commands
@@ -292,8 +300,8 @@ class SearchModel:
     ``finalize()``.  The sums behind these take each piece whole, as if
     the ring never split it, and are taken once per chunk table in
     O(chunks); every stream count of a chunk size shares them under the
-    static schedule.  Per plan the bound costs the allocation phase plus
-    a few C-level sums over the chunks.
+    static schedule.  Per member the bound costs a few C-level sums
+    over the chunks.
 
     It is a bound because a transfer's time is affine with a
     non-negative latency (a piece the ring splits in two costs at least
@@ -304,31 +312,185 @@ class SearchModel:
     it can round an ulp above a tight exact time.
     """
 
-    __slots__ = ("profile", "shapes", "tables", "work", "sums")
+    __slots__ = (
+        "profile", "plan", "kernel", "tables", "_units", "_residents",
+        "_resident_bytes", "_resident_out", "_room", "_clocks", "_tables",
+        "_rings",
+    )
 
-    def __init__(self, profile: DeviceProfile, plan: RegionPlan, shapes) -> None:
+    def __init__(
+        self,
+        profile: DeviceProfile,
+        plan: RegionPlan,
+        shapes: Mapping[str, object],
+        kernel: RegionKernel,
+    ) -> None:
         self.profile = profile
-        self.shapes = shapes
+        self.plan = plan
+        self.kernel = kernel
         self.tables = _piece_tables(profile, plan, shapes)
-        #: the chunk table the cached ``sums`` were taken over
-        self.work = None
-        self.sums: tuple = ()
+        #: per pipelined array, the bytes of one ring unit as
+        #: ``device_bytes`` counts them and as ``open()`` allocates them
+        #: (a ring stages whole planes of its host array)
+        self._units = [
+            (spec.bytes_per_unit(plan.dtypes[var].itemsize), h2d.unit_bytes)
+            for (var, spec), (h2d, _d2h) in zip(plan.specs.items(), self.tables)
+        ]
+        self._resident_bytes = sum(plan.resident_bytes(var) for var in plan.residents)
+        #: ``(bytes, H2D time or None)`` of each resident ``open()``
+        #: allocates (and copies in, for ``to``/``tofrom``)
+        self._residents: List[tuple] = []
+        #: D2H times of the residents ``finalize()`` copies out
+        self._resident_out: List[float] = []
+        for var, clause in plan.residents.items():
+            arr = shapes[var]
+            nbytes = math.prod(int(s) for s in arr.shape) * np.dtype(arr.dtype).itemsize
+            h2d = None
+            if clause.direction in ("to", "tofrom"):
+                h2d = transfer_time_1d(profile.h2d, nbytes, pinned=True)
+            self._residents.append((nbytes, h2d))
+            if clause.direction in ("from", "tofrom"):
+                self._resident_out.append(transfer_time_1d(profile.d2h, nbytes, pinned=True))
+        # the free block the rings are allocated from; -1 when the
+        # context or a resident already fails, so nothing fits
+        context = profile.context_overhead_bytes
+        room = profile.usable_memory_bytes - aligned(context)
+        room -= sum(aligned(nbytes) for nbytes, _ in self._residents)
+        if context > profile.usable_memory_bytes or any(
+            nbytes <= 0 for nbytes, _ in self._residents
+        ):
+            room = -1
+        self._room = room
+        self._clocks: Dict[int, tuple] = {}
+        self._tables: Dict[object, tuple] = {}
+        self._rings: Dict[tuple, tuple] = {}
 
-    def exact(self, plan: RegionPlan, work) -> float:
-        """:func:`dry_run_elapsed` of ``plan``."""
-        return _replay(self.profile, plan, self.shapes, work, self.tables)
+    # ---- members ---------------------------------------------------------
+    def streams(self, chunk_size: int, num_streams: int) -> int:
+        """The stream count the member ``with_params(chunk_size,
+        num_streams)`` keeps (:func:`~repro.core.plan.stream_count`)."""
+        plan = self.plan
+        return stream_count(plan.schedule, plan.loop, chunk_size, num_streams)
 
-    def bound(self, plan: RegionPlan, work) -> float:
-        """A lower bound on :meth:`exact`."""
-        if work is not self.work:
-            self.work, self.sums = work, self._take_sums(plan, work)
-        engines, ncmd, chunk_time, chunk_cmds, (head, n_head), (tail, n_tail) = self.sums
+    def _ring(self, cs: int, ns: int) -> tuple:
+        """``(capacities, device_bytes, fits)`` of member ``(cs, ns)``."""
+        key = (cs, ns)
+        got = self._rings.get(key)
+        if got is None:
+            plan = self.plan
+            biggest = max_chunk_size(plan.schedule, plan.loop, cs)
+            halo = plan.halo_mode
+            caps = [ring_capacity(spec, halo, biggest, ns) for spec in plan.specs.values()]
+            nbytes = self._resident_bytes
+            need = 0
+            positive = True
+            for cap, (unit, alloc_unit) in zip(caps, self._units):
+                nbytes += cap * unit
+                size = cap * alloc_unit
+                positive = positive and size > 0
+                need += aligned(size)
+            got = self._rings[key] = (caps, nbytes, positive and need <= self._room)
+        return got
+
+    def capacities(self, chunk_size: int, num_streams: int) -> List[int]:
+        """Each pipelined array's ring capacity, in ``plan.specs`` order
+        (:meth:`RegionPlan.ring_capacity
+        <repro.core.plan.RegionPlan.ring_capacity>`)."""
+        return self._ring(chunk_size, num_streams)[0]
+
+    def device_bytes(self, chunk_size: int, num_streams: int) -> int:
+        """:meth:`RegionPlan.device_bytes
+        <repro.core.plan.RegionPlan.device_bytes>` of the member."""
+        return self._ring(chunk_size, num_streams)[1]
+
+    def fits(self, chunk_size: int, num_streams: int) -> bool:
+        """Whether the member's ``open()`` allocations succeed on a fresh
+        device of the profile."""
+        return self._ring(chunk_size, num_streams)[2]
+
+    def _table(self, cs: int, ns: int) -> tuple:
+        """``(work, sums)`` of member ``(cs, ns)``: its :func:`chunk_work`
+        table and the sums :meth:`bound` is taken over, built together
+        and shared by every stream count of a chunk size under the
+        static schedule."""
+        plan = self.plan
+        key = cs if plan.schedule == "static" else (cs, ns)
+        got = self._tables.get(key)
+        if got is None:
+            chunks = schedule_chunks(plan.schedule, plan.loop, cs, ns)
+            work = chunk_work(plan, self.kernel, self.profile, chunks)
+            got = self._tables[key] = (work, self._take_sums(work))
+        return got
+
+    def work(self, chunk_size: int, num_streams: int) -> tuple:
+        """The member's :func:`chunk_work` table."""
+        return self._table(chunk_size, num_streams)[0]
+
+    def _open(self, cs: int, ns: int, streams_n: int) -> tuple:
+        """``(call, contention, host, now)`` of member ``(cs, ns)`` on
+        ``streams_n`` streams: the region's scaled API call and
+        per-command contention, and the host and device clocks after
+        ``open()``.  Raises where the member's allocations fail."""
+        ring = self._ring(cs, ns)
+        if not ring[2]:
+            self._fail(ring[0])
+        got = self._clocks.get(streams_n)
+        if got is None:
+            call, contention = _scales(self.profile, streams_n)
+            host, now = _open(
+                self.profile, self._residents, len(self.tables), streams_n, call,
+                contention,
+            )
+            got = self._clocks[streams_n] = (call, contention, host, now)
+        return got
+
+    def _fail(self, caps: List[int]) -> None:
+        """Raise what a fresh device's allocator raises on ``open()``'s
+        allocations (residents, then rings, in plan order)."""
         profile = self.profile
-        streams_n = min(plan.num_streams, len(work))
-        call, contention = _scales(profile, streams_n)
-        host, _now, resident_out, _ = _open(
-            profile, plan, self.shapes, self.tables, streams_n, call, contention
-        )
+        capacity = profile.usable_memory_bytes
+        used = profile.context_overhead_bytes
+        if used > capacity:
+            raise ValueError("context overhead exceeds device capacity")
+        block = capacity - aligned(used)
+        sizes = [nbytes for nbytes, _ in self._residents]
+        sizes += [cap * alloc_unit for cap, (_, alloc_unit) in zip(caps, self._units)]
+        for nbytes in sizes:
+            if nbytes <= 0:
+                raise ValueError(f"allocation size must be positive, got {nbytes}")
+            size = aligned(nbytes)
+            if size > block:
+                raise OutOfDeviceMemory(size, capacity - used, capacity)
+            block -= size
+            used += size
+
+    def _finalize(self, host: float, now: float, call: float, contention: float) -> float:
+        """The device synchronize after the last command, then
+        ``finalize()``: blocking resident copy-out and the frees.
+
+        ``host`` is the host clock after the last enqueue and ``now`` the
+        device clock when the last command retires.  The result never
+        decreases as either grows, so lower bounds in give a lower bound
+        out.
+        """
+        profile = self.profile
+        sync = profile.sync_overhead
+        host = max(host, now) + sync
+        for d2h in self._resident_out:
+            host += call
+            now = (host if host > now else now) + float(d2h + contention)
+            host = max(host, now) + sync
+        for _ in range(len(self._residents) + len(self.tables)):
+            host += profile.api_overhead
+        return max(host, now)
+
+    # ---- pricing ---------------------------------------------------------
+    def bound(self, chunk_size: int, num_streams: int) -> float:
+        """A lower bound on :meth:`exact`."""
+        work, sums = self._table(chunk_size, num_streams)
+        engines, ncmd, chunk_time, chunk_cmds, (head, n_head), (tail, n_tail) = sums
+        streams_n = min(num_streams, len(work))
+        call, contention, host, _now = self._open(chunk_size, num_streams, streams_n)
         busiest = max([t + n * contention for t, n in engines] + [
             sum(chunk_time[s::streams_n]) + sum(chunk_cmds[s::streams_n]) * contention
             for s in range(streams_n)
@@ -339,15 +501,14 @@ class SearchModel:
             host + (before + 1) * call + head + n_head * contention,
         )
         end = max(host + call + busiest, kernel_start + tail + n_tail * contention)
-        return _finalize(
-            profile, plan, host + ncmd * call, end, resident_out, call, contention
-        )
+        return self._finalize(host + ncmd * call, end, call, contention)
 
-    def _take_sums(self, plan: RegionPlan, work) -> tuple:
+    def _take_sums(self, work) -> tuple:
         """The bound's sums over ``work``.  Durations leave out the
         region's contention, which :meth:`bound` adds per command.  Under
         dedup halo a chunk copies in only the part of its range no earlier
         chunk copied, as in the dry run."""
+        plan = self.plan
         dedup = plan.halo_mode == "dedup"
         lanes = list(zip(plan.specs.values(), self.tables))
         inputs = [(k, h2d) for k, (spec, (h2d, _)) in enumerate(lanes) if spec.clause.is_input]
@@ -390,6 +551,117 @@ class SearchModel:
             (c_h2d, c_nh), (work[-1][4] + c_d2h, 1 + c_nd),
         )
 
+    def exact(self, chunk_size: int, num_streams: int) -> float:
+        """:func:`dry_run_elapsed` of the member."""
+        plan = self.plan
+        work = self._table(chunk_size, num_streams)[0]
+        streams_n = min(num_streams, len(work))
+        call, contention, host, now = self._open(chunk_size, num_streams, streams_n)
+        books = [
+            Books(spec.clause, capacity, times)
+            for spec, capacity, times in zip(
+                plan.specs.values(), self._ring(chunk_size, num_streams)[0], self.tables
+            )
+        ]
+
+        # ---- issue: one command per H2D piece, kernel and D2H piece -----
+        issue = _Issue(host, call, contention, 1 if self.profile.dma_engines > 1 else 0)
+        cmds = issue.cmds
+        #: each command's predecessor on its stream (-1 for a stream's first)
+        pred: List[int] = []
+        tails = [-1] * streams_n
+        dedup = plan.halo_mode == "dedup"
+        for index, t0, t1, ranges, launch, _cost in work:
+            first = len(cmds)
+            in_ids: list = []
+            out_reuse: list = []
+            stage_inputs(books, ranges, dedup, issue, in_ids, out_reuse)
+            issue.host += call
+            kernel_id = len(cmds)
+            cmds.append((float(launch + contention), 2, issue.host, in_ids + out_reuse))
+            drain_outputs(books, ranges, kernel_id, issue)
+            # one stream per chunk: its commands follow each other in order
+            stream = index % streams_n
+            pred.append(tails[stream])
+            pred.extend(range(first, len(cmds) - 1))
+            tails[stream] = len(cmds) - 1
+        host = issue.host
+
+        # ---- the event loop, as the engine runs it ---------------------
+        # nothing retires while the issuer enqueues (the device clock stands
+        # at ``now``), so each command's waits and stream predecessor are
+        # all pending: wire them in issue order, then run the loop
+        dur, engine, enq, waits = zip(*cmds)
+        n = len(cmds)
+        waiters: List[list] = [[] for _ in range(n)]
+        successor = [-1] * n
+        unresolved = [0] * n
+        busy = [-1, -1, -1]
+        queues: List[list] = [[], [], []]
+        heap: list = []
+
+        def ready(c: int, t: float) -> None:
+            """``Simulator._ready_now``: start at once on an idle engine."""
+            e = engine[c]
+            q = queues[e]
+            if busy[e] < 0:
+                if q:
+                    c = heappushpop(q, (t, c))[1]
+                busy[e] = c
+                heappush(heap, (t + dur[c], c, _FINISH))
+            else:
+                heappush(q, (t, c))
+
+        for c in range(n):
+            ws = waits[c]
+            k = len(ws)
+            p = pred[c]
+            if p >= 0:
+                successor[p] = c
+                k += 1
+            for w in ws:
+                waiters[w].append(c)
+            unresolved[c] = k
+            if k == 0:
+                if enq[c] <= now:
+                    ready(c, now)
+                else:
+                    heappush(heap, (enq[c], c, _READY))
+
+        while heap:
+            t, c, ev = heappop(heap)
+            now = t
+            if ev:
+                ready(c, t)
+                continue
+            e = engine[c]
+            busy[e] = -1
+            # token waiters first, then the stream successor
+            succ = successor[c]
+            for w in (waiters[c] + [succ]) if succ >= 0 else waiters[c]:
+                k = unresolved[w] = unresolved[w] - 1
+                if k == 0:
+                    at = enq[w]
+                    if at > t:
+                        heappush(heap, (at, w, _READY))
+                        continue
+                    # ready(w, t), inlined: the hottest dispatch site
+                    we = engine[w]
+                    wq = queues[we]
+                    if busy[we] < 0:
+                        if wq:
+                            w = heappushpop(wq, (t, w))[1]
+                        busy[we] = w
+                        heappush(heap, (t + dur[w], w, _FINISH))
+                    else:
+                        heappush(wq, (t, w))
+            q = queues[e]
+            if busy[e] < 0 and q:
+                nxt = heappop(q)[1]
+                busy[e] = nxt
+                heappush(heap, (t + dur[nxt], nxt, _FINISH))
+        return self._finalize(host, now, call, contention)
+
 
 def _scales(profile: DeviceProfile, streams_n: int):
     """``(call, contention)``: the region's scaled API call and the
@@ -399,71 +671,31 @@ def _scales(profile: DeviceProfile, streams_n: int):
     return call, profile.runtime_stream_contention * (streams_n - 1)
 
 
-def _open(profile, plan, shapes, tables, streams_n, call, contention):
-    """``open()``: streams, staged residents, ring buffers.
+def _open(profile, residents, nrings: int, streams_n: int, call: float, contention: float):
+    """``open()``'s clocks: streams, staged residents, ring buffers.
 
-    Returns ``(host, now, resident_out, capacities)``: the host and
-    device clocks after it, the byte count of every resident copied
-    out at ``finalize()`` and each pipelined array's ring capacity in
-    ``plan.specs`` order.  Raises ``OutOfDeviceMemory`` exactly where
-    the real run's allocation fails, and nowhere later.  A ring holds
-    ``capacity`` split-dim units of its host array, of the
-    ``unit_bytes`` its piece-time tables (``tables``) already know.
+    ``residents`` are ``(bytes, H2D time or None)`` per resident array
+    and ``nrings`` counts the ring mallocs.  Returns ``(host, now)``, the
+    host and device clocks after it.  The allocations themselves are
+    :class:`PlanFamily`'s fit check, which runs first.
     """
     api = profile.api_overhead
     sync = profile.sync_overhead
-    memory = MemoryAllocator(
-        capacity=profile.usable_memory_bytes,
-        context_overhead=profile.context_overhead_bytes,
-    )
     host = 0.0
     now = 0.0
     for _ in range(streams_n):
         host += profile.stream_create_overhead
-    resident_out = []
-    for var, clause in plan.residents.items():
-        arr = shapes[var]
-        nbytes = math.prod(int(s) for s in arr.shape) * np.dtype(arr.dtype).itemsize
-        memory.allocate(nbytes)
+    for _nbytes, h2d in residents:
         host += api
-        if clause.direction in ("to", "tofrom"):
+        if h2d is not None:
             # blocking copy on an idle device: it starts when issued
             # (or at the device clock, if that is later)
             host += call
-            now = (host if host > now else now) + float(
-                transfer_time_1d(profile.h2d, nbytes, pinned=True) + contention
-            )
+            now = (host if host > now else now) + float(h2d + contention)
             host = max(host, now) + sync
-        if clause.direction in ("from", "tofrom"):
-            resident_out.append(nbytes)
-    capacities = []
-    for var, (h2d_time, _d2h_time) in zip(plan.specs, tables):
-        capacity = plan.ring_capacity(var)
-        memory.allocate(capacity * h2d_time.unit_bytes)
+    for _ in range(nrings):
         host += api
-        capacities.append(capacity)
-    return host, now, resident_out, capacities
-
-
-def _finalize(profile, plan, host, now, resident_out, call, contention) -> float:
-    """The device synchronize after the last command, then
-    ``finalize()``: blocking resident copy-out and the frees.
-
-    ``host`` is the host clock after the last enqueue and ``now`` the
-    device clock when the last command retires.  The result never
-    decreases as either grows, so lower bounds in give a lower bound out.
-    """
-    sync = profile.sync_overhead
-    host = max(host, now) + sync
-    for nbytes in resident_out:
-        host += call
-        now = (host if host > now else now) + float(
-            transfer_time_1d(profile.d2h, nbytes, pinned=True) + contention
-        )
-        host = max(host, now) + sync
-    for _ in range(len(plan.residents) + len(plan.specs)):
-        host += profile.api_overhead
-    return max(host, now)
+    return host, now
 
 
 def _piece_tables(profile, plan, shapes) -> List[tuple]:
@@ -507,118 +739,6 @@ def dry_run_elapsed(
         When a resident array or ring buffer does not fit, exactly where
         the real run's allocation would fail.
     """
-    return _replay(
-        profile, plan, shapes, chunk_work(plan, kernel, profile),
-        _piece_tables(profile, plan, shapes),
+    return PlanFamily(profile, plan, shapes, kernel).exact(
+        plan.chunk_size, plan.num_streams
     )
-
-
-def _replay(profile, plan, shapes, work, tables) -> float:
-    """:func:`dry_run_elapsed` over a given chunk table and piece tables."""
-    streams_n = min(plan.num_streams, len(work))
-    call, contention = _scales(profile, streams_n)
-    host, now, resident_out, capacities = _open(
-        profile, plan, shapes, tables, streams_n, call, contention
-    )
-    books = [
-        Books(spec.clause, capacity, times)
-        for spec, capacity, times in zip(plan.specs.values(), capacities, tables)
-    ]
-
-    # ---- issue: one command per H2D piece, kernel and D2H piece ---------
-    issue = _Issue(host, call, contention, 1 if profile.dma_engines > 1 else 0)
-    cmds = issue.cmds
-    #: each command's predecessor on its stream (-1 for a stream's first)
-    pred: List[int] = []
-    tails = [-1] * streams_n
-    dedup = plan.halo_mode == "dedup"
-    for index, t0, t1, ranges, launch, _cost in work:
-        first = len(cmds)
-        in_ids: list = []
-        out_reuse: list = []
-        stage_inputs(books, ranges, dedup, issue, in_ids, out_reuse)
-        issue.host += call
-        kernel_id = len(cmds)
-        cmds.append((float(launch + contention), 2, issue.host, in_ids + out_reuse))
-        drain_outputs(books, ranges, kernel_id, issue)
-        # one stream per chunk: its commands follow each other in order
-        stream = index % streams_n
-        pred.append(tails[stream])
-        pred.extend(range(first, len(cmds) - 1))
-        tails[stream] = len(cmds) - 1
-    host = issue.host
-
-    # ---- the event loop, as the engine runs it -------------------------
-    # nothing retires while the issuer enqueues (the device clock stands
-    # at ``now``), so each command's waits and stream predecessor are
-    # all pending: wire them in issue order, then run the loop
-    dur, engine, enq, waits = zip(*cmds)
-    n = len(cmds)
-    waiters: List[list] = [[] for _ in range(n)]
-    successor = [-1] * n
-    unresolved = [0] * n
-    busy = [-1, -1, -1]
-    queues: List[list] = [[], [], []]
-    heap: list = []
-
-    def ready(c: int, t: float) -> None:
-        """``Simulator._ready_now``: start at once on an idle engine."""
-        e = engine[c]
-        q = queues[e]
-        if busy[e] < 0:
-            if q:
-                c = heappushpop(q, (t, c))[1]
-            busy[e] = c
-            heappush(heap, (t + dur[c], c, _FINISH))
-        else:
-            heappush(q, (t, c))
-
-    for c in range(n):
-        ws = waits[c]
-        k = len(ws)
-        p = pred[c]
-        if p >= 0:
-            successor[p] = c
-            k += 1
-        for w in ws:
-            waiters[w].append(c)
-        unresolved[c] = k
-        if k == 0:
-            if enq[c] <= now:
-                ready(c, now)
-            else:
-                heappush(heap, (enq[c], c, _READY))
-
-    while heap:
-        t, c, ev = heappop(heap)
-        now = t
-        if ev:
-            ready(c, t)
-            continue
-        e = engine[c]
-        busy[e] = -1
-        # token waiters first, then the stream successor
-        succ = successor[c]
-        for w in (waiters[c] + [succ]) if succ >= 0 else waiters[c]:
-            k = unresolved[w] = unresolved[w] - 1
-            if k == 0:
-                at = enq[w]
-                if at > t:
-                    heappush(heap, (at, w, _READY))
-                    continue
-                # ready(w, t), inlined: the hottest dispatch site
-                we = engine[w]
-                wq = queues[we]
-                if busy[we] < 0:
-                    if wq:
-                        w = heappushpop(wq, (t, w))[1]
-                    busy[we] = w
-                    heappush(heap, (t + dur[w], w, _FINISH))
-                else:
-                    heappush(wq, (t, w))
-        q = queues[e]
-        if busy[e] < 0 and q:
-            nxt = heappop(q)[1]
-            busy[e] = nxt
-            heappush(heap, (t + dur[nxt], nxt, _FINISH))
-    return _finalize(profile, plan, host, now, resident_out, call, contention)

@@ -19,7 +19,10 @@ import numpy as np
 from repro.directives.clauses import DirectiveError, Loop, MapClause
 from repro.directives.splitspec import SplitSpec, chunk_range
 
-__all__ = ["Chunk", "RegionPlan", "make_chunks"]
+__all__ = [
+    "Chunk", "RegionPlan", "chunk_count", "make_chunks", "max_chunk_size",
+    "ring_capacity", "stream_count",
+]
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,54 @@ def make_chunks(loop: Loop, chunk_size: int) -> List[Chunk]:
         t = hi
         i += 1
     return chunks
+
+
+def max_chunk_size(schedule: str, loop: Loop, chunk_size: int) -> int:
+    """Largest chunk the schedule makes of ``chunk_size``-iteration
+    chunks: static schedules use ``chunk_size`` throughout, the adaptive
+    one ramps up to ``ADAPTIVE_MAX_FACTOR`` times it (see
+    :mod:`repro.core.scheduler`)."""
+    if schedule == "static":
+        return min(chunk_size, loop.trip_count)
+    from repro.core.scheduler import ADAPTIVE_MAX_FACTOR
+
+    return min(chunk_size * ADAPTIVE_MAX_FACTOR, loop.trip_count)
+
+
+def chunk_count(schedule: str, loop: Loop, chunk_size: int, num_streams: int) -> int:
+    """How many chunks the schedule makes, counted without building the
+    list for the static schedule."""
+    if schedule == "static":
+        return -(-loop.trip_count // int(chunk_size))
+    from repro.core.scheduler import schedule_chunks
+
+    return len(schedule_chunks(schedule, loop, chunk_size, num_streams))
+
+
+def stream_count(schedule: str, loop: Loop, chunk_size: int, num_streams: int) -> int:
+    """The stream count a plan keeps: ``num_streams``, but no more than
+    it has chunks."""
+    nchunks = chunk_count(schedule, loop, chunk_size, num_streams)
+    return num_streams if num_streams <= nchunks else max(1, nchunks)
+
+
+def ring_capacity(spec: SplitSpec, halo_mode: str, max_chunk: int, num_streams: int) -> int:
+    """Ring capacity (split-dim units) of one pipelined array.
+
+    An input under ``dedup`` halo holds the live window of
+    ``num_streams`` in-flight chunks of up to ``max_chunk`` iterations
+    plus one chunk of prefetch slack; under ``duplicate`` halo, and for
+    an output-only array, the ring holds ``num_streams`` slots of one
+    chunk-extent each.  :meth:`RegionPlan.ring_capacity` and the
+    autotune search's :class:`~repro.core.pipemodel.PlanFamily` both
+    size rings here.
+    """
+    extent = spec.split_extent
+    if halo_mode == "duplicate" or not spec.clause.is_input:
+        cap = num_streams * min(spec.chunk_extent(max_chunk), extent)
+    else:
+        cap = spec.window_extent(max_chunk, num_streams) + spec.prefetch_slack(max_chunk)
+    return min(cap, extent)
 
 
 @dataclass
@@ -107,33 +158,22 @@ class RegionPlan:
                 raise InvalidValueError(f"{name} must be >= 1, got {v}")
         if self.halo_mode not in ("dedup", "duplicate"):
             raise DirectiveError(f"unknown halo_mode {self.halo_mode!r}")
-        nchunks = self.nchunks
-        if self.num_streams > nchunks:
-            self.num_streams = max(1, nchunks)
+        self.num_streams = stream_count(
+            self.schedule, self.loop, self.chunk_size, self.num_streams
+        )
 
     # ------------------------------------------------------------------
     @property
     def max_chunk_size(self) -> int:
-        """Largest chunk size the schedule can produce.
-
-        Static schedules use ``chunk_size`` throughout; the adaptive
-        schedule ramps up to ``ADAPTIVE_MAX_FACTOR`` times the base
-        (see :mod:`repro.core.scheduler`).  Ring buffers are sized for
-        this maximum.
-        """
-        if self.schedule == "static":
-            return min(self.chunk_size, self.loop.trip_count)
-        from repro.core.scheduler import ADAPTIVE_MAX_FACTOR
-
-        return min(self.chunk_size * ADAPTIVE_MAX_FACTOR, self.loop.trip_count)
+        """Largest chunk size the schedule can produce
+        (:func:`max_chunk_size`).  Ring buffers are sized for this
+        maximum."""
+        return max_chunk_size(self.schedule, self.loop, self.chunk_size)
 
     @property
     def nchunks(self) -> int:
-        """``len(self.chunks())``, counted without building the list for
-        the static schedule."""
-        if self.schedule == "static":
-            return -(-self.loop.trip_count // int(self.chunk_size))
-        return len(self.chunks())
+        """``len(self.chunks())`` (:func:`chunk_count`)."""
+        return chunk_count(self.schedule, self.loop, self.chunk_size, self.num_streams)
 
     def chunks(self) -> List[Chunk]:
         """The ordered subtask list under the current schedule."""
@@ -162,24 +202,16 @@ class RegionPlan:
     # test_memlimit asserts this)
     # ------------------------------------------------------------------
     def ring_capacity(self, var: str) -> int:
-        """Ring capacity (split-dim units) for a pipelined input array.
-
-        ``dedup`` mode holds the live window of ``num_streams``
-        in-flight chunks plus one chunk of prefetch slack; ``duplicate``
-        mode holds ``num_streams`` slots of one chunk-extent each.
-        """
-        spec = self.specs[var]
-        cs, ns = self.max_chunk_size, self.num_streams
-        if self.halo_mode == "duplicate" or not spec.clause.is_input:
-            cap = ns * self.slot_extent(var)
-        else:
-            cap = spec.window_extent(cs, ns) + spec.prefetch_slack(cs)
-        return min(cap, spec.split_extent)
+        """Ring capacity (split-dim units) of pipelined array ``var``
+        (:func:`ring_capacity`)."""
+        return ring_capacity(
+            self.specs[var], self.halo_mode, self.max_chunk_size, self.num_streams
+        )
 
     def slot_extent(self, var: str) -> int:
-        """Split-dim extent of one chunk's slot for array ``var``."""
-        spec = self.specs[var]
-        return min(spec.chunk_extent(self.max_chunk_size), spec.split_extent)
+        """Split-dim extent of one chunk's slot for array ``var``: a
+        one-stream ``duplicate`` ring."""
+        return ring_capacity(self.specs[var], "duplicate", self.max_chunk_size, 1)
 
     def buffer_bytes(self, var: str) -> int:
         """Device bytes for one pipelined array's ring buffer."""

@@ -24,7 +24,15 @@ from typing import Dict, List, Tuple
 
 from repro.errors import ReproError
 
-__all__ = ["AllocationRecord", "MemoryAllocator", "OutOfDeviceMemory"]
+__all__ = ["ALIGNMENT", "AllocationRecord", "MemoryAllocator", "OutOfDeviceMemory", "aligned"]
+
+#: default allocation alignment in bytes (CUDA guarantees at least 256)
+ALIGNMENT = 256
+
+
+def aligned(nbytes: int, alignment: int = ALIGNMENT) -> int:
+    """``nbytes`` rounded up to a multiple of ``alignment``."""
+    return (nbytes + alignment - 1) // alignment * alignment
 
 
 class OutOfDeviceMemory(ReproError, MemoryError):
@@ -83,7 +91,7 @@ class MemoryAllocator:
 
     capacity: int
     context_overhead: int = 0
-    alignment: int = 256
+    alignment: int = ALIGNMENT
     _free: List[Tuple[int, int]] = field(default_factory=list)  # (addr, size)
     _live: Dict[int, AllocationRecord] = field(default_factory=dict)
     _used: int = 0
@@ -100,8 +108,7 @@ class MemoryAllocator:
         self._peak = self.context_overhead
 
     def _align(self, n: int) -> int:
-        a = self.alignment
-        return (n + a - 1) // a * a
+        return aligned(n, self.alignment)
 
     # ------------------------------------------------------------------
     # queries

@@ -1,6 +1,6 @@
 """The autotune lower bound, and the pruned search against an exhaustive one.
 
-The bound of :class:`~repro.core.pipemodel.SearchModel` must never
+The bound of :class:`~repro.core.pipemodel.PlanFamily` must never
 exceed the exact dry-run time (up to a relative 1e-12 of rounding) and
 must run out of device memory on exactly the plans the dry run does; its
 exact time must be the dry run's.  The pruned
@@ -20,7 +20,7 @@ import math
 import pytest
 
 from repro.core.autotune import autotune
-from repro.core.pipemodel import SearchModel, chunk_work, dry_run_elapsed
+from repro.core.pipemodel import PlanFamily, dry_run_elapsed
 from repro.gpu import Runtime
 from repro.serve.workload import build_request
 from repro.sim import AMD_HD7970, NVIDIA_K40M
@@ -35,15 +35,13 @@ RTOL = 1e-12
 def check_search(profile, region, arrays, kernel):
     """Check every candidate's bound and the pruned search; returns the
     report and the number of candidates that ran out of memory."""
-    base = region.bind(arrays)
-    model = SearchModel(profile, base, arrays)
+    family = PlanFamily(profile, region.bind(arrays), arrays, kernel)
     best, feasible, ooms = None, 0, 0
     for plan in searched_plans(region, arrays):
-        work = chunk_work(plan, kernel, profile)
-        exact = _outcome(lambda: dry_run_elapsed(profile, plan, arrays, kernel))
-        low = _outcome(lambda: model.bound(plan, work))
         key = (plan.chunk_size, plan.num_streams)
-        assert _outcome(lambda: model.exact(plan, work)) == exact, key
+        exact = _outcome(lambda: dry_run_elapsed(profile, plan, arrays, kernel))
+        low = _outcome(lambda: family.bound(*key))
+        assert _outcome(lambda: family.exact(*key)) == exact, key
         assert (low == "oom") == (exact == "oom"), (key, low, exact)
         if exact == "oom":
             ooms += 1
