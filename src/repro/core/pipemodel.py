@@ -65,7 +65,7 @@ import numpy as np
 from repro.core.kernel import RegionKernel
 from repro.core.plan import RegionPlan, max_chunk_size, ring_capacity, stream_count
 from repro.core.ringbuffer import band_geometry, ring_pieces
-from repro.core.scheduler import schedule_chunks
+from repro.core.scheduler import schedule_bounds
 from repro.directives.splitspec import chunk_ranges
 from repro.sim.bandwidth import transfer_time_1d, transfer_time_2d
 from repro.sim.memory import OutOfDeviceMemory, aligned
@@ -130,23 +130,32 @@ def chunk_work(
     ``chunks``.
     """
     if chunks is None:
-        chunks = plan.chunks()
-    bounds = [(chunk.t0, chunk.t1) for chunk in chunks]
-    columns = [chunk_ranges(spec.clause, bounds) for spec in plan.specs.values()]
+        bounds = schedule_bounds(
+            plan.schedule, plan.loop, plan.chunk_size, plan.num_streams
+        )
+    else:
+        bounds = [(chunk.t0, chunk.t1) for chunk in chunks]
+    return _chunk_table(plan.specs, kernel, profile, bounds)
+
+
+def _chunk_table(specs, kernel, profile, bounds) -> tuple:
+    """:func:`chunk_work` over the schedule's ``(t0, t1)`` bounds."""
+    columns = [chunk_ranges(spec.clause, bounds) for spec in specs.values()]
     klo = profile.kernel_launch_overhead
     chunk_cost = kernel.chunk_cost
     # a uniform kernel's cost depends on the chunk length only
     costs: Dict[int, float] = {}
     uniform = kernel.uniform_chunk_cost
     work = []
-    for chunk, ranges in zip(chunks, zip(*columns) if columns else repeat(())):
-        t0, t1 = chunk.t0, chunk.t1
+    for index, ((t0, t1), ranges) in enumerate(
+        zip(bounds, zip(*columns) if columns else repeat(()))
+    ):
         cost = costs.get(t1 - t0) if uniform else None
         if cost is None:
             cost = chunk_cost(profile, t0, t1, translated=True)
             if uniform:
                 costs[t1 - t0] = cost
-        work.append((chunk.index, t0, t1, ranges, klo + cost, cost))
+        work.append((index, t0, t1, ranges, klo + cost, cost))
     return tuple(work)
 
 
@@ -313,7 +322,7 @@ class PlanFamily:
     """
 
     __slots__ = (
-        "profile", "plan", "kernel", "tables", "_units", "_residents",
+        "profile", "plan", "kernel", "tables", "_inputs", "_outputs", "_units", "_residents",
         "_resident_bytes", "_resident_out", "_room", "_clocks", "_tables",
         "_rings",
     )
@@ -329,6 +338,14 @@ class PlanFamily:
         self.plan = plan
         self.kernel = kernel
         self.tables = _piece_tables(profile, plan, shapes)
+        clauses = [spec.clause for spec in plan.specs.values()]
+        #: ``(position, piece times)`` of the arrays copied in, and out
+        self._inputs = [
+            (k, h2d) for k, (c, (h2d, _)) in enumerate(zip(clauses, self.tables)) if c.is_input
+        ]
+        self._outputs = [
+            (k, d2h) for k, (c, (_, d2h)) in enumerate(zip(clauses, self.tables)) if c.is_output
+        ]
         #: per pipelined array, the bytes of one ring unit as
         #: ``device_bytes`` counts them and as ``open()`` allocates them
         #: (a ring stages whole planes of its host array)
@@ -417,8 +434,8 @@ class PlanFamily:
         key = cs if plan.schedule == "static" else (cs, ns)
         got = self._tables.get(key)
         if got is None:
-            chunks = schedule_chunks(plan.schedule, plan.loop, cs, ns)
-            work = chunk_work(plan, self.kernel, self.profile, chunks)
+            bounds = schedule_bounds(plan.schedule, plan.loop, cs, ns)
+            work = _chunk_table(plan.specs, self.kernel, self.profile, bounds)
             got = self._tables[key] = (work, self._take_sums(work))
         return got
 
@@ -508,12 +525,9 @@ class PlanFamily:
         region's contention, which :meth:`bound` adds per command.  Under
         dedup halo a chunk copies in only the part of its range no earlier
         chunk copied, as in the dry run."""
-        plan = self.plan
-        dedup = plan.halo_mode == "dedup"
-        lanes = list(zip(plan.specs.values(), self.tables))
-        inputs = [(k, h2d) for k, (spec, (h2d, _)) in enumerate(lanes) if spec.clause.is_input]
-        outputs = [(k, d2h) for k, (spec, (_, d2h)) in enumerate(lanes) if spec.clause.is_output]
-        covered = [None] * len(lanes)
+        dedup = self.plan.halo_mode == "dedup"
+        inputs, outputs = self._inputs, self._outputs
+        covered = [None] * len(self.tables)
         h2d = d2h = launches = 0.0
         n_h2d = n_d2h = 0
         chunk_time = []

@@ -45,19 +45,18 @@ class Chunk:
         return self.t1 - self.t0
 
 
-def make_chunks(loop: Loop, chunk_size: int) -> List[Chunk]:
-    """Split the loop into fixed-size chunks (last may be smaller)."""
+def static_bounds(loop: Loop, chunk_size: int) -> List[Tuple[int, int]]:
+    """``(t0, t1)`` of fixed-size chunks over the loop (the last may be
+    smaller)."""
     if chunk_size < 1:
         raise DirectiveError("chunk_size must be >= 1")
-    chunks: List[Chunk] = []
-    t = loop.start
-    i = 0
-    while t < loop.stop:
-        hi = min(t + chunk_size, loop.stop)
-        chunks.append(Chunk(i, t, hi))
-        t = hi
-        i += 1
-    return chunks
+    stop = loop.stop
+    return [(t, min(t + chunk_size, stop)) for t in range(loop.start, stop, chunk_size)]
+
+
+def make_chunks(loop: Loop, chunk_size: int) -> List[Chunk]:
+    """Split the loop into fixed-size chunks (last may be smaller)."""
+    return [Chunk(i, t0, t1) for i, (t0, t1) in enumerate(static_bounds(loop, chunk_size))]
 
 
 def max_chunk_size(schedule: str, loop: Loop, chunk_size: int) -> int:
@@ -77,9 +76,9 @@ def chunk_count(schedule: str, loop: Loop, chunk_size: int, num_streams: int) ->
     list for the static schedule."""
     if schedule == "static":
         return -(-loop.trip_count // int(chunk_size))
-    from repro.core.scheduler import schedule_chunks
+    from repro.core.scheduler import schedule_bounds
 
-    return len(schedule_chunks(schedule, loop, chunk_size, num_streams))
+    return len(schedule_bounds(schedule, loop, chunk_size, num_streams))
 
 
 def stream_count(schedule: str, loop: Loop, chunk_size: int, num_streams: int) -> int:
