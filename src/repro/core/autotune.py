@@ -187,10 +187,12 @@ def autotune(
     limit = region.mem_limit.limit_bytes if region.mem_limit is not None else None
     family = PlanFamily(runtime.profile, base_plan, arrays, kernel)
 
-    # one pass over the grid: feasibility and every feasible lower bound
-    candidates: List[Candidate] = []
+    # one pass over the grid: feasibility and every feasible lower bound;
+    # a row is ``[cs, ns, elapsed, buffer_bytes, feasible, exact]``
+    rows: List[list] = []
     #: ``(bound, grid index, chunk_size, num_streams)`` of each feasible candidate
     live: List[tuple] = []
+    inf = float("inf")
     for cs, ns in candidate_grid(base_plan.loop.trip_count, max_streams=max_streams):
         # the plan ``with_params(cs, ns)`` keeps at most one stream per chunk
         kept = family.streams(cs, ns)
@@ -198,9 +200,7 @@ def autotune(
             try:
                 tune_plan(base_plan.with_params(cs, ns), limit)
             except MemLimitError:
-                candidates.append(
-                    Candidate(cs, ns, float("inf"), family.device_bytes(cs, kept), False)
-                )
+                rows.append([cs, ns, inf, family.device_bytes(cs, kept), False, True])
             # otherwise the limit forces a smaller config, which the
             # grid holds; skip the duplicate evaluation
             continue
@@ -209,25 +209,24 @@ def autotune(
         try:
             bound = family.bound(cs, ns)
         except OutOfDeviceMemory:
-            candidates.append(
-                Candidate(cs, ns, float("inf"), family.device_bytes(cs, ns), False)
-            )
+            rows.append([cs, ns, inf, family.device_bytes(cs, ns), False, True])
             continue
-        live.append((bound, len(candidates), cs, ns))
-        candidates.append(Candidate(cs, ns, bound, family.device_bytes(cs, ns), True, False))
+        live.append((bound, len(rows), cs, ns))
+        rows.append([cs, ns, bound, family.device_bytes(cs, ns), True, False])
     if not live:
         raise MemLimitError(family.device_bytes(1, 1), limit or 0)
 
     # exact dry runs in ascending bound order, while one can still win
     live.sort()
     best = -1
-    best_elapsed = float("inf")
+    best_elapsed = inf
     for bound, i, cs, ns in live:
         if bound > best_elapsed * (1.0 + _BOUND_SLACK):
             break
         elapsed = family.exact(cs, ns)
-        c = candidates[i]
-        candidates[i] = Candidate(cs, ns, elapsed, c.buffer_bytes, True)
+        rows[i][2] = elapsed
+        rows[i][5] = True  # exact
         if elapsed < best_elapsed or (elapsed == best_elapsed and i < best):
             best, best_elapsed = i, elapsed
+    candidates = [Candidate(*row) for row in rows]
     return AutotuneReport(best=candidates[best], candidates=candidates, dry_runs=len(live))
