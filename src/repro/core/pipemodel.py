@@ -291,7 +291,7 @@ class PlanFamily:
       the :func:`chunk_work` table and the sums :meth:`bound` is taken
       over;
     * per member, the ring capacities, :meth:`device_bytes` and whether
-      its allocations fit the device (:meth:`fits`).
+      its allocations fit the device.
 
     :meth:`exact` is :func:`dry_run_elapsed`.  :meth:`bound` returns a
     time no greater than it, in closed form, and raises
@@ -409,21 +409,10 @@ class PlanFamily:
             got = self._rings[key] = (caps, nbytes, positive and need <= self._room)
         return got
 
-    def capacities(self, chunk_size: int, num_streams: int) -> List[int]:
-        """Each pipelined array's ring capacity, in ``plan.specs`` order
-        (:meth:`RegionPlan.ring_capacity
-        <repro.core.plan.RegionPlan.ring_capacity>`)."""
-        return self._ring(chunk_size, num_streams)[0]
-
     def device_bytes(self, chunk_size: int, num_streams: int) -> int:
         """:meth:`RegionPlan.device_bytes
         <repro.core.plan.RegionPlan.device_bytes>` of the member."""
         return self._ring(chunk_size, num_streams)[1]
-
-    def fits(self, chunk_size: int, num_streams: int) -> bool:
-        """Whether the member's ``open()`` allocations succeed on a fresh
-        device of the profile."""
-        return self._ring(chunk_size, num_streams)[2]
 
     def _table(self, cs: int, ns: int) -> tuple:
         """``(work, sums)`` of member ``(cs, ns)``: its :func:`chunk_work`
@@ -438,10 +427,6 @@ class PlanFamily:
             work = _chunk_table(plan.specs, self.kernel, self.profile, bounds)
             got = self._tables[key] = (work, self._take_sums(work))
         return got
-
-    def work(self, chunk_size: int, num_streams: int) -> tuple:
-        """The member's :func:`chunk_work` table."""
-        return self._table(chunk_size, num_streams)[0]
 
     def _open(self, cs: int, ns: int, streams_n: int) -> tuple:
         """``(call, contention, host, now)`` of member ``(cs, ns)`` on

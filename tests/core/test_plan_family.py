@@ -193,8 +193,9 @@ def test_capacities_and_bytes_match_the_member_plans(seed):
     for (cs, ns), plan in members(base):
         assert family.streams(cs, ns) == plan.num_streams, (cs, ns)
         key = (cs, plan.num_streams)
-        assert family.capacities(*key) == [plan.ring_capacity(v) for v in plan.specs], key
-        assert family.device_bytes(*key) == plan.device_bytes(), key
+        caps, nbytes, _fits = family._ring(*key)
+        assert caps == [plan.ring_capacity(v) for v in plan.specs], key
+        assert nbytes == family.device_bytes(*key) == plan.device_bytes(), key
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -214,7 +215,7 @@ def test_fit_matches_a_fresh_allocator_at_every_position(seed):
             family = PlanFamily(profile, base, arrays, kernel)
             key = (cs, plan.num_streams)
             want = allocator_outcome(profile, sizes)
-            assert family.fits(*key) == (want is None), (key, capacity)
+            assert family._ring(*key)[2] == (want is None), (key, capacity)
             assert _raised(lambda: family.exact(*key)) == want, (key, capacity)
             assert _raised(lambda: family.bound(*key)) == want, (key, capacity)
             checked += want is not None
@@ -230,14 +231,14 @@ def test_fit_reports_the_allocators_own_errors():
         NVIDIA_K40M, usable_memory_bytes=NVIDIA_K40M.context_overhead_bytes - 1
     )
     family = PlanFamily(tiny, base, arrays, kernel)
-    assert not family.fits(1, 1)
+    assert not family._ring(1, 1)[2]
     with pytest.raises(ValueError, match="context overhead exceeds"):
         family.exact(1, 1)
     empty = dict(arrays, E=VirtualArray((0, 4), np.float64))
     region.maps.append(MapClause("to", "E"))
     base = region.bind(empty)
     family = PlanFamily(NVIDIA_K40M, base, empty, kernel)
-    assert not family.fits(1, 1)
+    assert not family._ring(1, 1)[2]
     with pytest.raises(ValueError, match="must be positive"):
         family.bound(1, 1)
 
@@ -249,7 +250,7 @@ def test_chunk_tables_match_a_fresh_chunk_work(seed):
     for profile in PROFILES:
         family = PlanFamily(profile, base, arrays, kernel)
         for (cs, _ns), plan in members(base):
-            got = family.work(cs, plan.num_streams)
+            got = family._table(cs, plan.num_streams)[0]
             assert got == chunk_work(plan, kernel, profile), (cs, plan.num_streams)
             assert isinstance(got, tuple)
 
