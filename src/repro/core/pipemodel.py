@@ -400,13 +400,10 @@ class PlanFamily:
             caps = [ring_capacity(spec, halo, biggest, ns) for spec in plan.specs.values()]
             nbytes = self._resident_bytes
             need = 0
-            positive = True
             for cap, (unit, alloc_unit) in zip(caps, self._units):
                 nbytes += cap * unit
-                size = cap * alloc_unit
-                positive = positive and size > 0
-                need += aligned(size)
-            got = self._rings[key] = (caps, nbytes, positive and need <= self._room)
+                need += aligned(cap * alloc_unit)
+            got = self._rings[key] = (caps, nbytes, need <= self._room)
         return got
 
     def device_bytes(self, chunk_size: int, num_streams: int) -> int:
