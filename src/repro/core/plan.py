@@ -21,7 +21,7 @@ from repro.directives.splitspec import SplitSpec, chunk_range
 
 __all__ = [
     "Chunk", "RegionPlan", "chunk_count", "make_chunks", "max_chunk_size",
-    "ring_capacity", "stream_count",
+    "ring_capacity", "static_bounds", "stream_count",
 ]
 
 
