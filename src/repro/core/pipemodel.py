@@ -425,7 +425,7 @@ class PlanFamily:
             got = self._tables[key] = (work, self._take_sums(work))
         return got
 
-    def _open(self, cs: int, ns: int, streams_n: int) -> tuple:
+    def _opened(self, cs: int, ns: int, streams_n: int) -> tuple:
         """``(call, contention, host, now)`` of member ``(cs, ns)`` on
         ``streams_n`` streams: the region's scaled API call and
         per-command contention, and the host and device clocks after
@@ -489,7 +489,7 @@ class PlanFamily:
         work, sums = self._table(chunk_size, num_streams)
         engines, ncmd, chunk_time, chunk_cmds, (head, n_head), (tail, n_tail) = sums
         streams_n = min(num_streams, len(work))
-        call, contention, host, _now = self._open(chunk_size, num_streams, streams_n)
+        call, contention, host, _now = self._opened(chunk_size, num_streams, streams_n)
         busiest = max([t + n * contention for t, n in engines] + [
             sum(chunk_time[s::streams_n]) + sum(chunk_cmds[s::streams_n]) * contention
             for s in range(streams_n)
@@ -552,7 +552,7 @@ class PlanFamily:
         plan = self.plan
         work = self._table(chunk_size, num_streams)[0]
         streams_n = min(num_streams, len(work))
-        call, contention, host, now = self._open(chunk_size, num_streams, streams_n)
+        call, contention, host, now = self._opened(chunk_size, num_streams, streams_n)
         books = [
             Books(spec.clause, capacity, times)
             for spec, capacity, times in zip(

@@ -265,7 +265,7 @@ def test_open_clocks_match_an_uncached_open_and_the_runtime(seed):
             ns = plan.num_streams
             streams_n = min(ns, plan.nchunks)
             call, contention = _scales(profile, streams_n)
-            got = family._open(cs, ns, streams_n)
+            got = family._opened(cs, ns, streams_n)
             fresh = _open(
                 profile, family._residents, len(plan.specs), streams_n, call, contention
             )
