@@ -112,7 +112,6 @@ class _PieceTimes(dict):
         return d
 
 
-
 def chunk_work(
     plan: RegionPlan, kernel: RegionKernel, profile: DeviceProfile, chunks=None
 ) -> tuple:
@@ -322,9 +321,9 @@ class PlanFamily:
     """
 
     __slots__ = (
-        "profile", "plan", "kernel", "tables", "_inputs", "_outputs", "_units", "_residents",
-        "_resident_bytes", "_resident_out", "_room", "_clocks", "_tables",
-        "_rings",
+        "profile", "plan", "kernel", "tables", "_inputs", "_outputs", "_units",
+        "_residents", "_resident_bytes", "_resident_out", "_room", "_clocks",
+        "_tables", "_rings",
     )
 
     def __init__(
