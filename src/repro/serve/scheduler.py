@@ -745,9 +745,6 @@ class _Active:
     #: devices (``None`` = ordinary single-device service; ``device``
     #: is then the primary member and ``reserved`` is per member)
     devices: Optional[List[int]] = None
-    #: whether the region is in ``_active``: set by ``_enlist``, cleared
-    #: where it leaves, so the issue heap drops stale entries in O(1)
-    in_service: bool = field(default=False, repr=False)
 
 
 class RegionScheduler:
@@ -1694,7 +1691,6 @@ class RegionScheduler:
     def _enlist(self, a: _Active) -> None:
         """Put an opened region in service and in the issue heap."""
         self._active.append(a)
-        a.in_service = True
         self._admit_seq += 1
         self._push_issuable(a)
 
@@ -1926,7 +1922,6 @@ class RegionScheduler:
             )
         if retired is not None:
             self._active.remove(retired)
-            retired.in_service = False
             # memory was released: blocked requests may fit now
             self._undefer()
         self._results.append(result)
@@ -1957,7 +1952,6 @@ class RegionScheduler:
         for di in self._members_of(a):
             self.pool.release(di, a.reserved)
         self._active.remove(a)
-        a.in_service = False
 
     def _settle_active(self, a: _Active, status: str, error: str) -> None:
         """End an in-flight region at the current chunk boundary
@@ -2237,7 +2231,7 @@ class RegionScheduler:
         heap = self._issue_heap
         while heap:
             key, _seq, a = heap[0]
-            if not a.issuer.remaining or not a.in_service:
+            if not a.issuer.remaining or a not in self._active:
                 heapq.heappop(heap)
                 continue
             fresh = self._issue_key(a)

@@ -382,9 +382,7 @@ def test_issue_heap_rekeys_and_drops_stale_entries():
         a = _Active(
             admit_seq=sched._admit_seq,
             waiting=SimpleNamespace(req=SimpleNamespace(priority=priority)),
-            issuer=SimpleNamespace(
-                issued=issued, remaining=remaining, abort=lambda: None
-            ),
+            issuer=SimpleNamespace(issued=issued, remaining=remaining),
             device=0, plan=None, reserved=0, admit_t=0.0,
         )
         sched._enlist(a)
@@ -394,7 +392,7 @@ def test_issue_heap_rekeys_and_drops_stale_entries():
     a0.issuer.issued = 5  # advanced behind the heap's back: re-keyed
     a3.issuer.remaining = 0  # nothing left to issue: dropped
     assert sched._pop_issuable() is a1  # key 1.0 ties a2's, admitted first
-    sched._leave_service(a2)  # left service: dropped
+    sched._active.remove(a2)  # left service: dropped
     assert sched._pop_issuable() is a0
     assert sched._pop_issuable() is None
     assert sched._issue_heap == []
