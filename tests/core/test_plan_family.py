@@ -199,6 +199,18 @@ def test_capacities_and_bytes_match_the_member_plans(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_no_member_is_smaller_than_one_chunk_on_one_stream(seed):
+    """The search skips a candidate over ``pipeline_mem_limit`` without
+    walking ``tune_plan``.  That is exact while no member's footprint is
+    below ``with_params(1, 1)``'s, where every walk ends."""
+    region, arrays, kernel = random_case(seed)
+    base = region.bind(arrays)
+    floor = base.with_params(1, 1).device_bytes()
+    for (cs, ns), plan in members(base):
+        assert plan.device_bytes() >= floor, (cs, ns)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_fit_matches_a_fresh_allocator_at_every_position(seed):
     """Devices sized so that each allocation in turn is the first that
     fails (one byte short), and so that everything fits exactly."""
