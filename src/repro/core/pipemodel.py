@@ -81,7 +81,6 @@ _FINISH = 0
 _READY = 1
 
 
-
 class _PieceTimes(dict):
     """``extent -> duration`` of one ring piece on a link, filled on demand.
 
@@ -271,7 +270,6 @@ class _Issue:
         return len(self.cmds) - 1
 
 
-
 class PlanFamily:
     """The plans of one search, compiled once, priced exactly or bounded.
 
@@ -279,8 +277,10 @@ class PlanFamily:
     ``specs`` mapping, residents, loop, schedule and halo mode) with one
     kernel on one profile.  A member is named by its ``(chunk_size,
     num_streams)``, with the stream count its plan keeps
-    (:meth:`streams`).  The family holds what its members share and
-    computes the rest once per key:
+    (:meth:`streams`); :meth:`device_bytes`, :meth:`bound` and
+    :meth:`exact` take that kept count and do not clamp a larger one.
+    The family holds what its members share and computes the rest once
+    per key:
 
     * the piece-time tables, each pipelined array's bytes per ring unit
       and the residents' sizes and copy times;
