@@ -51,7 +51,8 @@ def run_autotune(cache):
             arrays = _virtual_conv_arrays(cfg)
             kernel = Conv3dKernel(cfg.ny, cfg.nx)
             rep = autotune(
-                region, Runtime(Device(profile), virtual=True), arrays, kernel
+                region.bind(arrays), Runtime(Device(profile), virtual=True), arrays,
+                kernel,
             )
             naive = cv.run_model("naive", cfg, dev_name, virtual=True)
             out[dev_name] = (rep, naive)
@@ -64,7 +65,7 @@ def test_extension_autotune(benchmark, cache, report):
     data = run_autotune(cache)
     benchmark.pedantic(
         lambda: autotune(
-            cv.make_region(AMD_CFG),
+            cv.make_region(AMD_CFG).bind(_virtual_conv_arrays(AMD_CFG)),
             Runtime(Device(AMD_HD7970), virtual=True),
             _virtual_conv_arrays(AMD_CFG),
             Conv3dKernel(AMD_CFG.ny, AMD_CFG.nx),

@@ -8,25 +8,18 @@ theoretical 2x bound.
 
 from __future__ import annotations
 
+from repro.analysis import figures
+from repro.analysis.figures import QCD_DATASETS as DATASETS
 from repro.analysis.report import ascii_bar_chart, format_table, ratio_band
 from repro.apps import qcd as qc
 
 from conftest import memo
 
-DATASETS = ("small", "medium", "large")
-
-
-def run_fig3(cache):
-    def compute():
-        return {d: qc.run_all(qc.QcdConfig.dataset(d), virtual=True) for d in DATASETS}
-
-    return memo(cache, "fig3", compute)
-
 
 def test_fig3_time_distribution(benchmark, cache, report):
-    sets = run_fig3(cache)
+    sets = memo(cache, "fig3", figures.fig3)
     benchmark.pedantic(
-        lambda: qc.run_all(qc.QcdConfig.dataset("small"), virtual=True),
+        lambda: qc.run_all(figures.paper_config("qcd-small"), virtual=True),
         rounds=3, iterations=1,
     )
 
@@ -58,9 +51,11 @@ def test_fig3_time_distribution(benchmark, cache, report):
 
 
 def test_fig3_normalized_speedup(benchmark, cache, report):
-    sets = run_fig3(cache)
+    sets = memo(cache, "fig3", figures.fig3)
     benchmark.pedantic(
-        lambda: qc.run_model("pipelined", qc.QcdConfig.dataset("small"), virtual=True),
+        lambda: qc.run_model(
+            "pipelined", figures.paper_config("qcd-small"), virtual=True
+        ),
         rounds=3, iterations=1,
     )
 

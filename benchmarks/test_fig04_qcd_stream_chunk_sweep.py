@@ -7,33 +7,19 @@ further benefit; chunk size is a secondary effect.
 
 from __future__ import annotations
 
+from repro.analysis import figures
+from repro.analysis.figures import FIG4_CHUNKS as CHUNKS, FIG4_STREAMS as STREAMS
 from repro.analysis.report import format_table
 from repro.apps import qcd as qc
 
 from conftest import memo
 
-STREAMS = (1, 2, 3, 4, 5)
-CHUNKS = (1, 2, 4, 8)
-
-
-def run_fig4(cache):
-    def compute():
-        out = {}
-        for cs in CHUNKS:
-            for ns in STREAMS:
-                cfg = qc.QcdConfig(n=36, chunk_size=cs, num_streams=ns)
-                out[(cs, ns)] = qc.run_model("pipelined-buffer", cfg, virtual=True)
-        return out
-
-    return memo(cache, "fig4", compute)
-
 
 def test_fig4_stream_chunk_sweep(benchmark, cache, report):
-    grid = run_fig4(cache)
+    grid = memo(cache, "fig4", figures.fig4)
     benchmark.pedantic(
         lambda: qc.run_model(
-            "pipelined-buffer", qc.QcdConfig(n=36, chunk_size=1, num_streams=2),
-            virtual=True,
+            "pipelined-buffer", figures.fig4_config(1, 2), virtual=True
         ),
         rounds=3, iterations=1,
     )
@@ -68,7 +54,7 @@ def test_fig4_stream_chunk_sweep(benchmark, cache, report):
 def test_fig4_memory_grows_with_streams(benchmark, cache, report):
     """The paper also notes the prototype's buffer grows slightly with
     stream count (more slots pre-allocated)."""
-    grid = run_fig4(cache)
+    grid = memo(cache, "fig4", figures.fig4)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     mems = [grid[(1, ns)].data_peak for ns in STREAMS]
     report.emit(

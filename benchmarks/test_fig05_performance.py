@@ -20,36 +20,11 @@ the proposed runtime uses two.
 
 from __future__ import annotations
 
+from repro.analysis import figures
 from repro.analysis.report import format_table, ratio_band
 from repro.apps import conv3d as cv
-from repro.apps import qcd as qc
-from repro.apps import stencil as st
-from repro.apps.common import VersionSet
 
 from conftest import memo
-
-
-def run_fig5(cache):
-    def compute():
-        out = {}
-        out["3dconv"] = cv.run_all(cv.Conv3dConfig(), virtual=True)
-        # stencil: Pipelined on the OpenACC default of 8 streams,
-        # buffer on 2 (what the prototype picks)
-        s_naive = st.run_model("naive", st.StencilConfig(), virtual=True)
-        s_pipe = st.run_model(
-            "pipelined", st.StencilConfig(num_streams=8), virtual=True
-        )
-        s_buf = st.run_model(
-            "pipelined-buffer", st.StencilConfig(num_streams=2), virtual=True
-        )
-        out["stencil"] = VersionSet(
-            "stencil", "512x512x64", "k40m", s_naive, s_pipe, s_buf
-        )
-        for d in ("small", "medium", "large"):
-            out[f"qcd{d}"] = qc.run_all(qc.QcdConfig.dataset(d), virtual=True)
-        return out
-
-    return memo(cache, "fig5", compute)
 
 
 PAPER = {
@@ -63,9 +38,10 @@ PAPER = {
 
 
 def test_fig5_speedups(benchmark, cache, report):
-    sets = run_fig5(cache)
+    sets = memo(cache, "fig5", figures.fig5)
     benchmark.pedantic(
-        lambda: cv.run_all(cv.Conv3dConfig(), virtual=True), rounds=3, iterations=1
+        lambda: cv.run_all(figures.paper_config("3dconv"), virtual=True),
+        rounds=3, iterations=1,
     )
 
     rows = []

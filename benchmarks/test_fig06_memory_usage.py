@@ -8,29 +8,17 @@ O(C n^3)).
 
 from __future__ import annotations
 
+from repro.analysis import figures
 from repro.analysis.report import format_table
-from repro.apps import conv3d as cv
-from repro.apps import qcd as qc
 from repro.apps import stencil as st
 
 from conftest import memo
 
 
-def run_fig6(cache):
-    def compute():
-        out = {"3dconv": cv.run_all(cv.Conv3dConfig(), virtual=True)}
-        out["stencil"] = st.run_all(st.StencilConfig(iters=1), virtual=True)
-        for d in ("small", "medium", "large"):
-            out[f"qcd{d}"] = qc.run_all(qc.QcdConfig.dataset(d), virtual=True)
-        return out
-
-    return memo(cache, "fig6", compute)
-
-
 def test_fig6_memory_usage(benchmark, cache, report):
-    sets = run_fig6(cache)
+    sets = memo(cache, "fig6", figures.fig6)
     benchmark.pedantic(
-        lambda: st.run_all(st.StencilConfig(iters=1), virtual=True),
+        lambda: st.run_all(figures.fig6_config("stencil"), virtual=True),
         rounds=3, iterations=1,
     )
 
@@ -75,7 +63,7 @@ def test_fig6_memory_usage(benchmark, cache, report):
 
 def test_fig6_naive_footprint_is_full_arrays(benchmark, cache, report):
     """The full-footprint versions hold every mapped array whole."""
-    sets = run_fig6(cache)
+    sets = memo(cache, "fig6", figures.fig6)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     conv = sets["3dconv"]
     arrays_bytes = 2 * 768**3 * 4  # A and B, float32

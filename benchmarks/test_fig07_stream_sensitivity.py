@@ -10,40 +10,20 @@ The buffer's memory grows slightly with stream count.
 
 from __future__ import annotations
 
+from repro.analysis import figures
+from repro.analysis.figures import FIG7_STREAMS as STREAMS
 from repro.analysis.report import format_table
-from repro.apps import conv3d as cv
 from repro.apps import stencil as st
 
 from conftest import memo
 
-STREAMS = (2, 3, 4, 5, 6, 7, 8)
-
-
-def run_fig7(cache):
-    def compute():
-        out = {}
-        for app, mod, cfg_fn in (
-            ("3dconv", cv, lambda ns: cv.Conv3dConfig(num_streams=ns)),
-            ("stencil", st, lambda ns: st.StencilConfig(num_streams=ns)),
-        ):
-            naive = mod.run_model("naive", cfg_fn(2), virtual=True)
-            rows = {}
-            for ns in STREAMS:
-                rows[ns] = {
-                    "pipelined": mod.run_model("pipelined", cfg_fn(ns), virtual=True),
-                    "buffer": mod.run_model("pipelined-buffer", cfg_fn(ns), virtual=True),
-                }
-            out[app] = (naive, rows)
-        return out
-
-    return memo(cache, "fig7", compute)
-
 
 def test_fig7_stream_sensitivity(benchmark, cache, report):
-    data = run_fig7(cache)
+    data = memo(cache, "fig7", figures.fig7)
     benchmark.pedantic(
         lambda: st.run_model(
-            "pipelined", st.StencilConfig(num_streams=4), virtual=True
+            "pipelined", figures.paper_config("stencil", num_streams=4),
+            virtual=True,
         ),
         rounds=3, iterations=1,
     )
@@ -94,7 +74,7 @@ def test_fig7_stream_sensitivity(benchmark, cache, report):
 
 
 def test_fig7_buffer_memory_grows_slightly(benchmark, cache, report):
-    data = run_fig7(cache)
+    data = memo(cache, "fig7", figures.fig7)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     _, rows = data["stencil"]
     mems = [rows[ns]["buffer"].data_peak for ns in STREAMS]

@@ -10,46 +10,22 @@ of chunks, degradation beyond ~9, and worse-than-Naive at high counts.
 
 from __future__ import annotations
 
+from repro.analysis import figures
+from repro.analysis.figures import FIG8_CONV_CHUNKS as CONV_CHUNKS
+from repro.analysis.figures import FIG8_STENCIL_CHUNKS as STEN_CHUNKS
 from repro.analysis.report import format_table, ratio_band
 from repro.apps import conv3d as cv
 from repro.apps import stencil as st
 
 from conftest import memo
 
-CONV_CHUNKS = (2, 3, 4, 6, 9, 12, 20, 30, 50, 382)
-STEN_CHUNKS = (2, 4, 6, 10, 20, 62)
-
-
-def conv_cfg(nchunks):
-    nz = 384  # the HD 7970's 3 GB bounds the AMD dataset
-    cs = max(1, (nz - 2) // nchunks)
-    return cv.Conv3dConfig(nz=nz, ny=384, nx=384, chunk_size=cs, num_streams=2)
-
-
-def sten_cfg(nchunks):
-    cs = max(1, 62 // nchunks)
-    return st.StencilConfig(chunk_size=cs, num_streams=2, iters=2)
-
-
-def run_fig8(cache):
-    def compute():
-        conv = {
-            n: cv.run_all(conv_cfg(n), device="hd7970", virtual=True)
-            for n in CONV_CHUNKS
-        }
-        sten = {
-            n: st.run_all(sten_cfg(n), device="hd7970", virtual=True)
-            for n in STEN_CHUNKS
-        }
-        return conv, sten
-
-    return memo(cache, "fig8", compute)
-
 
 def test_fig8_left_default_chunks_lose(benchmark, cache, report):
-    conv, sten = run_fig8(cache)
+    conv, sten = memo(cache, "fig8", figures.fig8)
     benchmark.pedantic(
-        lambda: cv.run_all(conv_cfg(4), device="hd7970", virtual=True),
+        lambda: cv.run_all(
+            figures.fig8_config("3dconv", 4), device="hd7970", virtual=True
+        ),
         rounds=3, iterations=1,
     )
 
@@ -78,9 +54,11 @@ def test_fig8_left_default_chunks_lose(benchmark, cache, report):
 
 
 def test_fig8_right_chunk_sweep(benchmark, cache, report):
-    conv, sten = run_fig8(cache)
+    conv, sten = memo(cache, "fig8", figures.fig8)
     benchmark.pedantic(
-        lambda: st.run_all(sten_cfg(4), device="hd7970", virtual=True),
+        lambda: st.run_all(
+            figures.fig8_config("stencil", 4), device="hd7970", virtual=True
+        ),
         rounds=3, iterations=1,
     )
 

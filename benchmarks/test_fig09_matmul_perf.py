@@ -10,23 +10,20 @@ under the ring-buffered runtime.
 
 from __future__ import annotations
 
+from repro.analysis import figures
+from repro.analysis.figures import MATMUL_SIZES as SIZES
 from repro.analysis.report import format_table
 from repro.apps import matmul as mm
 
 from conftest import memo
 
-SIZES = (1024, 2048, 4096, 8192, 10240, 12288, 14336, 20480, 24576)
-
-
-def run_fig9(cache):
-    return memo(cache, "fig9", lambda: mm.run_sweep(SIZES, virtual=True))
-
 
 def test_fig9_matmul_speedups(benchmark, cache, report):
-    sweep = run_fig9(cache)
+    sweep = memo(cache, "fig9", figures.matmul_sweep)
     benchmark.pedantic(
         lambda: mm.run_model(
-            "pipeline-buffer", mm.MatmulConfig(n=4096), virtual=True
+            "pipeline-buffer", figures.paper_config("matmul", n=4096),
+            virtual=True,
         ),
         rounds=3, iterations=1,
     )
@@ -73,7 +70,7 @@ def test_fig9_matmul_speedups(benchmark, cache, report):
 
 
 def test_fig9_transfer_overlap_when_compute_bound(benchmark, cache, report):
-    sweep = run_fig9(cache)
+    sweep = memo(cache, "fig9", figures.matmul_sweep)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     res = sweep[8192]["pipeline-buffer"]
     report.emit(

@@ -8,17 +8,20 @@ approaching a 66% saving — and scales past device memory.
 
 from __future__ import annotations
 
+from repro.analysis import figures
+from repro.analysis.figures import MATMUL_SIZES as SIZES
 from repro.analysis.report import format_table
 from repro.apps import matmul as mm
 
 from conftest import memo
-from test_fig09_matmul_perf import SIZES, run_fig9
 
 
 def test_fig10_matmul_memory(benchmark, cache, report):
-    sweep = run_fig9(cache)
+    sweep = memo(cache, "fig9", figures.matmul_sweep)
     benchmark.pedantic(
-        lambda: mm.run_model("block_shared", mm.MatmulConfig(n=4096), virtual=True),
+        lambda: mm.run_model(
+            "block_shared", figures.paper_config("matmul", n=4096), virtual=True
+        ),
         rounds=3, iterations=1,
     )
 
@@ -60,7 +63,7 @@ def test_fig10_buffer_memory_dominated_by_resident_c(benchmark, cache, report):
     """The ring-buffered version's footprint is ~n^2 (resident C) plus
     small streamed bands — the one-dimension reduction the paper
     describes."""
-    sweep = run_fig9(cache)
+    sweep = memo(cache, "fig9", figures.matmul_sweep)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     for n in (8192, 14336, 24576):
         res = sweep[n]["pipeline-buffer"]

@@ -8,31 +8,17 @@ claimed ranges.
 
 from __future__ import annotations
 
+from repro.analysis import figures
 from repro.analysis.report import format_table
-from repro.apps import conv3d as cv
-from repro.apps import matmul as mm
 from repro.apps import qcd as qc
-from repro.apps import stencil as st
 
 from conftest import memo
 
 
-def run_headline(cache):
-    def compute():
-        sets = {
-            "3dconv": cv.run_all(cv.Conv3dConfig(), virtual=True),
-            "stencil": st.run_all(st.StencilConfig(), virtual=True),
-            "qcd-large": qc.run_all(qc.QcdConfig.dataset("large"), virtual=True),
-        }
-        return sets
-
-    return memo(cache, "headline", compute)
-
-
 def test_headline_claims(benchmark, cache, report):
-    sets = run_headline(cache)
+    sets, r = memo(cache, "headline", figures.headline)
     benchmark.pedantic(
-        lambda: qc.run_all(qc.QcdConfig.dataset("medium"), virtual=True),
+        lambda: qc.run_all(figures.paper_config("qcd-medium"), virtual=True),
         rounds=3, iterations=1,
     )
 
@@ -46,7 +32,6 @@ def test_headline_claims(benchmark, cache, report):
         rows.append([name, sp, f"{100 * sv:.0f}%"])
 
     # matmul's headline quantity is the block-shared-parity + memory cut
-    r = mm.run_sweep([14336], virtual=True)[14336]
     mm_sv = 1 - r["pipeline-buffer"].memory_peak / r["block_shared"].memory_peak
     rows.append(["matmul-14336", r["block_shared"].elapsed / r["pipeline-buffer"].elapsed, f"{100 * mm_sv:.0f}%"])
     savings.append(mm_sv)

@@ -35,7 +35,9 @@ def main() -> None:
         region = cv.make_region(cfg)
         arrays = cv.make_arrays(cfg, virtual=True)
         kernel = Conv3dKernel(cfg.ny, cfg.nx)
-        rep = autotune(region, Runtime(Device(profile), virtual=True), arrays, kernel)
+        rep = autotune(
+            region.bind(arrays), Runtime(Device(profile), virtual=True), arrays, kernel
+        )
         naive = cv.run_model("naive", cfg, profile, virtual=True)
         print(
             f"  {name}: chunk={rep.best.chunk_size:<4} streams={rep.best.num_streams} "

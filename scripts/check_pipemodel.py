@@ -140,7 +140,9 @@ def check_request(profile, region, arrays, kernel):
             feasible += 1
             if best is None or model < best[2]:
                 best = (cs, ns, model)
-    report = autotune(region, Runtime(profile, virtual=True), arrays, kernel)
+    report = autotune(
+        base, Runtime(profile, virtual=True), arrays, kernel, mem_limit=limit
+    )
     got = (report.best.chunk_size, report.best.num_streams, report.best.elapsed)
     if (got, report.dry_runs) != (best, feasible):
         bad.append(

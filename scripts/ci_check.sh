@@ -309,6 +309,33 @@ fi
 # the saved stream renders on the dashboard (and is a valid stream)
 python -m repro top "$tele_dir/tele.jsonl" | grep -q "slo tenant"
 
+echo "== paper-figure gates: Figures 3-10 and the headline hold their shape =="
+# the figure benchmarks assert each figure's shape bands; they run from
+# a scratch copy of benchmarks/ so the tree's results.txt and
+# results.json are never written
+if python -c "import pytest_benchmark" >/dev/null 2>&1; then
+    fig_dir="$(mktemp -d -t repro-figures-XXXXXX)"
+    trap 'rm -f "$tmp" "$straggler_wl"; rm -rf "$eb_dir" "$jr_dir" "$tele_dir" "$fig_dir"' EXIT
+    cp -r benchmarks/. "$fig_dir/"
+    repo="$(pwd)"
+    (
+        cd "$fig_dir"
+        PYTHONPATH="$repo/$PYTHONPATH" python -m pytest -q -p no:cacheprovider \
+            -c "$repo/pyproject.toml" --rootdir "$fig_dir" --benchmark-disable \
+            test_fig03_qcd_time_distribution.py \
+            test_fig04_qcd_stream_chunk_sweep.py \
+            test_fig05_performance.py \
+            test_fig06_memory_usage.py \
+            test_fig07_stream_sensitivity.py \
+            test_fig08_amd_chunks.py \
+            test_fig09_matmul_perf.py \
+            test_fig10_matmul_memory.py \
+            test_headline_summary.py
+    )
+else
+    echo "pytest-benchmark not installed; skipping the paper-figure gates"
+fi
+
 echo "== bench self-tests =="
 # the harness's own tests, among them that every layer bench/layers.py
 # wraps still resolves, so a renamed trace target fails here

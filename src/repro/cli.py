@@ -5,7 +5,7 @@ Usage (installed as ``python -m repro``)::
     python -m repro list
     python -m repro run fig5            # one figure
     python -m repro run all             # everything
-    python -m repro run fig8 --device hd7970
+    python -m repro run fig8 --device k40m   # default: the figure's own device
     python -m repro compare stencil     # three models on one app
     python -m repro trace stencil -o stencil.json   # chrome://tracing
     python -m repro profile 3dconv      # span/metrics profile report
@@ -17,9 +17,9 @@ Usage (installed as ``python -m repro``)::
     python -m repro analyze stencil --baseline base.json # perf gate
     python -m repro engine-bench -o BENCH_engine.json    # engine kernel bench
 
-The figure experiments mirror ``benchmarks/`` (which additionally
-asserts shape bands under pytest); the CLI is for interactive
-exploration and report generation.
+The figure experiments read the same definitions as ``benchmarks/``
+(:mod:`repro.analysis.figures`), which also asserts shape bands; the
+CLI is for interactive exploration and report generation.
 """
 
 from __future__ import annotations
@@ -29,8 +29,11 @@ import os
 import sys
 from typing import Callable, Dict, List, Optional
 
+from repro.analysis import figures
 from repro.analysis.gantt import ascii_gantt
 from repro.analysis.report import ascii_bar_chart, format_table
+from repro.apps import conv3d as cv
+from repro.apps import stencil as st
 
 __all__ = ["main"]
 
@@ -39,71 +42,49 @@ __all__ = ["main"]
 # experiments
 # ----------------------------------------------------------------------
 def _fig3(device: str) -> str:
-    from repro.apps import qcd as qc
-
+    sets = figures.fig3(device)
     rows = []
-    bars: List[float] = []
-    names = []
-    for d in ("small", "medium", "large"):
-        vs = qc.run_all(qc.QcdConfig.dataset(d), device, virtual=True)
+    for d, vs in sets.items():
         dist = vs.naive.time_distribution
         total = sum(dist.values())
-        rows.append(
-            [d, dist["h2d"] / total, dist["d2h"] / total, dist["kernel"] / total]
-        )
-        names.append(d)
-        bars.append(vs.speedup("pipelined"))
+        rows.append([d] + [dist[k] / total for k in ("h2d", "d2h", "kernel")])
     return (
         format_table(["dataset", "HtoD", "DtoH", "kernel"], rows,
                      title="Naive QCD time distribution")
         + "\n\n"
-        + ascii_bar_chart(names, bars, unit="x", title="Pipelined speedup over Naive")
+        + ascii_bar_chart(
+            list(sets), [vs.speedup("pipelined") for vs in sets.values()],
+            unit="x", title="Pipelined speedup over Naive",
+        )
     )
 
 
 def _fig4(device: str) -> str:
-    from repro.apps import qcd as qc
-
-    streams = (1, 2, 3, 4, 5)
-    rows = []
-    for cs in (1, 2, 4, 8):
-        row = [f"chunk={cs}"]
-        for ns in streams:
-            r = qc.run_model(
-                "pipelined-buffer",
-                qc.QcdConfig(n=36, chunk_size=cs, num_streams=ns),
-                device,
-                virtual=True,
-            )
-            row.append(f"{r.elapsed * 1e3:.1f}")
-        rows.append(row)
+    grid = figures.fig4(device)
+    rows = [
+        [f"chunk={cs}"]
+        + [f"{grid[(cs, ns)].elapsed * 1e3:.1f}" for ns in figures.FIG4_STREAMS]
+        for cs in figures.FIG4_CHUNKS
+    ]
     return format_table(
-        [""] + [f"{s} stream" for s in streams], rows,
+        [""] + [f"{s} stream" for s in figures.FIG4_STREAMS], rows,
         title="QCD-large execution time (ms)",
     )
 
 
 def _fig5_fig6(device: str) -> str:
-    from repro.apps import conv3d as cv
-    from repro.apps import qcd as qc
-    from repro.apps import stencil as st
-
-    sets = {
-        "3dconv": cv.run_all(cv.Conv3dConfig(), device, virtual=True),
-        "stencil": st.run_all(st.StencilConfig(), device, virtual=True),
-    }
-    for d in ("small", "medium", "large"):
-        sets[f"qcd-{d}"] = qc.run_all(qc.QcdConfig.dataset(d), device, virtual=True)
+    speed, memory = figures.fig5(device), figures.fig6(device)
     rows = [
         [
-            name,
+            # figures key the QCD datasets "qcdsmall"...; print "qcd-small"
+            name.replace("qcd", "qcd-"),
             vs.speedup("pipelined"),
             vs.speedup("pipelined-buffer"),
-            vs.naive.memory_peak / 1e6,
-            vs.buffer.memory_peak / 1e6,
-            f"{100 * vs.memory_saving():.0f}%",
+            memory[name].naive.memory_peak / 1e6,
+            memory[name].buffer.memory_peak / 1e6,
+            f"{100 * memory[name].memory_saving():.0f}%",
         ]
-        for name, vs in sets.items()
+        for name, vs in speed.items()
     ]
     return format_table(
         ["benchmark", "pipelined x", "buffer x", "naive MB", "buffer MB", "saved"],
@@ -114,61 +95,37 @@ def _fig5_fig6(device: str) -> str:
 
 
 def _fig7(device: str) -> str:
-    from repro.apps import conv3d as cv
-    from repro.apps import stencil as st
-
-    out = []
-    for app, mod, cfg in (
-        ("3dconv", cv, lambda ns: cv.Conv3dConfig(num_streams=ns)),
-        ("stencil", st, lambda ns: st.StencilConfig(num_streams=ns)),
-    ):
-        naive = mod.run_model("naive", cfg(2), device, virtual=True)
-        rows = []
-        for ns in (2, 3, 4, 5, 6, 7, 8):
-            p = mod.run_model("pipelined", cfg(ns), device, virtual=True)
-            b = mod.run_model("pipelined-buffer", cfg(ns), device, virtual=True)
-            rows.append([ns, naive.elapsed / p.elapsed, naive.elapsed / b.elapsed])
-        out.append(
-            format_table(
-                ["streams", "Pipelined", "Pipelined-buffer"], rows,
-                title=f"{app}: speedup vs stream count",
-            )
+    return "\n\n".join(
+        format_table(
+            ["streams", "Pipelined", "Pipelined-buffer"],
+            [
+                [ns, naive.elapsed / r["pipelined"].elapsed,
+                 naive.elapsed / r["buffer"].elapsed]
+                for ns, r in runs.items()
+            ],
+            title=f"{app}: speedup vs stream count",
         )
-    return "\n\n".join(out)
+        for app, (naive, runs) in figures.fig7(device).items()
+    )
 
 
 def _fig8(device: str) -> str:
-    from repro.apps import conv3d as cv
-
-    rows = []
-    for nchunks in (2, 3, 4, 6, 9, 12, 20, 30, 50, 382):
-        cs = max(1, 382 // nchunks)
-        vs = cv.run_all(
-            cv.Conv3dConfig(nz=384, ny=384, nx=384, chunk_size=cs, num_streams=2),
-            device,
-            virtual=True,
+    return "\n\n".join(
+        format_table(
+            ["chunks", "speedup"],
+            [[n, vs.speedup("pipelined")] for n, vs in sweep.items()],
+            title=f"{app}: speedup vs chunk count ({device})",
         )
-        rows.append([nchunks, vs.speedup("pipelined")])
-    return format_table(
-        ["chunks", "speedup"], rows,
-        title=f"3dconv: speedup vs chunk count ({device})",
+        for app, sweep in zip(("3dconv", "stencil"), figures.fig8(device))
     )
 
 
 def _fig9_fig10(device: str) -> str:
-    from repro.apps import matmul as mm
-
-    sweep = mm.run_sweep(
-        (1024, 2048, 4096, 8192, 10240, 12288, 14336, 20480, 24576),
-        device,
-        virtual=True,
-    )
     rows = []
-    for n, r in sweep.items():
+    for n, r in figures.matmul_sweep(device).items():
         base = r["baseline"]
         cells = [n]
-        for model in mm.MATMUL_MODELS:
-            res = r[model]
+        for res in r.values():
             if res is None:
                 cells.append("OOM")
             else:
@@ -196,46 +153,71 @@ _APPS = ("stencil", "3dconv", "qcd", "matmul")
 
 
 def _compare(app: str, device: str) -> str:
-    if app == "stencil":
-        from repro.apps import stencil as st
-
-        return st.run_all(st.StencilConfig(), device, virtual=True).summary_row()
-    if app == "3dconv":
-        from repro.apps import conv3d as cv
-
-        return cv.run_all(cv.Conv3dConfig(), device, virtual=True).summary_row()
+    if app in ("stencil", "3dconv"):
+        mod = st if app == "stencil" else cv
+        return mod.run_all(figures.paper_config(app), device, virtual=True).summary_row()
     if app == "qcd":
-        from repro.apps import qcd as qc
-
-        return "\n".join(
-            qc.run_all(qc.QcdConfig.dataset(d), device, virtual=True).summary_row()
-            for d in ("small", "medium", "large")
-        )
+        return "\n".join(vs.summary_row() for vs in figures.fig3(device).values())
     if app == "matmul":
         return _fig9_fig10(device)
     raise SystemExit(f"unknown app {app!r}; know {_APPS}")
 
 
+#: the small deterministic pipelined-buffer run behind ``analyze``,
+#: ``trace`` and ``profile``, keyed by CLI app name: (workload-builder
+#: app name, config keywords)
+_ANALYSIS_CONFIGS = {
+    "stencil": ("stencil", {"nz": 16, "ny": 64, "nx": 64, "iters": 1}),
+    "3dconv": ("conv3d", {"nz": 16, "ny": 64, "nx": 64}),
+    "qcd": ("qcd", {"n": 8}),
+    "matmul": ("matmul", {"n": 48, "block": 8}),
+}
+
+
+def _analysis_request(app: str, *, virtual: bool):
+    """``app``'s analysis region as a request (region, arrays, kernel)."""
+    from repro.serve.workload import build_request
+
+    try:
+        wl_app, config = _ANALYSIS_CONFIGS[app]
+    except KeyError:
+        raise SystemExit(f"unknown app {app!r}; know {_APPS}") from None
+    return build_request(wl_app, config=config, virtual=virtual)
+
+
+def _analysis_run(app: str, device: str, obs=None):
+    """``app``'s analysis run: virtual, or with real payloads under
+    ``obs`` (``trace``/``profile``)."""
+    from repro.apps.common import new_runtime
+
+    req = _analysis_request(app, virtual=obs is None)
+    rt = new_runtime(device, virtual=obs is None, obs=obs)
+    return req.region.run(rt, req.arrays, req.kernel, model="pipelined-buffer")
+
+
+def _sharded_analysis_run(app: str, device: str, devices: int):
+    """The analysis run sharded over ``devices`` virtual devices.
+
+    Returns the primary shard's per-device result (same protocol as
+    the single-device run) plus the sharded aggregate for invariants.
+    """
+    from repro.core import execute_sharded
+    from repro.core.placement import resolve_runtimes
+
+    req = _analysis_request(app, virtual=True)
+    runtimes = resolve_runtimes([device] * devices, virtual=True)
+    sharded = execute_sharded(runtimes, req.region, req.arrays, req.kernel)
+    return sharded.per_device[0], sharded
+
+
 def _observed_run(app: str, device: str):
-    """Run one small pipelined-buffer problem with observability on."""
-    from repro.apps import stencil as st
-    from repro.apps import conv3d as cv
+    """``app``'s analysis run with observability on (stencil/3dconv)."""
     from repro.obs import Observability
 
-    obs = Observability()
-    if app == "stencil":
-        res = st.run_model(
-            "pipelined-buffer", st.StencilConfig(nz=16, ny=64, nx=64, iters=1),
-            device, obs=obs,
-        )
-    elif app == "3dconv":
-        res = cv.run_model(
-            "pipelined-buffer", cv.Conv3dConfig(nz=16, ny=64, nx=64), device,
-            obs=obs,
-        )
-    else:
+    if app not in ("stencil", "3dconv"):
         raise SystemExit(f"trace/profile support stencil/3dconv, not {app!r}")
-    return res, obs
+    obs = Observability()
+    return _analysis_run(app, device, obs=obs), obs
 
 
 def _trace(app: str, device: str, out: Optional[str], width: int) -> str:
@@ -251,69 +233,6 @@ def _profile(app: str, device: str, top: int) -> str:
 
     _, obs = _observed_run(app, device)
     return profile_report(obs, top=top)
-
-
-#: the analyzer's small deterministic configs, keyed by CLI app name
-#: (``value[0]`` is the workload-builder app name)
-_ANALYSIS_CONFIGS = {
-    "stencil": ("stencil", {"nz": 16, "ny": 64, "nx": 64, "iters": 1}),
-    "3dconv": ("conv3d", {"nz": 16, "ny": 64, "nx": 64}),
-    "qcd": ("qcd", {"n": 8}),
-    "matmul": ("matmul", {"n": 48, "block": 8}),
-}
-
-
-def _sharded_analysis_run(app: str, device: str, devices: int):
-    """The analyzer's run sharded over ``devices`` virtual devices.
-
-    Returns the primary shard's per-device result (same protocol as
-    the single-device run) plus the sharded aggregate for invariants.
-    """
-    from repro.core import execute_sharded
-    from repro.core.placement import resolve_runtimes
-    from repro.serve.workload import build_request
-
-    try:
-        wl_app, config = _ANALYSIS_CONFIGS[app]
-    except KeyError:
-        raise SystemExit(f"unknown app {app!r}; know {_APPS}") from None
-    req = build_request(wl_app, config=dict(config), virtual=True)
-    runtimes = resolve_runtimes([device] * devices, virtual=True)
-    sharded = execute_sharded(runtimes, req.region, req.arrays, req.kernel)
-    return sharded.per_device[0], sharded
-
-
-def _analysis_run(app: str, device: str):
-    """One small deterministic pipelined-buffer run for the analyzer."""
-    if app == "stencil":
-        from repro.apps import stencil as st
-
-        return st.run_model(
-            "pipelined-buffer",
-            st.StencilConfig(nz=16, ny=64, nx=64, iters=1),
-            device, virtual=True,
-        )
-    if app == "3dconv":
-        from repro.apps import conv3d as cv
-
-        return cv.run_model(
-            "pipelined-buffer", cv.Conv3dConfig(nz=16, ny=64, nx=64),
-            device, virtual=True,
-        )
-    if app == "qcd":
-        from repro.apps import qcd as qc
-
-        return qc.run_model(
-            "pipelined-buffer", qc.QcdConfig(n=8), device, virtual=True
-        )
-    if app == "matmul":
-        from repro.apps import matmul as mm
-
-        return mm.run_model(
-            "pipeline-buffer", mm.MatmulConfig(n=48, block=8),
-            device, virtual=True,
-        )
-    raise SystemExit(f"unknown app {app!r}; know {_APPS}")
 
 
 def _analyze(args) -> int:
@@ -681,7 +600,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one figure experiment (or 'all')")
     run.add_argument("experiment", help="fig3..fig10 or 'all'")
-    run.add_argument("--device", default="k40m", help="k40m (default) or hd7970")
+    run.add_argument(
+        "--device", default=None,
+        help="k40m or hd7970 (default: the device the paper used for the "
+        "figure; hd7970 for fig8, k40m for the rest)",
+    )
 
     cmp_ = sub.add_parser("compare", help="three models on one application")
     cmp_.add_argument("app", help="/".join(_APPS))
@@ -902,8 +825,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             if fn in seen:  # fig5/fig6 and fig9/fig10 share a generator
                 continue
             seen.add(fn)
-            print(f"\n===== {name} ({args.device}) =====")
-            print(fn(args.device))
+            device = args.device or figures.PAPER_DEVICE[name]
+            print(f"\n===== {name} ({device}) =====")
+            print(fn(device))
         return 0
     if args.cmd == "compare":
         print(_compare(args.app, args.device))

@@ -64,6 +64,7 @@ from repro.core.kernel import RegionKernel
 # ``tune_plan`` stays importable here: ``bench/layers.py`` traces it at this path
 from repro.core.memlimit import MemLimitError, tune_plan  # noqa: F401
 from repro.core.pipemodel import PlanFamily
+from repro.core.plan import RegionPlan
 from repro.sim.memory import OutOfDeviceMemory
 
 __all__ = ["AutotuneReport", "Candidate", "autotune", "candidate_grid"]
@@ -151,22 +152,23 @@ def candidate_grid(
 
 
 def autotune(
-    region,
+    plan: RegionPlan,
     runtime,
     arrays: Dict[str, np.ndarray],
     kernel: RegionKernel,
     *,
+    mem_limit: Optional[int] = None,
     max_streams: int = 8,
 ) -> AutotuneReport:
-    """Search pipeline parameters for a region via virtual dry runs.
+    """Search pipeline parameters for a bound region via virtual dry runs.
 
     Parameters
     ----------
-    region:
-        A :class:`~repro.core.region.TargetRegion`; its pragma's
-        ``chunk_size``/``num_streams`` are treated as a starting point
-        only.  Its ``pipeline_mem_limit`` (if any) constrains the
-        search.
+    plan:
+        The region bound to ``arrays``
+        (:meth:`TargetRegion.bind <repro.core.region.TargetRegion.bind>`);
+        its ``chunk_size``/``num_streams`` are treated as a starting
+        point only.
     runtime:
         The runtime the region will eventually run on; only its device
         *profile* is used (dry runs price a fresh device of it).
@@ -174,6 +176,9 @@ def autotune(
         The host arrays (shapes/dtypes are used; contents are not).
     kernel:
         The region kernel (cost model only; bodies are skipped).
+    mem_limit:
+        Device bytes the candidates may use (the region's
+        ``pipeline_mem_limit``, if any); ``None`` for no limit.
 
     Returns
     -------
@@ -184,9 +189,7 @@ def autotune(
         chunk_size=best.chunk_size, num_streams=best.num_streams)`` or
         pass the values to your config object.
     """
-    base_plan = region.bind(arrays)
-    limit = region.mem_limit.limit_bytes if region.mem_limit is not None else None
-    family = PlanFamily(runtime.profile, base_plan, arrays, kernel)
+    family = PlanFamily(runtime.profile, plan, arrays, kernel)
 
     # one pass over the grid: feasibility and every feasible lower bound;
     # a row is ``[cs, ns, elapsed, buffer_bytes, feasible, exact]``
@@ -194,10 +197,10 @@ def autotune(
     #: ``(bound, grid index, chunk_size, num_streams)`` of each feasible candidate
     live: List[tuple] = []
     inf = float("inf")
-    for cs, ns in candidate_grid(base_plan.loop.trip_count, max_streams=max_streams):
+    for cs, ns in candidate_grid(plan.loop.trip_count, max_streams=max_streams):
         # the plan ``with_params(cs, ns)`` keeps at most one stream per chunk
         kept = family.streams(cs, ns)
-        if limit is not None and family.device_bytes(cs, kept) > limit:
+        if mem_limit is not None and family.device_bytes(cs, kept) > mem_limit:
             # ``tune_plan`` would shrink it to a smaller config, which
             # the grid holds.  Ring capacities grow with chunk size and
             # stream count, so ``(1, 1)`` has the family's smallest
@@ -214,7 +217,7 @@ def autotune(
         live.append((bound, len(rows), cs, ns))
         rows.append([cs, ns, bound, family.device_bytes(cs, ns), True, False])
     if not live:
-        raise MemLimitError(family.device_bytes(1, 1), limit or 0)
+        raise MemLimitError(family.device_bytes(1, 1), mem_limit or 0)
 
     # exact dry runs in ascending bound order, while one can still win
     live.sort()

@@ -551,11 +551,6 @@ class PipelineIssuer:
         """Chunks not yet issued."""
         return len(self.chunks) - self._cursor
 
-    @property
-    def done_issuing(self) -> bool:
-        """Whether every chunk has been issued."""
-        return self._cursor >= len(self.chunks)
-
     def _impose_overheads(self) -> Tuple[float, float]:
         """Impose this region's overhead scale for one step; returns the
         runtime's previous ``(call_overhead_scale, command_overhead)``,

@@ -476,10 +476,6 @@ class ShardedIssuer:
         return sum(sh.issuer.remaining for sh in self._live())
 
     @property
-    def done_issuing(self) -> bool:
-        return self.remaining == 0
-
-    @property
     def chunks(self) -> List:
         """All shards' chunks (live issuers' plus dead-shard completions)."""
         if not self._opened:

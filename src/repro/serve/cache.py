@@ -1,12 +1,12 @@
 """Plan caching: repeat traffic skips the autotune search.
 
-The cache key is *structural*: two requests share an entry exactly when
-the tuned ``(chunk_size, num_streams)`` decision is guaranteed to be
-the same for both — same clauses (bound extents included), same array
-shapes and dtypes, same loop, same kernel cost model, same device
-profile, and the same memory limit.  Function-based dependency clauses
-(``dep_fn``) are opaque callables, so regions using them are
-uncacheable and always plan fresh.
+The cache key is *structural* (:meth:`PlanCache.key_for`): the kernel's
+``name``, the loop, the pragma's pipeline parameters, every clause (bound
+extents included), array shapes and dtypes, the device profile's name
+and the memory limit.  The kernel enters by name only, not by its cost
+model, so two kernels of one name that price work differently share an
+entry.  Function-based dependency clauses (``dep_fn``) are opaque
+callables, so regions using them are uncacheable and always plan fresh.
 
 Entries store only the tuned pipeline parameters, never device state:
 a hit re-binds the region against the request's own arrays, so a stale

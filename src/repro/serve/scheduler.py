@@ -699,6 +699,8 @@ class _Waiting:
     dry_runs: int = 0
     cache_hit: bool = False
     ever_planned: bool = False
+    #: the region bound to the request's arrays, once, at its first plan
+    bound: Optional[RegionPlan] = None
     #: device index -> (tuned plan, its device footprint in bytes),
     #: filled lazily by the placement pass
     planned: Dict[int, Tuple[RegionPlan, int]] = field(default_factory=dict)
@@ -1299,7 +1301,9 @@ class RegionScheduler:
         req = w.req
         rt = self.pool.runtimes[device]
         limit = self._limit_for(req, device)
-        bound = req.region.bind(req.arrays)
+        bound = w.bound
+        if bound is None:
+            bound = w.bound = req.region.bind(req.arrays)
         key = PlanCache.key_for(bound, req.kernel, rt.profile.name, limit)
         params = self.cache.get(key)
         if params is not None:
@@ -1310,8 +1314,10 @@ class RegionScheduler:
             if not w.ever_planned:
                 w.cache_hit = False
             if self.config.autotune:
+                clause = req.region.mem_limit
                 report = autotune(
-                    req.region, rt, req.arrays, req.kernel,
+                    bound, rt, req.arrays, req.kernel,
+                    mem_limit=None if clause is None else clause.limit_bytes,
                     max_streams=self.config.max_streams,
                 )
                 w.dry_runs += report.dry_runs

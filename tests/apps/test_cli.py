@@ -79,6 +79,29 @@ class TestCommands:
         assert out.count("Matmul speedup/memory") == 1
 
 
+class TestFigureRuns:
+    """``repro run`` prints the same runs the figure benchmarks assert."""
+
+    def test_run_fig5_stencil_buffer_beats_pipelined(self, capsys):
+        # Figure 5's hand-coded Pipelined stencil runs on OpenACC's
+        # default of 8 streams and trails the buffer version
+        assert main(["run", "fig5"]) == 0
+        out = capsys.readouterr().out
+        (row,) = [
+            line.split() for line in out.splitlines()
+            if line.split()[:1] == ["stencil"]
+        ]
+        pipelined, buffer = float(row[1]), float(row[2])
+        assert buffer > pipelined
+
+    def test_run_fig8_defaults_to_hd7970_with_both_sweeps(self, capsys):
+        assert main(["run", "fig8"]) == 0
+        out = capsys.readouterr().out
+        assert "===== fig8 (hd7970) =====" in out
+        assert "3dconv: speedup vs chunk count (hd7970)" in out
+        assert "stencil: speedup vs chunk count (hd7970)" in out
+
+
 class TestChaos:
     def test_chaos_parses(self):
         args = build_parser().parse_args(

@@ -43,9 +43,10 @@ class TestAutotune:
 
     def test_report_structure(self):
         n = 64
-        region = make_region(n)
+        arrays = make_arrays(n)
         rep = autotune(
-            region, Runtime(NVIDIA_K40M), make_arrays(n), ScaleKernel(), max_streams=4
+            make_region(n).bind(arrays), Runtime(NVIDIA_K40M), arrays, ScaleKernel(),
+            max_streams=4,
         )
         assert isinstance(rep, AutotuneReport)
         assert rep.best.feasible
@@ -59,7 +60,7 @@ class TestAutotune:
         n = 128
         kernel = ScaleKernel(cost_per_iter=25e-6)
         arrays = self.heavy_arrays(n)
-        rep = autotune(make_region(n), Runtime(NVIDIA_K40M), arrays, kernel)
+        rep = autotune(make_region(n).bind(arrays), Runtime(NVIDIA_K40M), arrays, kernel)
         # run the tuned configuration for real and compare with a bad one
         tuned = run(
             "pipelined-buffer",
@@ -79,7 +80,7 @@ class TestAutotune:
         n = 96
         kernel = ScaleKernel(cost_per_iter=25e-6)
         arrays = self.heavy_arrays(n)
-        rep = autotune(make_region(n), Runtime(NVIDIA_K40M), arrays, kernel)
+        rep = autotune(make_region(n).bind(arrays), Runtime(NVIDIA_K40M), arrays, kernel)
         real = run(
             "pipelined-buffer",
             make_region(n, rep.best.chunk_size, rep.best.num_streams),
@@ -92,14 +93,22 @@ class TestAutotune:
     def test_mem_limit_respected(self):
         n = 128
         region = make_region(n, mem="64KB")
-        rep = autotune(region, Runtime(NVIDIA_K40M), make_arrays(n), ScaleKernel())
+        arrays = make_arrays(n)
+        rep = autotune(
+            region.bind(arrays), Runtime(NVIDIA_K40M), arrays, ScaleKernel(),
+            mem_limit=region.mem_limit.limit_bytes,
+        )
         assert rep.best.buffer_bytes <= 64_000
 
     def test_impossible_limit_raises(self):
         n = 128
         region = make_region(n, mem="100B")  # below even the (1,1) ring
+        arrays = make_arrays(n)
         with pytest.raises(MemLimitError):
-            autotune(region, Runtime(NVIDIA_K40M), make_arrays(n), ScaleKernel())
+            autotune(
+                region.bind(arrays), Runtime(NVIDIA_K40M), arrays, ScaleKernel(),
+                mem_limit=region.mem_limit.limit_bytes,
+            )
 
     def test_amd_prefers_coarser_chunks_than_nvidia(self):
         """On the HD 7970 fine chunks collapse bandwidth, so the tuner
@@ -107,8 +116,9 @@ class TestAutotune:
         n = 256
         kernel = ScaleKernel(cost_per_iter=25e-6)
         arrays = self.heavy_arrays(n)
-        amd = autotune(make_region(n), Runtime(AMD_HD7970), arrays, kernel)
-        nv = autotune(make_region(n), Runtime(NVIDIA_K40M), arrays, kernel)
+        plan = make_region(n).bind(arrays)
+        amd = autotune(plan, Runtime(AMD_HD7970), arrays, kernel)
+        nv = autotune(plan, Runtime(NVIDIA_K40M), arrays, kernel)
         assert amd.best.chunk_size >= nv.best.chunk_size
         assert amd.best.chunk_size >= 4
 
@@ -119,7 +129,8 @@ class TestDryRunModel:
         search constructs no command, event token or runtime and
         enqueues nothing on any simulator, yet returns the same report."""
         n = 64
-        args = (make_region(n), Runtime(NVIDIA_K40M), make_arrays(n), ScaleKernel())
+        arrays = make_arrays(n)
+        args = (make_region(n).bind(arrays), Runtime(NVIDIA_K40M), arrays, ScaleKernel())
         first = autotune(*args, max_streams=4)
         built = []
 

@@ -35,7 +35,8 @@ RTOL = 1e-12
 def check_search(profile, region, arrays, kernel):
     """Check every candidate's bound and the pruned search; returns the
     report and the number of candidates that ran out of memory."""
-    family = PlanFamily(profile, region.bind(arrays), arrays, kernel)
+    base = region.bind(arrays)
+    family = PlanFamily(profile, base, arrays, kernel)
     best, feasible, ooms = None, 0, 0
     for plan in searched_plans(region, arrays):
         key = (plan.chunk_size, plan.num_streams)
@@ -50,7 +51,8 @@ def check_search(profile, region, arrays, kernel):
         feasible += 1
         if best is None or exact < best[2]:
             best = (*key, exact, plan.device_bytes())
-    report = autotune(region, Runtime(profile), arrays, kernel)
+    limit = region.mem_limit.limit_bytes if region.mem_limit is not None else None
+    report = autotune(base, Runtime(profile), arrays, kernel, mem_limit=limit)
     got = report.best
     assert (got.chunk_size, got.num_streams, got.elapsed, got.buffer_bytes) == best
     assert got.feasible and got.exact
@@ -103,7 +105,9 @@ def test_pruned_rows_carry_their_bound():
     order with its bound, flagged inexact and marked in the table, and
     the dry-run count still covers it."""
     req = build_request("stencil", config=dict(APPS["stencil"], nz=66))
-    report = autotune(req.region, Runtime(NVIDIA_K40M), req.arrays, req.kernel)
+    report = autotune(
+        req.region.bind(req.arrays), Runtime(NVIDIA_K40M), req.arrays, req.kernel
+    )
     pruned = [c for c in report.candidates if not c.exact]
     assert pruned
     assert report.dry_runs == len(report.candidates)

@@ -118,7 +118,10 @@ def _sharded(obs, **run_kw):
 
 def _autotune(obs):
     region, arrays, kernel = _stencil(num_streams=2)
-    return autotune(region, new_runtime("k40m", virtual=True, obs=obs), arrays, kernel)
+    return autotune(
+        region.bind(arrays), new_runtime("k40m", virtual=True, obs=obs), arrays,
+        kernel,
+    )
 
 
 #: name -> runner taking the (optional) Observability to attach

@@ -168,7 +168,7 @@ def test_autotune_skips_plans_that_do_not_fit():
         NVIDIA_K40M,
         usable_memory_bytes=NVIDIA_K40M.context_overhead_bytes + 70_000,
     )
-    report = autotune(req.region, Runtime(small), req.arrays, req.kernel)
+    report = autotune(req.region.bind(req.arrays), Runtime(small), req.arrays, req.kernel)
     infeasible = [c for c in report.candidates if not c.feasible]
     assert infeasible and report.dry_runs == len(report.candidates) - len(infeasible)
 

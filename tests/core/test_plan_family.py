@@ -307,9 +307,9 @@ def test_search_rows_match_an_exhaustive_search(seed):
             rows.append((cs, ns, sim, tuned.device_bytes()))
         if all(row[2] == math.inf for row in rows):
             with pytest.raises(MemLimitError):
-                autotune(region, Runtime(NVIDIA_K40M), arrays, kernel)
+                autotune(base, Runtime(NVIDIA_K40M), arrays, kernel, mem_limit=limit)
             continue
-        report = autotune(region, Runtime(NVIDIA_K40M), arrays, kernel)
+        report = autotune(base, Runtime(NVIDIA_K40M), arrays, kernel, mem_limit=limit)
         assert [(c.chunk_size, c.num_streams) for c in report.candidates] == [
             row[:2] for row in rows
         ]

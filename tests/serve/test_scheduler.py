@@ -181,6 +181,33 @@ def test_warm_cache_across_runs():
     assert second.plan_seconds == 0.0
 
 
+def test_each_request_is_bound_once(monkeypatch):
+    """A cold cache on two devices: each request's first plan is an
+    autotune miss and some are planned for both devices, yet each
+    region is bound to its arrays only once."""
+    from repro.core.region import TargetRegion
+
+    bound = []
+    bind = TargetRegion.bind
+
+    def counting_bind(region, arrays):
+        bound.append(region)
+        return bind(region, arrays)
+
+    monkeypatch.setattr(TargetRegion, "bind", counting_bind)
+    reqs = [
+        build_request("stencil", tenant=f"t{i}",
+                      config={"nz": 18 + 4 * i, "ny": 48, "nx": 48})
+        for i in range(3)
+    ]
+    report = _sched(reqs, devices=2).run()
+    assert report.ok
+    assert report.cache["misses"] == len(reqs)
+    assert report.cache["hits"] >= 1
+    assert len(bound) == len(reqs)
+    assert {id(r) for r in bound} == {id(req.region) for req in reqs}
+
+
 def test_autotune_off_uses_pragma_params():
     reqs = [build_request("conv3d", config={"nz": 18, "ny": 48, "nx": 48})]
     report = _sched(reqs, config=ServeConfig(autotune=False)).run()

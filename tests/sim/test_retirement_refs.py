@@ -82,7 +82,9 @@ def _retired(app):
 
 def _autotune():
     region, arrays, kernel = _stencil()
-    return autotune(region, new_runtime("k40m", virtual=True), arrays, kernel)
+    return autotune(
+        region.bind(arrays), new_runtime("k40m", virtual=True), arrays, kernel
+    )
 
 
 def _sharded():
