@@ -241,6 +241,21 @@ if [ "$rc" -ne 1 ]; then
     exit 1
 fi
 
+# a figure too big for the chosen device is a usage error: exit 2 with
+# one line naming the figure, the device and the bytes, no traceback
+rc=0
+fig_err="$(python -m repro run fig5 --device hd7970 2>&1 >/dev/null)" || rc=$?
+if [ "$rc" -ne 2 ]; then
+    echo "run fig5 on the hd7970 should exit 2, got $rc" >&2
+    exit 1
+fi
+if [ "$(echo "$fig_err" | wc -l)" -ne 1 ] \
+    || ! echo "$fig_err" | grep -q "^fig5 does not fit the hd7970: .* B usable are free$"; then
+    echo "run fig5 on the hd7970 should print one line naming the bytes:" >&2
+    echo "$fig_err" >&2
+    exit 1
+fi
+
 echo "== CLI smoke: journalled serve crash-resumes exactly-once =="
 jr_dir="$(mktemp -d -t repro-journal-XXXXXX)"
 trap 'rm -f "$tmp" "$straggler_wl"; rm -rf "$eb_dir" "$jr_dir"' EXIT

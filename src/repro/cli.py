@@ -34,6 +34,7 @@ from repro.analysis.gantt import ascii_gantt
 from repro.analysis.report import ascii_bar_chart, format_table
 from repro.apps import conv3d as cv
 from repro.apps import stencil as st
+from repro.sim.memory import OutOfDeviceMemory
 
 __all__ = ["main"]
 
@@ -827,7 +828,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             seen.add(fn)
             device = args.device or figures.PAPER_DEVICE[name]
             print(f"\n===== {name} ({device}) =====")
-            print(fn(device))
+            try:
+                print(fn(device))
+            except OutOfDeviceMemory as exc:
+                # the figures' datasets are sized for the device the paper
+                # measured them on
+                print(
+                    f"{name} does not fit the {device}: an allocation needs "
+                    f"{exc.requested} B, and {exc.free} B of "
+                    f"{exc.capacity} B usable are free",
+                    file=sys.stderr,
+                )
+                return 2
         return 0
     if args.cmd == "compare":
         print(_compare(args.app, args.device))

@@ -38,12 +38,19 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.kernel import ChunkView, RegionKernel
-from repro.core.pipemodel import Books, chunk_work, drain_outputs, stage_inputs
+from repro.core.pipemodel import (
+    Books,
+    CompiledPlan,
+    chunk_costs,
+    compile_plan,
+    drain_outputs,
+    stage_inputs,
+)
 from repro.core.plan import Chunk, RegionPlan
 from repro.core.ringbuffer import DeviceRing, RingPiece, ring_pieces
 from repro.errors import ReproError
@@ -400,6 +407,11 @@ class PipelineIssuer:
     perturbing each other's host-clock accounting, and their commands
     contend only where they truly share engines.
 
+    The issuer reads its chunks, dependency ranges and ring capacities
+    from a :class:`~repro.core.pipemodel.CompiledPlan`: ``plan`` is
+    either one (a :class:`~repro.serve.PlanCache` entry's, shared by
+    every request that hits it) or a :class:`RegionPlan`, compiled here.
+
     Attributes of note: :attr:`commands` collects every device command
     this issuer enqueued (used for per-tenant busy-time attribution),
     :attr:`faults_n`/:attr:`retries_n` count policy-absorbed faults and
@@ -409,7 +421,7 @@ class PipelineIssuer:
     def __init__(
         self,
         runtime: Runtime,
-        plan: RegionPlan,
+        plan: Union[RegionPlan, CompiledPlan],
         arrays: Dict[str, np.ndarray],
         kernel: RegionKernel,
         *,
@@ -422,8 +434,10 @@ class PipelineIssuer:
         integrity: str = INTEGRITY_OFF,
         halo_ranges=None,
     ) -> None:
+        compiled = plan if isinstance(plan, CompiledPlan) else compile_plan(plan)
         self.runtime = runtime
-        self.plan = plan
+        self.compiled = compiled
+        self.plan = plan = compiled.plan
         self.arrays = arrays
         self.kernel = kernel
         self.policy = policy
@@ -449,7 +463,9 @@ class PipelineIssuer:
         #: its bounded ring (no effect on timing)
         self.recorder = recorder
         self.profile = runtime.profile
-        self.chunks = plan.chunks()
+        self.chunks = compiled.chunks
+        #: per chunk, its dependency ranges in ``plan.specs`` order
+        self._ranges = compiled.ranges
         self.streams_n = min(plan.num_streams, len(self.chunks))
         self.stream_prefix = stream_prefix
         self.region_span = region_span
@@ -474,9 +490,8 @@ class PipelineIssuer:
         #: the same books in ``plan.specs`` order, each carrying its
         #: array's :class:`_Lane` (built by open)
         self._books: List[Books] = []
-        #: the chunk table (:func:`~repro.core.pipemodel.chunk_work`,
-        #: read by open)
-        self._work: tuple = ()
+        #: per chunk, the kernel's cost (priced by open)
+        self._costs: List[float] = []
         self.streams: List = []
         # (command, gating tokens) pairs for slot-reuse stall accounting;
         # resolved after the pipeline drains, once tokens have times
@@ -779,7 +794,7 @@ class PipelineIssuer:
         if self.virtual:
             return None
         plan = self.plan
-        books = dict(zip(plan.specs, zip(self._books, self._work[chunk.index][3])))
+        books = dict(zip(plan.specs, zip(self._books, self._ranges[chunk.index])))
 
         def resolve():
             for var in sorted(books):
@@ -858,13 +873,13 @@ class PipelineIssuer:
                     dev.backing[...] = 0
 
             # ring buffers
-            for var, spec in plan.specs.items():
+            for (var, spec), capacity in zip(plan.specs.items(), self.compiled.capacities):
                 host = arrays[var]
                 self.rings[var] = DeviceRing(
                     runtime,
                     host.shape,
                     spec.split_dim,
-                    plan.ring_capacity(var),
+                    capacity,
                     host.dtype,
                     tag=f"{var}:ring",
                 )
@@ -875,9 +890,11 @@ class PipelineIssuer:
             for var, spec in plan.specs.items()
         ]
         self.books = dict(zip(plan.specs, self._books))
-        #: per chunk ``(index, t0, t1, ranges, launch, cost)``: the table
-        #: the analytic dry-run model prices autotune candidates from
-        self._work = chunk_work(plan, self.kernel, self.profile, self.chunks)
+        # this issuer's own kernel prices the chunks: kernels of one name
+        # share a compiled plan, not a cost model
+        self._costs = chunk_costs(
+            self.kernel, self.profile, [(c.t0, c.t1) for c in self.chunks]
+        )
 
     def _lane(self, var: str) -> _Lane:
         """Resolve and check one pipelined array's issue program.
@@ -915,7 +932,7 @@ class PipelineIssuer:
         ranges to scatter back."""
         views: Dict[str, ChunkView] = {}
         out_ranges: Dict[str, Tuple[int, int]] = {}
-        for book, (lo, hi) in zip(self._books, self._work[chunk.index][3]):
+        for book, (lo, hi) in zip(self._books, self._ranges[chunk.index]):
             var, ring = book.lane.var, book.lane.ring
             if book.is_input:
                 data = ring.gather(lo, hi)
@@ -987,7 +1004,8 @@ class PipelineIssuer:
             return None
         chunk = self.chunks[cursor]
         self._cursor = cursor + 1
-        index, t0, t1, ranges, _launch, cost = self._work[cursor]
+        index, t0, t1 = cursor, chunk.t0, chunk.t1
+        ranges, cost = self._ranges[cursor], self._costs[cursor]
         books, tracer, tr_on = self._books, self.tracer, self.tr_on
         st = self.streams[index % self.streams_n]
         # the shared wait policy calls back issue_h2d / issue_d2h
@@ -1130,8 +1148,8 @@ class PipelineIssuer:
 
     def _enqueue_replay(self, chunk: Chunk) -> None:
         """Replay one chunk synchronously: full dep-range h2d→kernel→d2h."""
-        index = chunk.index
-        _i, t0, t1, ranges, _launch, cost = self._work[index]
+        index, t0, t1 = chunk.index, chunk.t0, chunk.t1
+        ranges, cost = self._ranges[index], self._costs[index]
         st = self.streams[index % self.streams_n]
         ops: list = []
         rtoks: List[EventToken] = []
@@ -1320,10 +1338,10 @@ class PipelineIssuer:
                 affected.add(owner)
             if kind in ("h2d", "halo"):
                 k = position[var]
-                for row in self._work[: self._cursor]:
-                    clo, chi = row[3][k]
+                for index, ranges in enumerate(self._ranges[: self._cursor]):
+                    clo, chi = ranges[k]
                     if clo < hi and chi > lo:
-                        affected.add(row[0])
+                        affected.add(index)
         return sorted(affected)
 
     def _verify_chunk_sync(self, chunk: Chunk) -> None:
@@ -1335,8 +1353,7 @@ class PipelineIssuer:
         verification visible in the clock and in wait attribution.
         """
         runtime = self.runtime
-        row = self._work[chunk.index]
-        for book, (lo, hi) in zip(self._books, row[3]):
+        for book, (lo, hi) in zip(self._books, self._ranges[chunk.index]):
             lane = book.lane
             ring = lane.ring
             for piece in ring.pieces(lo, hi):
@@ -1354,7 +1371,7 @@ class PipelineIssuer:
                     )
         if self._vote:
             # synchronous dual-execution recheck, charged like its kernel
-            runtime.host_now += row[5]
+            runtime.host_now += self._costs[chunk.index]
             self.verified_n += 1
             check = self._dual_execute_check(chunk)
             if check is not None:

@@ -51,19 +51,24 @@ phases, so it runs out of memory on exactly the same plans.
 ``tests/core/test_autotune_bound.py`` and ``scripts/check_pipemodel.py``
 hold it at or below the exact time, and ``tests/core/test_plan_family.py``
 holds the family's shared parts to the code each one stands for.
+
+The plan a search picks is compiled once more, for the issuer: a
+:class:`CompiledPlan` holds what every run of the plan derives from it
+alone (chunks, dependency ranges, ring capacities, footprint).  The
+issuer opens from one, and a :class:`~repro.serve.PlanCache` entry
+keeps one for every request that hits it.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappop, heappush, heappushpop
-from itertools import repeat
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.core.kernel import RegionKernel
-from repro.core.plan import RegionPlan, max_chunk_size, ring_capacity, stream_count
+from repro.core.plan import Chunk, RegionPlan, max_chunk_size, ring_capacity, stream_count
 from repro.core.ringbuffer import band_geometry, ring_pieces
 from repro.core.scheduler import schedule_bounds
 from repro.directives.splitspec import chunk_ranges
@@ -72,7 +77,8 @@ from repro.sim.memory import OutOfDeviceMemory, aligned
 from repro.sim.profiles import DeviceProfile
 
 __all__ = [
-    "Books", "PlanFamily", "chunk_work", "drain_outputs", "dry_run_elapsed",
+    "Books", "CompiledPlan", "PlanFamily", "chunk_costs", "chunk_work",
+    "compile_plan", "dependency_ranges", "drain_outputs", "dry_run_elapsed",
     "stage_inputs",
 ]
 
@@ -112,49 +118,101 @@ class _PieceTimes(dict):
 
 
 def chunk_work(
-    plan: RegionPlan, kernel: RegionKernel, profile: DeviceProfile, chunks=None
+    plan: RegionPlan, kernel: RegionKernel, profile: DeviceProfile
 ) -> tuple:
     """Per chunk in schedule order: ``(index, t0, t1, ranges, launch, cost)``.
 
     ``ranges`` are the chunk's dependency ranges in ``plan.specs`` order
-    (tuples all the way down, so the collector soon stops tracking them),
-    ``cost`` is the kernel's ``chunk_cost`` and ``launch`` is
-    ``kernel_launch_overhead + cost``, the kernel duration before the
-    region's contention is added.  This table is the one source of the
-    dry-run model (:class:`PlanFamily`) and the issuer
-    (:class:`~repro.core.executor.PipelineIssuer` reads it at ``open()``),
-    so they cannot drift.  It is a tuple, so a family's members share it
-    safely.  A caller already holding ``plan.chunks()`` passes it as
-    ``chunks``.
+    (:func:`dependency_ranges`), ``cost`` is the kernel's ``chunk_cost``
+    (:func:`chunk_costs`) and ``launch`` is ``kernel_launch_overhead +
+    cost``, the kernel duration before the region's contention is added.
+    The dry-run model (:class:`PlanFamily`) prices candidates from this
+    table, and the issuer reads the same two columns
+    (:class:`~repro.core.executor.PipelineIssuer` takes the ranges from
+    its :class:`CompiledPlan` and prices the costs at ``open()``), so
+    they cannot drift.  It is a tuple, so a family's members share it
+    safely.
     """
-    if chunks is None:
-        bounds = schedule_bounds(
-            plan.schedule, plan.loop, plan.chunk_size, plan.num_streams
-        )
-    else:
-        bounds = [(chunk.t0, chunk.t1) for chunk in chunks]
+    bounds = schedule_bounds(
+        plan.schedule, plan.loop, plan.chunk_size, plan.num_streams
+    )
     return _chunk_table(plan.specs, kernel, profile, bounds)
+
+
+def dependency_ranges(specs: Mapping[str, object], bounds) -> tuple:
+    """Per chunk ``(t0, t1)`` of ``bounds``, its dependency ranges in
+    ``specs`` order: tuples all the way down, so the collector soon stops
+    tracking them and any number of issuers can share them."""
+    columns = [chunk_ranges(spec.clause, bounds) for spec in specs.values()]
+    if not columns:
+        return ((),) * len(bounds)
+    return tuple(zip(*columns))
+
+
+def chunk_costs(kernel: RegionKernel, profile: DeviceProfile, bounds) -> List[float]:
+    """The kernel's ``chunk_cost`` of each chunk ``(t0, t1)`` of
+    ``bounds`` on ``profile``; a uniform kernel's cost depends on the
+    chunk length only, so it is priced once per length."""
+    chunk_cost = kernel.chunk_cost
+    if not kernel.uniform_chunk_cost:
+        return [chunk_cost(profile, t0, t1, translated=True) for t0, t1 in bounds]
+    costs: Dict[int, float] = {}
+    out = []
+    for t0, t1 in bounds:
+        cost = costs.get(t1 - t0)
+        if cost is None:
+            cost = costs[t1 - t0] = chunk_cost(profile, t0, t1, translated=True)
+        out.append(cost)
+    return out
 
 
 def _chunk_table(specs, kernel, profile, bounds) -> tuple:
     """:func:`chunk_work` over the schedule's ``(t0, t1)`` bounds."""
-    columns = [chunk_ranges(spec.clause, bounds) for spec in specs.values()]
     klo = profile.kernel_launch_overhead
-    chunk_cost = kernel.chunk_cost
-    # a uniform kernel's cost depends on the chunk length only
-    costs: Dict[int, float] = {}
-    uniform = kernel.uniform_chunk_cost
-    work = []
-    for index, ((t0, t1), ranges) in enumerate(
-        zip(bounds, zip(*columns) if columns else repeat(()))
-    ):
-        cost = costs.get(t1 - t0) if uniform else None
-        if cost is None:
-            cost = chunk_cost(profile, t0, t1, translated=True)
-            if uniform:
-                costs[t1 - t0] = cost
-        work.append((index, t0, t1, ranges, klo + cost, cost))
-    return tuple(work)
+    return tuple(
+        (index, t0, t1, ranges, klo + cost, cost)
+        for index, ((t0, t1), ranges, cost) in enumerate(zip(
+            bounds, dependency_ranges(specs, bounds),
+            chunk_costs(kernel, profile, bounds),
+        ))
+    )
+
+
+class CompiledPlan(NamedTuple):
+    """What the issuer derives from a tuned plan, derived once.
+
+    Everything here is a function of the plan alone, and so of the
+    plan-cache key it was tuned under (:meth:`PlanCache.key_for
+    <repro.serve.cache.PlanCache.key_for>`): a
+    :class:`~repro.serve.PlanCache` entry keeps one and every request
+    that hits the entry opens its issuer from it.  Nothing in it depends
+    on a kernel or a runtime; the kernel's costs are priced per issuer
+    (:func:`chunk_costs`), because kernels of one name share a key but
+    not a cost model.  Build one with :func:`compile_plan`.
+    """
+
+    #: the tuned plan
+    plan: RegionPlan
+    #: :meth:`RegionPlan.device_bytes <repro.core.plan.RegionPlan.device_bytes>`
+    device_bytes: int
+    #: the schedule's chunks, in order
+    chunks: Tuple[Chunk, ...]
+    #: per chunk, its dependency ranges in ``plan.specs`` order
+    ranges: tuple
+    #: the ring capacity of each pipelined array, in ``plan.specs`` order
+    capacities: Tuple[int, ...]
+
+
+def compile_plan(plan: RegionPlan) -> CompiledPlan:
+    """The :class:`CompiledPlan` of ``plan``."""
+    chunks = tuple(plan.chunks())
+    return CompiledPlan(
+        plan,
+        plan.device_bytes(),
+        chunks,
+        dependency_ranges(plan.specs, [(c.t0, c.t1) for c in chunks]),
+        tuple(plan.ring_capacity(var) for var in plan.specs),
+    )
 
 
 class Books:

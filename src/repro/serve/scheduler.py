@@ -11,10 +11,10 @@ a shared :class:`~repro.serve.DevicePool`:
   see ``docs/serve.md``) makes an admission round cost
   O(classes x devices + cohorts), not O(waiting).
 - **Planning** goes through the :class:`~repro.serve.PlanCache`: a hit
-  reuses the tuned ``(chunk_size, num_streams)``; a miss runs the
-  autotune search (virtual dry runs) and charges a deterministic
-  virtual planning cost to the serving device's host clock — which is
-  exactly the scheduling overhead warm traffic saves.
+  opens from the entry's compiled tuned plan and binds nothing; a miss
+  runs the autotune search (virtual dry runs) and charges a
+  deterministic virtual planning cost to the serving device's host
+  clock — which is exactly the scheduling overhead warm traffic saves.
 - **Fairness** is weighted-fair chunk issue: each scheduling turn
   issues the next chunk of the active region with the smallest
   ``chunks_issued / (priority + 1)`` (ties to admission order), so a
@@ -90,6 +90,7 @@ from repro.core.autotune import autotune
 from repro.core.executor import FaultRouter, PipelineIssuer
 from repro.core.memlimit import MemLimitError, tune_plan
 from repro.core.multidevice import ShardedIssuer
+from repro.core.pipemodel import CompiledPlan, compile_plan
 from repro.core.plan import RegionPlan
 from repro.directives.clauses import DirectiveError
 from repro.faults.plan import KIND_DEVICE_LOST, HostCrashError
@@ -628,10 +629,10 @@ _DEFERRED = "deferred"
 _seq_of = attrgetter("seq")
 
 
-def _footprint(planned: Tuple[RegionPlan, int]) -> Tuple[int, int]:
-    """``(nbytes, loop trip)`` of one ``(plan, nbytes)`` planning result."""
-    plan, nbytes = planned
-    return nbytes, plan.loop.stop - plan.loop.start
+def _footprint(compiled: CompiledPlan) -> Tuple[int, int]:
+    """``(nbytes, loop trip)`` of one planning result."""
+    loop = compiled.plan.loop
+    return compiled.device_bytes, loop.stop - loop.start
 
 
 class _Cohort:
@@ -699,11 +700,12 @@ class _Waiting:
     dry_runs: int = 0
     cache_hit: bool = False
     ever_planned: bool = False
-    #: the region bound to the request's arrays, once, at its first plan
+    #: the region bound to the request's arrays, once, at the first plan
+    #: the cache cannot serve compiled
     bound: Optional[RegionPlan] = None
-    #: device index -> (tuned plan, its device footprint in bytes),
-    #: filled lazily by the placement pass
-    planned: Dict[int, Tuple[RegionPlan, int]] = field(default_factory=dict)
+    #: device index -> compiled tuned plan (footprint included), filled
+    #: lazily by the placement pass
+    planned: Dict[int, CompiledPlan] = field(default_factory=dict)
     #: whether this request was re-queued off a lost device
     migrated: bool = False
     #: faults/replays accumulated on earlier (abandoned) attempts
@@ -1288,12 +1290,21 @@ class RegionScheduler:
             return min(req.region.mem_limit.limit_bytes, self.pool.budgets[device])
         return self.pool.budgets[device]
 
-    def _plan(self, w: _Waiting, device: int) -> Tuple[RegionPlan, int]:
-        """Tuned plan for ``w`` on ``device`` and its device footprint
-        (both cached per device, so the footprint is computed once).
+    def _bound(self, w: _Waiting) -> RegionPlan:
+        """``w``'s region bound to its arrays, bound once."""
+        if w.bound is None:
+            w.bound = w.req.region.bind(w.req.arrays)
+        return w.bound
 
-        Cache misses run the autotune search and record its dry-run
-        count; the virtual planning charge is applied at admission.
+    def _plan(self, w: _Waiting, device: int) -> CompiledPlan:
+        """Compiled tuned plan for ``w`` on ``device`` (kept per device,
+        so it is looked up once).
+
+        A hit takes the cache entry's compiled plan and binds nothing;
+        an entry without one (restored from a checkpoint) binds and
+        compiles it once.  Cache misses run the autotune search and
+        record its dry-run count; the virtual planning charge is applied
+        at admission.
         """
         planned = w.planned.get(device)
         if planned is not None:
@@ -1301,16 +1312,24 @@ class RegionScheduler:
         req = w.req
         rt = self.pool.runtimes[device]
         limit = self._limit_for(req, device)
-        bound = w.bound
-        if bound is None:
-            bound = w.bound = req.region.bind(req.arrays)
-        key = PlanCache.key_for(bound, req.kernel, rt.profile.name, limit)
-        params = self.cache.get(key)
+        cache = self.cache
+        key = PlanCache.key_for(req.region, req.arrays, req.kernel, rt.profile.name, limit)
+        if key not in cache:
+            # bind before the lookup counts a miss: an invalid region
+            # fails here, as it always has, without a miss on the books
+            self._bound(w)
+        params = cache.get(key)
         if params is not None:
-            plan = tune_plan(bound.with_params(*params), limit)
             if not w.ever_planned:
                 w.cache_hit = True
+            compiled = cache.get_compiled(key)
+            if compiled is None:
+                compiled = compile_plan(
+                    tune_plan(self._bound(w).with_params(*params), limit)
+                )
+                cache.put_compiled(key, compiled)
         else:
+            bound = self._bound(w)
             if not w.ever_planned:
                 w.cache_hit = False
             if self.config.autotune:
@@ -1330,10 +1349,12 @@ class RegionScheduler:
                 )
             else:
                 plan = tune_plan(bound, limit)
-            self.cache.put(key, plan.chunk_size, plan.num_streams)
+            compiled = compile_plan(plan)
+            cache.put(key, plan.chunk_size, plan.num_streams)
+            cache.put_compiled(key, compiled)
         w.ever_planned = True
-        planned = w.planned[device] = (plan, plan.device_bytes())
-        return planned
+        w.planned[device] = compiled
+        return compiled
 
     # ------------------------------------------------------------------
     # device health: loss, quarantine, fault routing
@@ -1581,7 +1602,7 @@ class RegionScheduler:
         """One admission round's pick: ``(placement, fit_classes,
         fit_unplanned)``, or None when nothing fits.
 
-        ``placement`` is ``(waiting, device, plan, nbytes, members)`` for
+        ``placement`` is ``(waiting, device, compiled plan, members)`` for
         the fitting request with the highest ``(effective priority,
         -seq)``; the two fit lists are what :meth:`_age` charges.
         Nothing in a round reserves or releases memory, so the device
@@ -1650,8 +1671,7 @@ class RegionScheduler:
         if best is None:
             return None
         w, (device, plan_device, members) = best
-        plan, nbytes = w.planned[plan_device]
-        return (w, device, plan, nbytes, members), fit_classes, fit_unplanned
+        return (w, device, w.planned[plan_device], members), fit_classes, fit_unplanned
 
     @staticmethod
     def _age(
@@ -1704,8 +1724,7 @@ class RegionScheduler:
         self,
         w: _Waiting,
         device: int,
-        plan: RegionPlan,
-        nbytes: int,
+        compiled: CompiledPlan,
         members: Optional[List[int]] = None,
     ) -> bool:
         """Reserve, charge planning, and open the pipeline for ``w``.
@@ -1720,6 +1739,7 @@ class RegionScheduler:
         """
         sharded = members is not None and len(members) > 1
         members = list(members) if sharded else [device]
+        plan, nbytes = compiled.plan, compiled.device_bytes
         rt = self.pool.runtimes[device]
         reserved: List[int] = []
         try:
@@ -1755,7 +1775,7 @@ class RegionScheduler:
                 )
             else:
                 issuer = PipelineIssuer(
-                    rt, plan, w.req.arrays, w.req.kernel,
+                    rt, compiled, w.req.arrays, w.req.kernel,
                     stream_prefix=f"t{w.seq}.pipe", region_span=False,
                     **common,
                 )
@@ -2323,7 +2343,7 @@ class RegionScheduler:
                             "from service must undefer them"
                         )
                     needed = min(
-                        (nbytes for _p, nbytes in w.planned.values()),
+                        (c.device_bytes for c in w.planned.values()),
                         default=0,
                     )
                     exc = MemLimitError(needed, max(self.pool.budgets))

@@ -44,6 +44,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "chunk count" in out and "hd7970" in out
 
+    def test_run_figure_too_big_for_device(self, capsys):
+        """A figure whose dataset exceeds the device ends in one line on
+        stderr and exit 2, not a traceback."""
+        assert main(["run", "fig5", "--device", "hd7970"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("fig5 does not fit the hd7970: ")
+        assert "1811939328 B" in err and "B usable" in err
+
     def test_compare_each_app(self, capsys):
         for app in ("stencil", "3dconv", "qcd"):
             assert main(["compare", app]) == 0

@@ -226,8 +226,8 @@ _GEOM = stn.fixed_dictionaries({
 def test_cache_key_equal_iff_geometry_equal(a, b, limit):
     ra = build_request("stencil", config=a)
     rb = build_request("stencil", config=b)
-    ka = PlanCache.key_for(ra.region.bind(ra.arrays), ra.kernel, "k40m", limit)
-    kb = PlanCache.key_for(rb.region.bind(rb.arrays), rb.kernel, "k40m", limit)
+    ka = PlanCache.key_for(ra.region, ra.arrays, ra.kernel, "k40m", limit)
+    kb = PlanCache.key_for(rb.region, rb.arrays, rb.kernel, "k40m", limit)
     if a == b:
         assert ka == kb
     else:
@@ -242,10 +242,9 @@ def test_cache_key_equal_iff_geometry_equal(a, b, limit):
 )
 def test_cache_never_serves_across_limits(geom, limit_a, limit_b):
     req = build_request("stencil", config=geom)
-    plan = req.region.bind(req.arrays)
     cache = PlanCache()
-    ka = PlanCache.key_for(plan, req.kernel, "k40m", limit_a)
-    kb = PlanCache.key_for(plan, req.kernel, "k40m", limit_b)
+    ka = PlanCache.key_for(req.region, req.arrays, req.kernel, "k40m", limit_a)
+    kb = PlanCache.key_for(req.region, req.arrays, req.kernel, "k40m", limit_b)
     cache.put(ka, 7, 3)
     if limit_a == limit_b:
         assert cache.get(kb) == (7, 3)

@@ -7,19 +7,20 @@ import pytest
 from repro.serve import PlanCache, build_request
 
 
-def _bound_plan(app="stencil", config=None):
+def _region(app="stencil", config=None):
+    """``((region, arrays), kernel)`` of one request."""
     req = build_request(app, config=config or {"nz": 18, "ny": 48, "nx": 48})
-    return req.region.bind(req.arrays), req.kernel
+    return (req.region, req.arrays), req.kernel
 
 
 # ----------------------------------------------------------------------
 # key structure
 # ----------------------------------------------------------------------
 def test_same_request_same_key():
-    p1, k1 = _bound_plan()
-    p2, k2 = _bound_plan()
-    assert PlanCache.key_for(p1, k1, "k40m", 100) == PlanCache.key_for(
-        p2, k2, "k40m", 100
+    p1, k1 = _region()
+    p2, k2 = _region()
+    assert PlanCache.key_for(*p1, k1, "k40m", 100) == PlanCache.key_for(
+        *p2, k2, "k40m", 100
     )
 
 
@@ -33,26 +34,26 @@ def test_same_request_same_key():
     ],
 )
 def test_shape_or_param_change_changes_key(other):
-    p1, k1 = _bound_plan()
-    p2, k2 = _bound_plan(config=other)
-    assert PlanCache.key_for(p1, k1, "k40m", 100) != PlanCache.key_for(
-        p2, k2, "k40m", 100
+    p1, k1 = _region()
+    p2, k2 = _region(config=other)
+    assert PlanCache.key_for(*p1, k1, "k40m", 100) != PlanCache.key_for(
+        *p2, k2, "k40m", 100
     )
 
 
 def test_profile_and_limit_are_part_of_the_key():
-    plan, kernel = _bound_plan()
-    base = PlanCache.key_for(plan, kernel, "k40m", 100)
-    assert base != PlanCache.key_for(plan, kernel, "hd7970", 100)
-    assert base != PlanCache.key_for(plan, kernel, "k40m", 200)
-    assert base != PlanCache.key_for(plan, kernel, "k40m", None)
+    region, kernel = _region()
+    base = PlanCache.key_for(*region, kernel, "k40m", 100)
+    assert base != PlanCache.key_for(*region, kernel, "hd7970", 100)
+    assert base != PlanCache.key_for(*region, kernel, "k40m", 200)
+    assert base != PlanCache.key_for(*region, kernel, "k40m", None)
 
 
 def test_different_apps_never_collide():
-    p1, k1 = _bound_plan("stencil")
-    p2, k2 = _bound_plan("conv3d", config={"nz": 18, "ny": 48, "nx": 48})
-    assert PlanCache.key_for(p1, k1, "k40m", 100) != PlanCache.key_for(
-        p2, k2, "k40m", 100
+    p1, k1 = _region("stencil")
+    p2, k2 = _region("conv3d", config={"nz": 18, "ny": 48, "nx": 48})
+    assert PlanCache.key_for(*p1, k1, "k40m", 100) != PlanCache.key_for(
+        *p2, k2, "k40m", 100
     )
 
 
@@ -86,8 +87,8 @@ def test_dep_fn_regions_are_uncacheable():
         body=lambda views, t0, t1: None,
         name="noop",
     )
-    plan = region.bind({"A": np.zeros((8, 8))})
-    assert PlanCache.key_for(plan, kernel, "k40m", 100) is None
+    arrays = {"A": np.zeros((8, 8))}
+    assert PlanCache.key_for(region, arrays, kernel, "k40m", 100) is None
     cache = PlanCache()
     assert cache.get(None) is None
     cache.put(None, 1, 2)

@@ -60,8 +60,8 @@ class CheckedScheduler(RegionScheduler):
         self._plan_log.append((w.seq, device))
         return super()._plan(w, device)
 
-    # -- the old admission scan, kept verbatim but for the (plan, nbytes)
-    # -- pair _plan now returns: device order and footprint per waiter
+    # -- the old admission scan, kept verbatim but for the compiled plan
+    # -- _plan now returns: device order and footprint per waiter
     def _reference_placements(self):
         out = []
         for w in list(self._waiting):
@@ -77,7 +77,7 @@ class CheckedScheduler(RegionScheduler):
                     placed = self._reference_sharded(w, order)
                 if placed is None:
                     for di in order:
-                        plan, _nbytes = self._plan(w, di)
+                        plan = self._plan(w, di).plan
                         if self.pool.fits(di, plan.device_bytes()):
                             placed = (w, di, plan, None)
                             break
@@ -93,7 +93,7 @@ class CheckedScheduler(RegionScheduler):
     def _reference_sharded(self, w, order):
         if not order:
             return None
-        plan, _nbytes = self._plan(w, order[0])
+        plan = self._plan(w, order[0]).plan
         trip = plan.loop.stop - plan.loop.start
         nbytes = plan.device_bytes()
         members = [di for di in order if self.pool.fits(di, nbytes)]
@@ -168,10 +168,10 @@ class CheckedScheduler(RegionScheduler):
         )
         assert (fast is None) == (want is None)
         if want is not None:
-            w, di, plan, nbytes, m = placement
+            w, di, compiled, m = placement
             assert (w, di, m) == (want[0], want[1], want[3])
-            assert plan is want[2]
-            assert nbytes == plan.device_bytes()
+            assert compiled.plan is want[2]
+            assert compiled.device_bytes == compiled.plan.device_bytes()
             if want[0] is not max(ref, key=lambda t: (t[0].req.priority, -t[0].seq))[0]:
                 self.checks["aged_pick"] += 1
             # the old scan's eager aging, applied to the shadow counts
@@ -183,7 +183,7 @@ class CheckedScheduler(RegionScheduler):
         self.checks["scan"] += 1
         return fast
 
-    def _open(self, w, device, plan, nbytes, members=None):
+    def _open(self, w, device, compiled, members=None):
         want = self._expected
         assert want is not None, "admitted without a reference pick"
         assert w is want[0], f"admitted request {w.seq}, old pick {want[0].seq}"
@@ -191,7 +191,7 @@ class CheckedScheduler(RegionScheduler):
         assert (w.passed_over, w.overtaken) == self._shadow.get(w.seq, (0, 0))
         self._expected = None
         self.checks["admit"] += 1
-        opened = super()._open(w, device, plan, nbytes, members)
+        opened = super()._open(w, device, compiled, members)
         if not opened and w.oom_deferred:
             self.checks["oom_deferred"] += 1
         return opened
