@@ -108,3 +108,60 @@ class TestHelpers:
         assert is_virtual(empty_like_backing(VirtualArray((2,), np.int8)))
         out = empty_like_backing(np.ones((2,), dtype=np.int8))
         assert isinstance(out, np.ndarray) and (out == 0).all()
+
+
+class TestStorage:
+    """What the zero-stride phantom behind every virtual array promises,
+    however it is built: no writable storage, NumPy's view and shape
+    algebra, and key validation on assignment."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.complex128])
+    def test_storage_is_zero_stride_and_read_only(self, dtype):
+        v = VirtualArray((5, 6, 7), dtype)
+        phantom = v._phantom
+        assert phantom.shape == (5, 6, 7) and phantom.dtype == np.dtype(dtype)
+        assert phantom.strides == (0, 0, 0)
+        assert not phantom.flags.writeable
+        with pytest.raises(ValueError):
+            phantom[...] = 1
+
+    def test_shape_entries_become_ints(self):
+        v = VirtualArray([np.int64(3), 4], np.float32)
+        assert v.shape == (3, 4)
+        assert all(type(s) is int for s in v.shape)
+
+    @pytest.mark.parametrize(
+        "key", [np.s_[1:3], np.s_[:, ::2], np.s_[-1], np.s_[..., 2:5], np.s_[None, 1:]]
+    )
+    def test_sliced_views_are_read_only_views(self, key):
+        real = np.zeros((4, 6, 8), dtype=np.float64)
+        view = VirtualArray((4, 6, 8), np.float64)[key]
+        assert is_virtual(view)
+        assert view.shape == real[key].shape and view.dtype == np.float64
+        assert view.nbytes == real[key].nbytes
+        assert not view._phantom.flags.writeable
+
+    def test_reshape_ravel_astype_shapes(self):
+        v = VirtualArray((4, 6), np.float32)
+        cases = [
+            (v.reshape(3, -1), (3, 8), np.float32),
+            (v.reshape((2, 2, 6)), (2, 2, 6), np.float32),
+            (v.ravel(), (24,), np.float32),
+            (v.astype(np.int8), (4, 6), np.int8),
+            (v[1:3].reshape(-1), (12,), np.float32),
+            (v[:, 1].ravel(), (4,), np.float32),
+            (v.copy(), (4, 6), np.float32),
+        ]
+        for out, shape, dtype in cases:
+            assert is_virtual(out)
+            assert (out.shape, out.dtype) == (shape, np.dtype(dtype))
+            assert out.nbytes == int(np.prod(shape)) * np.dtype(dtype).itemsize
+            assert not out._phantom.flags.writeable
+
+    def test_setitem_rejects_out_of_range_keys(self):
+        v = VirtualArray((4, 4), np.float32)
+        v[3, 3] = 1.0  # in range: validated, then discarded
+        v[-4] = 0
+        for key in (4, (slice(None), 7), (0, 0, 0), -5):
+            with pytest.raises(IndexError):
+                v[key] = 0
