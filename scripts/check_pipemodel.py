@@ -15,7 +15,12 @@ candidate:
   device memory on both sides or on neither;
 * the bound must be at most the exact ``elapsed`` (up to a relative
   1e-12 for rounding), and must run out of memory exactly when the dry
-  run does.
+  run does;
+* the plan's compiled chunk program (:func:`repro.core.pipemodel.compile_plan`),
+  which the issuer issues, must hold the dry run's commands: the same
+  sequence of transfers and kernels, each waiting on the same command
+  ids, in order and with duplicates.  Both run the one wait policy, so
+  this keeps its two consumers from drifting apart.
 
 Then the pruned ``autotune`` must return the ``best`` candidate and the
 ``dry_runs`` count of an exhaustive search in grid order over the same
@@ -53,7 +58,7 @@ from repro.core.autotune import autotune, candidate_grid  # noqa: E402
 from repro.core.executor import execute_pipeline  # noqa: E402
 from repro.core.kernel import make_kernel  # noqa: E402
 from repro.core.memlimit import MemLimitError, tune_plan  # noqa: E402
-from repro.core.pipemodel import PlanFamily, dry_run_elapsed  # noqa: E402
+from repro.core.pipemodel import PlanFamily, compile_plan, dry_run_elapsed  # noqa: E402
 from repro.core.region import TargetRegion  # noqa: E402
 from repro.directives.clauses import Loop  # noqa: E402
 from repro.gpu.runtime import Runtime  # noqa: E402
@@ -91,6 +96,40 @@ def _cases(shapes):
     yield "tofrom", *_tofrom()
 
 
+def program_commands(program, d2h_engine: int) -> list:
+    """``(engine, waited command ids)`` of each command of an
+    integrity-off chunk program, in issue order, numbered as the dry
+    run numbers its commands (engines: 0 = dma0, ``d2h_engine`` for
+    drains, 2 = compute0)."""
+    out = []
+    for step in program:
+        out += [(0, op[5]) for op in step.h2d]
+        _name, data, reuse = step.kernel
+        out.append((2, data + reuse))
+        out += [(d2h_engine, op[5]) for op in step.d2h]
+    return out
+
+
+def check_program(profile, family, plan, cs: int, ns: int) -> list:
+    """The compiled program of ``plan`` (member ``(cs, ns)`` of
+    ``family``) against the dry run's commands; returns the mismatches."""
+    cmds = family.commands(cs, ns)[0]
+    model = [(engine, tuple(waits)) for _dur, engine, _host, waits in cmds]
+    got = program_commands(
+        compile_plan(plan).program, 1 if profile.dma_engines > 1 else 0
+    )
+    if got == model:
+        return []
+    at = next(
+        (i for i, (a, b) in enumerate(zip(got, model)) if a != b), min(len(got), len(model))
+    )
+    return [
+        f"cs={cs} ns={ns}: program command {at} of {len(got)} "
+        f"{got[at] if at < len(got) else None} vs dry run's of {len(model)} "
+        f"{model[at] if at < len(model) else None}"
+    ]
+
+
 def _outcome(run):
     try:
         return run()
@@ -99,14 +138,14 @@ def _outcome(run):
 
 
 def check_request(profile, region, arrays, kernel):
-    """``(candidates, bound violations, mismatches, dry runs, skipped)``
-    over every candidate ``autotune`` would dry-run; ``dry runs`` counts
-    the feasible candidates and ``skipped`` those the pruned search did
-    not dry-run."""
+    """``(candidates, bound violations, mismatches, dry runs, skipped,
+    program mismatches)`` over every candidate ``autotune`` would
+    dry-run; ``dry runs`` counts the feasible candidates and ``skipped``
+    those the pruned search did not dry-run."""
     base = region.bind(arrays)
     limit = region.mem_limit.limit_bytes if region.mem_limit is not None else None
     family = PlanFamily(profile, base, arrays, kernel)
-    n, violations, bad = 0, [], []
+    n, violations, bad, drift = 0, [], [], []
     best, feasible = None, 0
     #: the exhaustive search's rows, ``(cs, ns, exact or "oom", bytes, bound)``
     rows = []
@@ -137,6 +176,7 @@ def check_request(profile, region, arrays, kernel):
         ):
             violations.append(f"cs={cs} ns={ns}: bound {low!r} vs exact {model!r}")
         if model != "oom":
+            drift += check_program(profile, family, plan, cs, ns)
             feasible += 1
             if best is None or model < best[2]:
                 best = (cs, ns, model)
@@ -151,7 +191,7 @@ def check_request(profile, region, arrays, kernel):
         )
     bad += check_rows(report.candidates, rows)
     skipped = sum(1 for c in report.candidates if c.feasible and not c.exact)
-    return n, violations, bad, report.dry_runs, skipped
+    return n, violations, bad, report.dry_runs, skipped, drift
 
 
 def check_rows(candidates, rows):
@@ -183,32 +223,36 @@ def check_rows(candidates, rows):
 
 def main() -> int:
     shapes = list(MIX_SHAPES) + cold_plan_shapes(COLD_SLICE)
-    searches = candidates = failed = violated = dry_runs = skipped = 0
+    searches = candidates = failed = violated = dry_runs = skipped = drifted = 0
     for profile in (NVIDIA_K40M, AMD_HD7970):
         for halo in ("dedup", "duplicate"):
             for label, region, arrays, kernel in _cases(shapes):
                 region.halo_mode = halo
-                n, violations, bad, feasible, spared = check_request(
+                n, violations, bad, feasible, spared, drift = check_request(
                     profile, region, arrays, kernel
                 )
                 searches += 1
                 candidates += n
                 dry_runs += feasible
                 skipped += spared
-                for kind, lines in (("BOUND", violations), ("MISMATCH", bad)):
+                for kind, lines in (
+                    ("BOUND", violations), ("MISMATCH", bad), ("PROGRAM", drift)
+                ):
                     if lines:
                         print(f"{kind} {profile.name} {halo} {label}:")
                         for line in lines[:5]:
                             print(f"  {line}")
                 violated += bool(violations)
                 failed += bool(bad)
+                drifted += len(drift)
     print(
         f"pipemodel: {candidates} candidates in {searches} searches checked, "
-        f"{failed} search(es) mismatched, {violated} with bound violations; "
+        f"{failed} search(es) mismatched, {violated} with bound violations, "
+        f"{drifted} compiled program(s) off the dry run's commands; "
         f"the bound spared {skipped} of {dry_runs} dry runs "
         f"({skipped / max(dry_runs, 1):.0%})"
     )
-    return 1 if failed or violated else 0
+    return 1 if failed or violated or drifted else 0
 
 
 if __name__ == "__main__":

@@ -43,16 +43,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.kernel import ChunkView, RegionKernel
-from repro.core.pipemodel import (
-    Books,
-    CompiledPlan,
-    chunk_costs,
-    compile_plan,
-    drain_outputs,
-    stage_inputs,
-)
+from repro.core.pipemodel import CompiledPlan, chunk_costs, chunk_program, compile_plan
 from repro.core.plan import Chunk, RegionPlan
-from repro.core.ringbuffer import DeviceRing, RingPiece, ring_pieces
+from repro.core.ringbuffer import DeviceRing, RingPiece
 from repro.errors import ReproError
 from repro.faults.policy import (
     CHUNK_EXHAUSTED,
@@ -74,9 +67,11 @@ from repro.integrity import (
 )
 from repro.sim.engine import Command, EventToken
 from repro.sim.trace import Timeline, overlap_fraction, time_distribution
-from repro.sim.varray import is_virtual
+from repro.sim.varray import VirtualArray, is_virtual
 
 __all__ = ["FaultRouter", "RegionResult", "PipelineIssuer", "execute_pipeline"]
+
+_new = tuple.__new__
 
 
 @dataclass
@@ -259,10 +254,13 @@ class _Measurer:
 
 
 class _Lane(NamedTuple):
-    """One pipelined array's issue program, resolved once at ``open()``
-    and carried as its :class:`~repro.core.pipemodel.Books`' ``lane``."""
+    """One pipelined array's transfers, resolved once at ``open()``; a
+    :class:`~repro.core.pipemodel.ChunkStep` op names its array's lane
+    by position."""
 
     var: str
+    #: the array's ``pipeline_map`` clause (its direction)
+    clause: object
     ring: DeviceRing
     host: object
     #: the array's transfers into and out of its ring
@@ -407,10 +405,13 @@ class PipelineIssuer:
     perturbing each other's host-clock accounting, and their commands
     contend only where they truly share engines.
 
-    The issuer reads its chunks, dependency ranges and ring capacities
-    from a :class:`~repro.core.pipemodel.CompiledPlan`: ``plan`` is
-    either one (a :class:`~repro.serve.PlanCache` entry's, shared by
-    every request that hits it) or a :class:`RegionPlan`, compiled here.
+    The issuer reads its chunks, dependency ranges, ring layouts and
+    chunk program from a :class:`~repro.core.pipemodel.CompiledPlan`:
+    ``plan`` is either one (a :class:`~repro.serve.PlanCache` entry's,
+    shared by every request that hits it) or a :class:`RegionPlan`,
+    compiled here.  With integrity checks on, :meth:`open` builds the
+    issuer's own program, because checks read ring slots and so change
+    the reuse waits.
 
     Attributes of note: :attr:`commands` collects every device command
     this issuer enqueued (used for per-tenant busy-time attribution),
@@ -486,12 +487,15 @@ class PipelineIssuer:
             router.register(self.meta)
         self.resident_dev: Dict[str, object] = {}
         self.rings: Dict[str, DeviceRing] = {}
-        self.books: Dict[str, Books] = {}
-        #: the same books in ``plan.specs`` order, each carrying its
-        #: array's :class:`_Lane` (built by open)
-        self._books: List[Books] = []
+        #: each pipelined array's :class:`_Lane`, in ``plan.specs``
+        #: order (built by open)
+        self._lanes: List[_Lane] = []
         #: per chunk, the kernel's cost (priced by open)
         self._costs: List[float] = []
+        #: the chunk program :meth:`issue_next` issues (set by open)
+        self._program: tuple = ()
+        #: the event token each issued op recorded, by op id
+        self._tokens: List[EventToken] = []
         self.streams: List = []
         # (command, gating tokens) pairs for slot-reuse stall accounting;
         # resolved after the pipeline drains, once tokens have times
@@ -499,10 +503,6 @@ class PipelineIssuer:
         self.virtual = any(is_virtual(arrays[v]) for v in arrays) or runtime.virtual
         self.rspan = None
         self._cursor = 0
-        #: the chunk issue_next is issuing, as its issue_h2d / issue_d2h
-        #: callbacks read it: stream, index, op lists, gates, check counts
-        self._st = self._h2d_ops = self._d2h_ops = self._gated = None
-        self._index = self._checks = self._seams = 0
         self._opened = False
         self._finalized = False
         #: silent-failure defense mode: off / checksum / vote
@@ -510,7 +510,6 @@ class PipelineIssuer:
         #: per-issuer flags the issue loop tests instead of the modes
         self._verify = self.integrity != INTEGRITY_OFF
         self._vote = self.integrity == INTEGRITY_VOTE
-        self._dedup = plan.halo_mode == "dedup"
         #: split-dim ranges of ``arrays`` this shard receives across a
         #: seam from a neighbouring shard — verify commands covering
         #: them are classified as halo checks (``{var: [(lo, hi), ...]}``)
@@ -660,13 +659,6 @@ class PipelineIssuer:
     # ------------------------------------------------------------------
     # integrity: detection
     # ------------------------------------------------------------------
-    def _in_halo(self, var: str, lo: int, hi: int) -> bool:
-        """Whether ``[lo, hi)`` of ``var`` crosses a shard-seam range."""
-        for rlo, rhi in self.halo_ranges.get(var, ()):
-            if rlo < hi and rhi > lo:
-                return True
-        return False
-
     def _note_corruption(
         self, var: str, lo: int, hi: int, chunk_index: int, kind: str,
         *, recover: bool = True,
@@ -702,27 +694,23 @@ class PipelineIssuer:
         return run
 
     def _verify_op(
-        self, book: Books, piece: RingPiece, tok: EventToken, chunk_index: int,
-        kind: str,
+        self, lane: _Lane, piece: RingPiece, tok: EventToken, vtok: EventToken,
+        chunk_index: int, kind: str, label: str,
     ) -> ChunkOp:
         """The checksum command covering one transfer piece (``kind``:
-        ``h2d``, ``halo`` or ``d2h``).
+        ``h2d``, ``halo`` or ``d2h``), recording ``vtok``.
 
-        The verify command waits on the transfer it checks (``tok``),
+        The verify command waits on the transfer it checks (``tok``) and
         runs on the dedicated verify stream at the modelled digest
-        bandwidth (:data:`~repro.integrity.CHECKSUM_BYTES_PER_SECOND`),
-        and is registered as a *reader* of the piece's range so ring-slot
-        reuse cannot overwrite data that has not been verified yet.
+        bandwidth (:data:`~repro.integrity.CHECKSUM_BYTES_PER_SECOND`);
+        the chunk program books it as a *reader* of the piece's range,
+        so ring-slot reuse cannot overwrite data that has not been
+        verified yet.
         """
-        lane = book.lane
-        var, g_lo, g_hi = lane.var, piece.g_lo, piece.g_hi
-        nbytes = (g_hi - g_lo) * lane.h2d.unit_bytes
-        vtok = EventToken.acquire(f"verify:{var}:{g_lo}")
-        book.readers.append((g_lo, g_hi, vtok))
+        nbytes = (piece.g_hi - piece.g_lo) * lane.h2d.unit_bytes
         return launch_op(
-            self.verify_stream, (tok,), (vtok,), None,
-            f"verify:{kind}:{var}[{g_lo}:{g_hi})", verify_cost(nbytes), nbytes,
-            self._checksum_payload(var, piece, chunk_index, kind), None,
+            self.verify_stream, (tok,), (vtok,), None, label, verify_cost(nbytes),
+            nbytes, self._checksum_payload(lane.var, piece, chunk_index, kind), None,
         )
 
     def _dual_execute_check(self, chunk: Chunk):
@@ -765,21 +753,19 @@ class PipelineIssuer:
 
         return run
 
-    def _vote_op(self, chunk: Chunk, ktok: EventToken, ranges, cost) -> ChunkOp:
-        """The dual-execution check for one chunk (vote mode).
+    def _vote_op(self, chunk: Chunk, ktok: EventToken, v2tok: EventToken) -> ChunkOp:
+        """The dual-execution check for one chunk (vote mode), recording
+        ``v2tok``.
 
         The re-execution waits on the primary kernel (and inherits its
         poison, so a fail-stop-faulted kernel never triggers a bogus
-        vote) and registers as a reader of every range it re-gathers,
-        keeping slot reuse honest.
+        vote); the chunk program books it as a reader of every range it
+        re-gathers, keeping slot reuse honest.
         """
-        v2tok = EventToken.acquire(f"vote:{chunk.index}")
-        for book, (lo, hi) in zip(self._books, ranges):
-            book.readers.append((lo, hi, v2tok))
         return launch_op(
             self.verify_stream, (ktok,), (v2tok,), None,
-            f"verify:vote:{self.kernel.name}[{chunk.t0}:{chunk.t1})", cost, 0,
-            self._dual_execute_check(chunk), None,
+            f"verify:vote:{self.kernel.name}[{chunk.t0}:{chunk.t1})",
+            self._costs[chunk.index], 0, self._dual_execute_check(chunk), None,
         )
 
     def _kernel_sink(self, chunk: Chunk):
@@ -794,14 +780,14 @@ class PipelineIssuer:
         if self.virtual:
             return None
         plan = self.plan
-        books = dict(zip(plan.specs, zip(self._books, self._ranges[chunk.index])))
+        lanes = dict(zip(plan.specs, zip(self._lanes, self._ranges[chunk.index])))
 
         def resolve():
-            for var in sorted(books):
-                book, (lo, hi) = books[var]
-                if not book.is_output:
+            for var in sorted(lanes):
+                lane, (lo, hi) = lanes[var]
+                if not lane.clause.is_output:
                     continue
-                ring = book.lane.ring
+                ring = lane.ring
                 pieces = ring.pieces(lo, hi)
                 if pieces:
                     return ring.device_view(pieces[0]).backing
@@ -873,56 +859,56 @@ class PipelineIssuer:
                     dev.backing[...] = 0
 
             # ring buffers
-            for (var, spec), capacity in zip(plan.specs.items(), self.compiled.capacities):
-                host = arrays[var]
-                self.rings[var] = DeviceRing(
-                    runtime,
-                    host.shape,
-                    spec.split_dim,
-                    capacity,
-                    host.dtype,
-                    tag=f"{var}:ring",
-                )
+            for var, geometry in zip(plan.specs, self.compiled.rings):
+                self.rings[var] = DeviceRing(runtime, geometry, tag=f"{var}:ring")
         finally:
             runtime.call_overhead_scale, runtime.command_overhead = prev
-        self._books = [
-            Books(spec.clause, self.rings[var].capacity, self._lane(var))
-            for var, spec in plan.specs.items()
+        engines = (
+            runtime.device.copy_engine("h2d"), runtime.device.copy_engine("d2h")
+        )
+        self._lanes = [
+            self._lane(var, spec.clause, engines) for var, spec in plan.specs.items()
         ]
-        self.books = dict(zip(plan.specs, self._books))
         # this issuer's own kernel prices the chunks: kernels of one name
         # share a compiled plan, not a cost model
         self._costs = chunk_costs(
             self.kernel, self.profile, [(c.t0, c.t1) for c in self.chunks]
         )
+        compiled = self.compiled
+        self._program = compiled.program if not self._verify else chunk_program(
+            plan, compiled.ranges, compiled.capacities, True, self._vote,
+            self.halo_ranges,
+        )
 
-    def _lane(self, var: str) -> _Lane:
-        """Resolve and check one pipelined array's issue program.
+    def _lane(self, var: str, clause, engines: Tuple[str, str]) -> _Lane:
+        """Resolve and check one pipelined array's transfers.
 
         What a public copy call checks per call is checked here once:
-        the ring is allocated for the host array's shape and both
-        directions have an engine.  Pinnedness is the whole host
-        array's, so a piece of a pinned array is priced pinned.
+        the ring is allocated for the host array's shape and dtype and
+        both directions have an engine (``engines``).  Pinnedness is the
+        whole host array's, so a piece of a pinned array is priced
+        pinned.
         """
         runtime, ring, host = self.runtime, self.rings[var], self.arrays[var]
-        ring.darr._check_alive()
-        if ring.host_shape != tuple(host.shape):
+        darr = ring.darr
+        darr._check_alive()
+        if ring.host_shape != host.shape or ring.geometry.dtype != host.dtype:
             raise InvalidValueError(
-                f"ring of {var!r} stages shape {ring.host_shape}, "
-                f"not the host array's {tuple(host.shape)}"
+                f"ring of {var!r} stages shape {ring.host_shape} of "
+                f"{ring.geometry.dtype}, not the host array's "
+                f"{tuple(host.shape)} of {host.dtype}"
             )
         pinned = runtime.is_registered(host)
-        h2d, d2h = (
-            CopyLane(
-                kind, runtime.device.copy_engine(kind), ring.rows,
-                ring.unit_row_bytes, ring.unit_elems * ring.itemsize, ring.darr,
-                pinned,
-            )
-            for kind in ("h2d", "d2h")
-        )
-        return _Lane(
-            var, ring, host, h2d, d2h, not ring.darr.is_virtual, not is_virtual(host),
-        )
+        rows, unit_row_bytes = ring.rows, ring.unit_row_bytes
+        unit_bytes = ring.unit_elems * ring.itemsize
+        # tuple.__new__ builds the named tuples without their
+        # Python-level constructors: every open of every region comes here
+        return _new(_Lane, (
+            var, clause, ring, host,
+            _new(CopyLane, ("h2d", engines[0], rows, unit_row_bytes, unit_bytes, darr, pinned)),
+            _new(CopyLane, ("d2h", engines[1], rows, unit_row_bytes, unit_bytes, darr, pinned)),
+            not darr.is_virtual, not isinstance(host, VirtualArray),
+        ))
 
     def _chunk_views(
         self, chunk: Chunk
@@ -932,16 +918,16 @@ class PipelineIssuer:
         ranges to scatter back."""
         views: Dict[str, ChunkView] = {}
         out_ranges: Dict[str, Tuple[int, int]] = {}
-        for book, (lo, hi) in zip(self._books, self._ranges[chunk.index]):
-            var, ring = book.lane.var, book.lane.ring
-            if book.is_input:
+        for lane, (lo, hi) in zip(self._lanes, self._ranges[chunk.index]):
+            var, ring = lane.var, lane.ring
+            if lane.clause.is_input:
                 data = ring.gather(lo, hi)
             else:
                 shape = list(ring.host_shape)
                 shape[ring.split_dim] = hi - lo
                 data = np.zeros(shape, dtype=self.arrays[var].dtype)
             views[var] = ChunkView(data, ring.split_dim, lo, hi)
-            if book.is_output:
+            if lane.clause.is_output:
                 out_ranges[var] = (lo, hi)
         for var, dev in self.resident_dev.items():
             views[var] = ChunkView(dev.backing, None, 0, dev.shape[0])
@@ -994,10 +980,12 @@ class PipelineIssuer:
         Returns the issued :class:`~repro.core.plan.Chunk`, or ``None``
         when every chunk has already been issued.
 
-        Everything fixed for the region's lifetime (the chunk table,
-        lanes, integrity and halo modes) was resolved and checked by
-        :meth:`open`; per chunk this pays only for interval bookkeeping
-        and one :meth:`~repro.gpu.runtime.Runtime.enqueue_chunk` call.
+        Everything fixed for the region's lifetime was resolved by
+        :meth:`open` and the plan's compilation: the chunk's commands
+        and their waits are a :class:`~repro.core.pipemodel.ChunkStep`
+        of the chunk program, so per chunk this only maps op ids to this
+        issuer's event tokens, builds the ops and makes one
+        :meth:`~repro.gpu.runtime.Runtime.enqueue_chunk` call.
         """
         cursor = self._cursor
         if cursor >= len(self.chunks):
@@ -1005,42 +993,33 @@ class PipelineIssuer:
         chunk = self.chunks[cursor]
         self._cursor = cursor + 1
         index, t0, t1 = cursor, chunk.t0, chunk.t1
-        ranges, cost = self._ranges[cursor], self._costs[cursor]
-        books, tracer, tr_on = self._books, self.tracer, self.tr_on
+        step = self._program[cursor]
+        kname, data_ids, reuse_ids = step.kernel
+        tracer, tr_on = self.tracer, self.tr_on
         st = self.streams[index % self.streams_n]
-        # the shared wait policy calls back issue_h2d / issue_d2h
-        self._st, self._index = st, index
-        h2d_ops = self._h2d_ops = []
-        d2h_ops = self._d2h_ops = []
-        #: (op position, slot-reuse gate) pairs for stall accounting
-        gated = self._gated = []
-        self._checks = self._seams = 0
-        in_tokens: List[EventToken] = []
-        out_reuse: List[EventToken] = []
-        stage_inputs(books, ranges, self._dedup, self, in_tokens, out_reuse)
-        if out_reuse and self.m_on:
-            gated.append((len(h2d_ops), out_reuse))
-
+        tokens = self._tokens
+        h2d_ops = self._phase_ops(step.h2d, st, chunk, True)
         kernel = self.kernel
-        ktok = EventToken.acquire(f"kernel:{index}")
+        ktok = EventToken.acquire(kname)
+        data = tuple(map(tokens.__getitem__, data_ids))
+        payload = sink = None
+        if not self.virtual:
+            payload, sink = self._kernel_payload(chunk), self._kernel_sink(chunk)
         kernel_op = launch_op(
-            st, in_tokens + out_reuse, (ktok,),
+            st, data + tuple(map(tokens.__getitem__, reuse_ids)), (ktok,),
             # only the input transfers are data dependencies; the
-            # out_reuse waits guard slot recycling
-            in_tokens,
-            f"{kernel.name}[{t0}:{t1})", cost, 0,
-            self._kernel_payload(chunk), self._kernel_sink(chunk),
+            # slot-reuse waits guard slot recycling
+            data,
+            f"{kernel.name}[{t0}:{t1})", self._costs[cursor], 0, payload, sink,
         )
-        drain_outputs(books, ranges, ktok, self)
-        if self._vote:
-            d2h_ops.append(self._vote_op(chunk, ktok, ranges, cost))
-            self._checks += 1
-        self._h2d_ops = self._d2h_ops = self._gated = None
+        tokens.append(ktok)
+        d2h_ops = self._phase_ops(step.d2h, st, chunk, False)
 
         prev = self._impose_overheads()
         try:
             on_phase = None
             if tr_on:
+                lanes, ranges = self._lanes, self._ranges[cursor]
                 cspan = tracer.begin(
                     f"chunk:{index}", "chunk",
                     chunk=index, stream=st.name, t0=t0, t1=t1,
@@ -1048,8 +1027,8 @@ class PipelineIssuer:
                 # plan: this chunk's dependency slices and ring slots
                 psp = tracer.begin("plan", "phase", chunk=index)
                 psp.set(slots={
-                    book.lane.var: lo % book.capacity
-                    for book, (lo, _hi) in zip(books, ranges)
+                    lane.var: lo % lane.ring.capacity
+                    for lane, (lo, _hi) in zip(lanes, ranges)
                 })
                 tracer.end(psp)
                 phase = [tracer.begin("h2d", "phase", chunk=index)]
@@ -1059,7 +1038,7 @@ class PipelineIssuer:
                     if k == 1:
                         phase[0] = tracer.begin(
                             "kernel", "phase", chunk=index,
-                            waits=len(in_tokens) + len(out_reuse),
+                            waits=len(data_ids) + len(reuse_ids),
                         )
                     else:
                         phase[0] = tracer.begin("d2h", "phase", chunk=index)
@@ -1074,8 +1053,8 @@ class PipelineIssuer:
                 tracer.instant(
                     "slot-release", "phase", chunk=index,
                     released={
-                        book.lane.var: [lo % book.capacity, lo, hi]
-                        for book, (lo, hi) in zip(books, ranges)
+                        lane.var: [lo % lane.ring.capacity, lo, hi]
+                        for lane, (lo, hi) in zip(lanes, ranges)
                     },
                 )
                 tracer.end(cspan)
@@ -1084,10 +1063,11 @@ class PipelineIssuer:
         self.commands += cmds
         if self.policy is not None:
             self.meta.update(dict.fromkeys(cmds, index))
-        for i, toks in gated:
-            self.stall_watch.append((cmds[i], toks))
-        self.verified_n += self._checks
-        self.seam_verified_n += self._seams
+        if self.m_on:
+            for i, ids in step.gates:
+                self.stall_watch.append((cmds[i], tuple(map(tokens.__getitem__, ids))))
+        self.verified_n += step.checks
+        self.seam_verified_n += step.seams
         if self.recorder is not None:
             self.recorder.record(
                 "chunk.issue", t=self.runtime.elapsed, chunk=index,
@@ -1095,44 +1075,36 @@ class PipelineIssuer:
             )
         return chunk
 
-    def issue_h2d(self, book: Books, piece: RingPiece, reuse: list) -> EventToken:
-        """:meth:`issue_next`'s input piece, and its checksum (called back
-        by :func:`~repro.core.pipemodel.stage_inputs`)."""
-        lane = book.lane
-        var, g_lo, g_hi = lane.var, piece.g_lo, piece.g_hi
-        ops = self._h2d_ops
-        if reuse and self.m_on:
-            self._gated.append((len(ops), reuse))
-        tok = EventToken.acquire(f"h2d:{var}:{g_lo}")
-        # slot-reuse waits are ordering-only: a faulted drain must not
-        # poison the next lap's transfer
-        ops.append(self._piece_op(
-            lane, lane.h2d, piece, self._st, reuse, (tok,), (),
-            f"h2d:{var}[{g_lo}:{g_hi})",
-        ))
-        if self._verify:
-            kind = "h2d"
-            if self._in_halo(var, g_lo, g_hi):
-                kind = "halo"
-                self._seams += 1
-            ops.append(self._verify_op(book, piece, tok, self._index, kind))
-            self._checks += 1
-        return tok
-
-    def issue_d2h(self, book: Books, piece: RingPiece) -> EventToken:
-        """:meth:`issue_next`'s output piece, and its checksum (called back
-        by :func:`~repro.core.pipemodel.drain_outputs`)."""
-        lane = book.lane
-        var, g_lo, g_hi = lane.var, piece.g_lo, piece.g_hi
-        dtok = EventToken.acquire(f"d2h:{var}:{g_lo}")
-        self._d2h_ops.append(self._piece_op(
-            lane, lane.d2h, piece, self._st, (), (dtok,), None,
-            f"d2h:{var}[{g_lo}:{g_hi})",
-        ))
-        if self._verify:
-            self._d2h_ops.append(self._verify_op(book, piece, dtok, self._index, "d2h"))
-            self._checks += 1
-        return dtok
+    def _phase_ops(self, phase: tuple, st, chunk: Chunk, h2d: bool) -> list:
+        """The ops of one phase of ``chunk``'s program step (its input
+        transfers when ``h2d``, else its drains), with their checks;
+        each op's event token joins :attr:`_tokens` under its op id."""
+        tokens, lanes = self._tokens, self._lanes
+        acquire = EventToken.acquire
+        ops = []
+        for check, k, piece, label, name, waits in phase:
+            tok = acquire(name)
+            if check is None:
+                lane = lanes[k]
+                if h2d:
+                    # slot-reuse waits are ordering-only: a faulted drain
+                    # must not poison the next lap's transfer
+                    ops.append(self._piece_op(
+                        lane, lane.h2d, piece, st, tuple(map(tokens.__getitem__, waits)),
+                        (tok,), (), label,
+                    ))
+                else:
+                    ops.append(self._piece_op(
+                        lane, lane.d2h, piece, st, (), (tok,), None, label,
+                    ))
+            elif check == "vote":
+                ops.append(self._vote_op(chunk, tokens[waits[0]], tok))
+            else:
+                ops.append(self._verify_op(
+                    lanes[k], piece, tokens[waits[0]], tok, chunk.index, check, label,
+                ))
+            tokens.append(tok)
+        return ops
 
     def drain(self) -> None:
         """Block until all commands on this issuer's streams retired.
@@ -1153,11 +1125,10 @@ class PipelineIssuer:
         st = self.streams[index % self.streams_n]
         ops: list = []
         rtoks: List[EventToken] = []
-        for book, (lo, hi) in zip(self._books, ranges):
-            if not book.is_input:
+        for lane, (lo, hi) in zip(self._lanes, ranges):
+            if not lane.clause.is_input:
                 continue
-            lane = book.lane
-            for piece in ring_pieces(lo, hi, book.capacity):
+            for piece in lane.ring.pieces(lo, hi):
                 tok = EventToken.acquire(f"replay-h2d:{lane.var}:{piece.g_lo}")
                 ops.append(self._piece_op(
                     lane, lane.h2d, piece, st, (), (tok,), None,
@@ -1169,11 +1140,10 @@ class PipelineIssuer:
             st, rtoks, (ktok,), None, f"replay:{self.kernel.name}[{t0}:{t1})",
             cost, 0, self._kernel_payload(chunk), self._kernel_sink(chunk),
         ))
-        for book, (lo, hi) in zip(self._books, ranges):
-            if not book.is_output:
+        for lane, (lo, hi) in zip(self._lanes, ranges):
+            if not lane.clause.is_output:
                 continue
-            lane = book.lane
-            for piece in ring_pieces(lo, hi, book.capacity):
+            for piece in lane.ring.pieces(lo, hi):
                 ops.append(self._piece_op(
                     lane, lane.d2h, piece, st, (ktok,), (), None,
                     f"replay:d2h:{lane.var}[{piece.g_lo}:{piece.g_hi})",
@@ -1353,8 +1323,7 @@ class PipelineIssuer:
         verification visible in the clock and in wait attribution.
         """
         runtime = self.runtime
-        for book, (lo, hi) in zip(self._books, self._ranges[chunk.index]):
-            lane = book.lane
+        for lane, (lo, hi) in zip(self._lanes, self._ranges[chunk.index]):
             ring = lane.ring
             for piece in ring.pieces(lo, hi):
                 runtime.host_now += verify_cost(piece.extent * lane.h2d.unit_bytes)
@@ -1365,7 +1334,7 @@ class PipelineIssuer:
                     ring.device_view(piece).backing,
                     ring.host_section(lane.host, piece),
                 ):
-                    kind = "h2d" if book.is_input else "d2h"
+                    kind = "h2d" if lane.clause.is_input else "d2h"
                     self._note_corruption(
                         lane.var, piece.g_lo, piece.g_hi, chunk.index, kind
                     )

@@ -25,8 +25,9 @@ plain numbers instead:
   raises what the allocator would, at the allocation that fails;
 * **the same dependencies**: the one wait policy both sides run,
   :class:`Books` with :func:`stage_inputs` and :func:`drain_outputs`,
-  with command ids where :meth:`PipelineIssuer.issue_next
-  <repro.core.executor.PipelineIssuer.issue_next>` books event tokens;
+  here with command ids, and once per plan with the op ids of the
+  :func:`chunk_program` that :meth:`PipelineIssuer.issue_next
+  <repro.core.executor.PipelineIssuer.issue_next>` issues;
 * **the same event order**: a flat event loop over command ids with the
   engine's discipline — a ``(time, seq, event)`` heap, per-engine queues
   keyed by ``(ready_time, seq)``, an idle engine starting a ready
@@ -54,22 +55,26 @@ holds the family's shared parts to the code each one stands for.
 
 The plan a search picks is compiled once more, for the issuer: a
 :class:`CompiledPlan` holds what every run of the plan derives from it
-alone (chunks, dependency ranges, ring capacities, footprint).  The
-issuer opens from one, and a :class:`~repro.serve.PlanCache` entry
-keeps one for every request that hits it.
+alone (chunks, dependency ranges, ring capacities and layouts,
+footprint) and its :func:`chunk_program`: every command the issuer
+issues, with its waits as op ids, recorded from one run of the wait
+policy.  The issuer opens from one and issues its program, and a
+:class:`~repro.serve.PlanCache` entry keeps one for every request that
+hits it.  ``scripts/check_pipemodel.py`` holds each compiled program to
+this model's commands for the same plan.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappop, heappush, heappushpop
-from typing import Dict, List, Mapping, NamedTuple, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core.kernel import RegionKernel
 from repro.core.plan import Chunk, RegionPlan, max_chunk_size, ring_capacity, stream_count
-from repro.core.ringbuffer import band_geometry, ring_pieces
+from repro.core.ringbuffer import RingGeometry, band_geometry, ring_geometry, ring_pieces
 from repro.core.scheduler import schedule_bounds
 from repro.directives.splitspec import chunk_ranges
 from repro.sim.bandwidth import transfer_time_1d, transfer_time_2d
@@ -77,10 +82,12 @@ from repro.sim.memory import OutOfDeviceMemory, aligned
 from repro.sim.profiles import DeviceProfile
 
 __all__ = [
-    "Books", "CompiledPlan", "PlanFamily", "chunk_costs", "chunk_work",
-    "compile_plan", "dependency_ranges", "drain_outputs", "dry_run_elapsed",
-    "stage_inputs",
+    "Books", "ChunkStep", "CompiledPlan", "PlanFamily", "chunk_costs",
+    "chunk_program", "chunk_work", "compile_plan", "dependency_ranges",
+    "drain_outputs", "dry_run_elapsed", "stage_inputs",
 ]
+
+_new = tuple.__new__
 
 #: heap event tags, in the engine's order (a finish sorts before a ready)
 _FINISH = 0
@@ -185,10 +192,11 @@ class CompiledPlan(NamedTuple):
     plan-cache key it was tuned under (:meth:`PlanCache.key_for
     <repro.serve.cache.PlanCache.key_for>`): a
     :class:`~repro.serve.PlanCache` entry keeps one and every request
-    that hits the entry opens its issuer from it.  Nothing in it depends
-    on a kernel or a runtime; the kernel's costs are priced per issuer
-    (:func:`chunk_costs`), because kernels of one name share a key but
-    not a cost model.  Build one with :func:`compile_plan`.
+    that hits the entry opens its issuer from it and issues its
+    program.  Nothing in it depends on a kernel or a runtime; the
+    kernel's costs are priced per issuer (:func:`chunk_costs`), because
+    kernels of one name share a key but not a cost model.  Build one
+    with :func:`compile_plan`.
     """
 
     #: the tuned plan
@@ -201,17 +209,28 @@ class CompiledPlan(NamedTuple):
     ranges: tuple
     #: the ring capacity of each pipelined array, in ``plan.specs`` order
     capacities: Tuple[int, ...]
+    #: the ring layout of each pipelined array, in ``plan.specs`` order
+    rings: Tuple[RingGeometry, ...]
+    #: the :func:`chunk_program` of an issuer with integrity off
+    program: Tuple["ChunkStep", ...]
 
 
 def compile_plan(plan: RegionPlan) -> CompiledPlan:
     """The :class:`CompiledPlan` of ``plan``."""
     chunks = tuple(plan.chunks())
+    ranges = dependency_ranges(plan.specs, [(c.t0, c.t1) for c in chunks])
+    capacities = tuple(plan.ring_capacity(var) for var in plan.specs)
     return CompiledPlan(
         plan,
         plan.device_bytes(),
         chunks,
-        dependency_ranges(plan.specs, [(c.t0, c.t1) for c in chunks]),
-        tuple(plan.ring_capacity(var) for var in plan.specs),
+        ranges,
+        capacities,
+        tuple(
+            ring_geometry(plan.shapes[var], spec.split_dim, capacity, plan.dtypes[var])
+            for (var, spec), capacity in zip(plan.specs.items(), capacities)
+        ),
+        chunk_program(plan, ranges, capacities),
     )
 
 
@@ -220,8 +239,9 @@ class Books:
     :func:`drain_outputs`: ``(lo, hi, ref)`` records of the transfers into
     its ring, the commands reading it (a caller may append more, as
     checksums and votes do) and the drains out of it.  A ``ref`` is what
-    later commands wait on: an event token in the issuer, a command id in
-    the dry-run model.  ``lane`` carries the caller's own per-array data.
+    later commands wait on: an op id in a :func:`chunk_program`, a command
+    id in the dry-run model.  ``lane`` carries the caller's own per-array
+    data.
     """
 
     __slots__ = (
@@ -299,6 +319,160 @@ def drain_outputs(books, ranges, kernel_ref, issue) -> None:
             d2h = book.d2h
             for piece in ring_pieces(lo, hi, book.capacity):
                 d2h.append((piece.g_lo, piece.g_hi, issue.issue_d2h(book, piece)))
+
+
+class ChunkStep(NamedTuple):
+    """One chunk of a :func:`chunk_program`.
+
+    The chunk's commands are its ``h2d`` ops, its kernel, then its
+    ``d2h`` ops, and every command records one event token; a command's
+    *op id* counts the commands of the whole program before it, so
+    waits name earlier commands by op id.  An op is ``(check, k, piece,
+    label, name, waits)``: ``check`` is ``None`` for a transfer of ring
+    piece ``piece`` of pipelined array ``k`` (its position in
+    ``plan.specs``), ``"h2d"``, ``"halo"`` or ``"d2h"`` for the checksum
+    of the transfer before it, and ``"vote"`` for the dual execution of
+    the chunk's kernel (``k`` is -1 and ``piece`` and ``label`` are
+    ``None``: the issuer names it after its kernel); ``label`` is the
+    command's label and ``name`` its token's.
+    """
+
+    #: the input transfers, each followed by its checksum when verified
+    h2d: tuple
+    #: ``(token name, data waits, slot-reuse waits)`` of the kernel:
+    #: the transfers it reads, then the previous lap's drains and
+    #: readers of the slots it writes
+    kernel: tuple
+    #: the output drains, each followed by its checksum, then the vote
+    d2h: tuple
+    #: ``(position among the chunk's commands, slot-reuse waits)`` of
+    #: each command a ring slot's reuse gates, for stall accounting
+    gates: tuple
+    #: integrity checks among the ops, and those checking a shard seam
+    checks: int
+    seams: int
+
+
+class _Recorder:
+    """The issuer's side of the wait policy, recorded once: each call
+    appends one transfer op (and its checksum, when verified) to the
+    current phase and returns the transfer's op id.  A book's ``lane``
+    is its array's position in ``plan.specs``."""
+
+    __slots__ = ("names", "verify", "halo", "n", "phase", "gates", "checks", "seams")
+
+    def __init__(self, names, verify: bool, halo) -> None:
+        self.names = names
+        self.verify = verify
+        self.halo = halo
+        self.n = 0
+        self.phase: list = []
+        self.gates: list = []
+        self.checks = self.seams = 0
+
+    def issue_h2d(self, book: Books, piece, reuse: list) -> int:
+        phase = self.phase
+        waits = tuple(reuse)
+        if waits:
+            self.gates.append((len(phase), waits))
+        k = book.lane
+        var, g_lo, i = self.names[k], piece.g_lo, self.n
+        phase.append(
+            (None, k, piece, f"h2d:{var}[{g_lo}:{piece.g_hi})", f"h2d:{var}:{g_lo}", waits)
+        )
+        self.n = i + 1
+        if self.verify:
+            self._check("h2d", book, piece, i)
+        return i
+
+    def issue_d2h(self, book: Books, piece) -> int:
+        k = book.lane
+        var, g_lo, i = self.names[k], piece.g_lo, self.n
+        self.phase.append(
+            (None, k, piece, f"d2h:{var}[{g_lo}:{piece.g_hi})", f"d2h:{var}:{g_lo}", ())
+        )
+        self.n = i + 1
+        if self.verify:
+            self._check("d2h", book, piece, i)
+        return i
+
+    def _check(self, kind: str, book: Books, piece, transfer: int) -> None:
+        """Append the checksum of transfer ``transfer`` (a ``kind`` piece)."""
+        k = book.lane
+        var, g_lo, g_hi = self.names[k], piece.g_lo, piece.g_hi
+        if kind == "h2d" and any(lo < g_hi and hi > g_lo for lo, hi in self.halo.get(var, ())):
+            kind = "halo"
+            self.seams += 1
+        self.phase.append((
+            kind, k, piece, f"verify:{kind}:{var}[{g_lo}:{g_hi})", f"verify:{var}:{g_lo}",
+            (transfer,),
+        ))
+        # the checksum reads the piece: a reader of its slots
+        book.readers.append((g_lo, g_hi, self.n))
+        self.n += 1
+        self.checks += 1
+
+
+def chunk_program(
+    plan: RegionPlan,
+    ranges,
+    capacities,
+    verify: bool = False,
+    vote: bool = False,
+    halo: Optional[Mapping[str, list]] = None,
+) -> Tuple[ChunkStep, ...]:
+    """Every command a :class:`~repro.core.executor.PipelineIssuer`
+    issues for ``plan``, with its waits, one :class:`ChunkStep` per
+    chunk.
+
+    The ring slot a range maps to, and so which earlier transfer,
+    kernel or drain each command waits for, is fixed by the plan: this
+    runs the one wait policy (:func:`stage_inputs`,
+    :func:`drain_outputs`) over ``ranges`` (per chunk, in ``plan.specs``
+    order) and rings of ``capacities`` once, recording op ids where the
+    issuer would book tokens.  ``verify`` adds a checksum after every
+    transfer and ``vote`` a dual execution after every kernel; both
+    read ring slots, so both change the reuse waits.  A verified input
+    transfer crossing a range of ``halo`` (``{var: [(lo, hi), ...]}``,
+    the shard seams) is checked as ``"halo"``.  The result is tuples
+    all the way down, so any number of issuers can share it.
+    """
+    specs = plan.specs
+    books = [
+        Books(spec.clause, capacity, k)
+        for k, (spec, capacity) in enumerate(zip(specs.values(), capacities))
+    ]
+    rec = _Recorder(list(specs), verify, halo or {})
+    dedup = plan.halo_mode == "dedup"
+    program = []
+    for index, chunk_ranges in enumerate(ranges):
+        rec.phase, rec.gates = [], []
+        rec.checks = rec.seams = 0
+        inputs: list = []
+        out_reuse: list = []
+        stage_inputs(books, chunk_ranges, dedup, rec, inputs, out_reuse)
+        h2d, gates = rec.phase, rec.gates
+        if out_reuse:
+            gates.append((len(h2d), tuple(out_reuse)))
+        kernel = rec.n
+        rec.n += 1
+        rec.phase = []
+        drain_outputs(books, chunk_ranges, kernel, rec)
+        d2h = rec.phase
+        if vote:
+            # the re-execution re-gathers every range it covers
+            d2h.append(("vote", -1, None, None, f"vote:{index}", (kernel,)))
+            for book, (lo, hi) in zip(books, chunk_ranges):
+                book.readers.append((lo, hi, rec.n))
+            rec.n += 1
+            rec.checks += 1
+        # tuple.__new__ builds the named tuple without its Python-level
+        # constructor: every chunk of every compiled plan comes here
+        program.append(_new(ChunkStep, (
+            tuple(h2d), (f"kernel:{index}", tuple(inputs), tuple(out_reuse)),
+            tuple(d2h), tuple(gates), rec.checks, rec.seams,
+        )))
+    return tuple(program)
 
 
 class _Issue:
@@ -604,23 +778,24 @@ class PlanFamily:
             (c_h2d, c_nh), (work[-1][4] + c_d2h, 1 + c_nd),
         )
 
-    def exact(self, chunk_size: int, num_streams: int) -> float:
-        """:func:`dry_run_elapsed` of the member."""
+    def commands(self, chunk_size: int, num_streams: int) -> tuple:
+        """``(commands, stream predecessors, host clock)`` of the member's
+        dry run: one command ``(duration, engine, issue time, waited
+        command ids)`` per H2D piece, kernel and D2H piece, in issue
+        order; each command's predecessor on its stream (-1 for a
+        stream's first); the host clock after the last enqueue."""
         plan = self.plan
         work = self._table(chunk_size, num_streams)[0]
         streams_n = min(num_streams, len(work))
-        call, contention, host, now = self._opened(chunk_size, num_streams, streams_n)
+        call, contention, host, _now = self._opened(chunk_size, num_streams, streams_n)
         books = [
             Books(spec.clause, capacity, times)
             for spec, capacity, times in zip(
                 plan.specs.values(), self._ring(chunk_size, num_streams)[0], self.tables
             )
         ]
-
-        # ---- issue: one command per H2D piece, kernel and D2H piece -----
         issue = _Issue(host, call, contention, 1 if self.profile.dma_engines > 1 else 0)
         cmds = issue.cmds
-        #: each command's predecessor on its stream (-1 for a stream's first)
         pred: List[int] = []
         tails = [-1] * streams_n
         dedup = plan.halo_mode == "dedup"
@@ -638,7 +813,13 @@ class PlanFamily:
             pred.append(tails[stream])
             pred.extend(range(first, len(cmds) - 1))
             tails[stream] = len(cmds) - 1
-        host = issue.host
+        return cmds, pred, issue.host
+
+    def exact(self, chunk_size: int, num_streams: int) -> float:
+        """:func:`dry_run_elapsed` of the member."""
+        cmds, pred, host = self.commands(chunk_size, num_streams)
+        streams_n = min(num_streams, len(self._table(chunk_size, num_streams)[0]))
+        call, contention, _host, now = self._opened(chunk_size, num_streams, streams_n)
 
         # ---- the event loop, as the engine runs it ---------------------
         # nothing retires while the issuer enqueues (the device clock stands

@@ -32,7 +32,10 @@ import numpy as np
 from repro.gpu.darray import DeviceArray
 from repro.gpu.runtime import Runtime
 
-__all__ = ["DeviceRing", "RingPiece", "band_geometry", "ring_pieces"]
+__all__ = [
+    "DeviceRing", "RingGeometry", "RingPiece", "band_geometry", "ring_geometry",
+    "ring_pieces",
+]
 
 
 class RingPiece(NamedTuple):
@@ -102,57 +105,87 @@ def ring_pieces(g_lo: int, g_hi: int, cap: int) -> List[RingPiece]:
     return [_new(RingPiece, (g_lo, split, pos)), _new(RingPiece, (split, g_hi, 0))]
 
 
+class RingGeometry(NamedTuple):
+    """One pipelined array's ring layout: a function of its host shape,
+    split dimension, ring capacity and dtype alone.
+
+    A :class:`~repro.core.pipemodel.CompiledPlan` keeps one per
+    pipelined array (built by :func:`ring_geometry`), so every region
+    run from that plan allocates its rings without deriving any of it.
+    """
+
+    #: host array shape
+    host_shape: Tuple[int, ...]
+    split_dim: int
+    #: ring capacity in split-dim units
+    capacity: int
+    dtype: np.dtype
+    #: the buffer's shape: the host shape with the split extent
+    #: replaced by ``capacity``
+    buf_shape: Tuple[int, ...]
+    #: elements in one split-dim unit
+    unit_elems: int
+    itemsize: int
+    #: DMA band geometry of one split-dim unit (see :func:`band_geometry`)
+    rows: Optional[int]
+    unit_row_bytes: int
+    #: index template: the split-dim slice goes between these
+    prefix: tuple
+    suffix: tuple
+
+
+def ring_geometry(
+    shape: Tuple[int, ...], split_dim: int, capacity: int, dtype
+) -> RingGeometry:
+    """The :class:`RingGeometry` of a ring of ``capacity`` split-dim
+    units over a host array of ``shape`` and ``dtype``."""
+    if capacity < 1:
+        raise ValueError("ring capacity must be >= 1")
+    if not (0 <= split_dim < len(shape)):
+        raise ValueError("split_dim out of range")
+    host_shape = tuple(int(s) for s in shape)
+    capacity = int(capacity)
+    dtype = np.dtype(dtype)
+    buf_shape = list(host_shape)
+    buf_shape[split_dim] = capacity
+    unit_elems = 1
+    for i, s in enumerate(host_shape):
+        if i != split_dim:
+            unit_elems *= s
+    rows, unit_row_bytes = band_geometry(host_shape, split_dim, dtype.itemsize)
+    return RingGeometry(
+        host_shape, split_dim, capacity, dtype, tuple(buf_shape), unit_elems,
+        dtype.itemsize, rows, unit_row_bytes, (slice(None),) * split_dim,
+        (slice(None),) * (len(host_shape) - split_dim - 1),
+    )
+
+
 class DeviceRing:
     """A pre-allocated device ring buffer for one pipelined array.
+
+    The ring only allocates: everything else it knows is its
+    :class:`RingGeometry`, derived once per plan (see
+    :func:`ring_geometry`) and shared by every ring of that plan.
 
     Parameters
     ----------
     runtime:
         The host runtime (allocates the buffer).
-    shape:
-        Host array shape.
-    split_dim:
-        Dimension being split.
-    capacity:
-        Ring capacity in split-dim units; the buffer's shape equals the
-        host shape with ``shape[split_dim]`` replaced by ``capacity``.
-    dtype:
-        Element type.
+    geometry:
+        The ring's layout; the buffer's shape is ``geometry.buf_shape``.
     tag:
         Allocator debug tag.
     """
 
-    def __init__(
-        self,
-        runtime: Runtime,
-        shape: Tuple[int, ...],
-        split_dim: int,
-        capacity: int,
-        dtype,
-        tag: str = "",
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("ring capacity must be >= 1")
-        if not (0 <= split_dim < len(shape)):
-            raise ValueError("split_dim out of range")
-        self.split_dim = split_dim
-        self.capacity = int(capacity)
-        self.host_shape = tuple(int(s) for s in shape)
-        buf_shape = list(self.host_shape)
-        buf_shape[split_dim] = self.capacity
-        self.darr: DeviceArray = runtime.malloc(buf_shape, dtype, tag=tag or "ring")
-        #: elements in one split-dim unit
-        self.unit_elems = 1
-        for i, s in enumerate(self.host_shape):
-            if i != split_dim:
-                self.unit_elems *= s
-        self.itemsize = np.dtype(dtype).itemsize
-        # index template: the split-dim slice goes between these
-        self._prefix = (slice(None),) * split_dim
-        self._suffix = (slice(None),) * (len(self.host_shape) - split_dim - 1)
-        #: DMA band geometry of one split-dim unit (see band_geometry)
-        self.rows, self.unit_row_bytes = band_geometry(
-            self.host_shape, split_dim, self.itemsize
+    def __init__(self, runtime: Runtime, geometry: RingGeometry, tag: str = "") -> None:
+        self.geometry = geometry
+        (
+            self.host_shape, self.split_dim, self.capacity, _dtype, _buf_shape,
+            self.unit_elems, self.itemsize, self.rows, self.unit_row_bytes,
+            self._prefix, self._suffix,
+        ) = geometry
+        self.darr: DeviceArray = runtime.malloc(
+            geometry.buf_shape, geometry.dtype, tag=tag or "ring"
         )
         # slot views by (pos, extent): ring positions repeat every lap
         self._views: Dict[Tuple[int, int], DeviceArray] = {}

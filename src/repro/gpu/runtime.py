@@ -577,7 +577,7 @@ class Runtime:
         request does not fit.
         """
         self._check_device()
-        shape = tuple(int(s) for s in shape)
+        shape = tuple(map(int, shape))
         dt = np.dtype(dtype)
         nbytes = math.prod(shape) * dt.itemsize
         t0 = self.host_now

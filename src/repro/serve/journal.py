@@ -67,8 +67,10 @@ __all__ = [
 #: ``telemetry``, ``telemetry_window``, ``telemetry_journal``): a
 #: format-1 journal's header can never byte-verify against a header
 #: regenerated by this build, so reject it with a clean format error
-#: instead of a confusing record-0 divergence.
-JOURNAL_FORMAT = 2
+#: instead of a confusing record-0 divergence.  Bumped to 3 when
+#: snapshots began to hold the plan-cache entries (``cache.plans``),
+#: which changes every snapshot digest a journal records.
+JOURNAL_FORMAT = 3
 
 
 class JournalError(ReproError, RuntimeError):

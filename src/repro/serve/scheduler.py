@@ -1075,10 +1075,9 @@ class RegionScheduler:
             "quarantined_until": list(self._quarantined_until),
             "breaker_windows": [list(ts) for ts in self._fault_times],
             "breaker_trips": list(self._breaker_trips),
-            "cache": {
-                "entries": self.cache.dump_entries(),
-                **self.cache.stats(),
-            },
+            # the entries under their own key: stats() counts them as
+            # "entries"
+            "cache": {"plans": self.cache.dump_entries(), **self.cache.stats()},
             "plan_seconds": self.plan_seconds,
             "dry_runs": self.dry_runs,
             "device_elapsed": [rt.elapsed for rt in self.pool.runtimes],

@@ -15,7 +15,8 @@ real mode at reduced sizes through the identical code path.
 
 Implementation note: shape algebra (what does ``a[1:-1, ::2]`` look
 like?) is delegated to NumPy by keeping a zero-stride *phantom* array
-of the right shape via ``np.broadcast_to``, which costs O(1) memory.
+of the right shape over one read-only element, which costs O(1)
+memory.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ import numpy as np
 __all__ = ["VirtualArray", "as_backing", "empty_like_backing", "nbytes_of", "is_virtual"]
 
 ArrayLike = Union[np.ndarray, "VirtualArray"]
+
+#: the one element every phantom's zero strides point at: immutable
+#: bytes, so no phantom is writable
+_CELL = bytes(64)
 
 
 class VirtualArray:
@@ -41,8 +46,12 @@ class VirtualArray:
     __slots__ = ("_phantom", "__weakref__")
 
     def __init__(self, shape: Tuple[int, ...], dtype) -> None:
-        cell = np.empty((), dtype=dtype)
-        self._phantom = np.broadcast_to(cell, tuple(int(s) for s in shape))
+        shape = tuple(map(int, shape))
+        dtype = np.dtype(dtype)
+        cell = _CELL if dtype.itemsize <= len(_CELL) else bytes(dtype.itemsize)
+        self._phantom = np.ndarray(
+            shape, dtype, buffer=cell, strides=(0,) * len(shape)
+        )
 
     @classmethod
     def _wrap(cls, phantom: np.ndarray) -> "VirtualArray":

@@ -35,6 +35,7 @@ from repro.apps import matmul as mm
 from repro.apps import qcd as qc
 from repro.apps import stencil as st
 from repro.apps.common import new_runtime
+from repro.core import pipemodel
 from repro.core.autotune import autotune
 from repro.core.executor import PipelineIssuer
 from repro.core.kernel import make_kernel
@@ -239,23 +240,32 @@ def test_fault_and_integrity_scenarios_do_real_work():
     assert SCENARIOS["conv3d-vote"](None).verified > 0
 
 
-def test_long_checksum_run_keeps_books_bounded():
+def test_long_checksum_run_keeps_books_bounded(monkeypatch):
     """Verify readers are pruned on output-only arrays too: over 511
-    chunks every event book stays within twice its ring capacity (the
-    scenario's command stream is pinned above)."""
+    chunks every event book the issuer's checksum program is built over
+    stays within twice its ring capacity (the scenario's command stream
+    is pinned above)."""
     region, arrays, kernel = _long_stencil(virtual=True)
     rt = new_runtime("k40m", virtual=True)
-    issuer = PipelineIssuer(
-        rt, region.plan_for(rt, arrays), arrays, kernel, integrity="checksum"
-    )
-    issuer.open()
-    assert issuer.remaining >= 500
+    plan = region.plan_for(rt, arrays)
     peak = {}
-    while issuer.issue_next() is not None:
-        for var, book in issuer.books.items():
+    drain_outputs = pipemodel.drain_outputs
+
+    def watched(books, ranges, kernel_ref, issue):
+        # the end of a chunk's policy run: its drains and their checks
+        # are booked (checksum mode appends no vote readers)
+        drain_outputs(books, ranges, kernel_ref, issue)
+        for var, book in zip(plan.specs, books):
             for name in ("h2d", "readers", "d2h"):
                 key = (var, name)
                 peak[key] = max(peak.get(key, 0), len(getattr(book, name)))
+
+    monkeypatch.setattr(pipemodel, "drain_outputs", watched)
+    issuer = PipelineIssuer(rt, plan, arrays, kernel, integrity="checksum")
+    issuer.open()
+    assert issuer.remaining >= 500
+    while issuer.issue_next() is not None:
+        pass
     rt.synchronize()
     issuer.finalize()
     for (var, name), n in peak.items():

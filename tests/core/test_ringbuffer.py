@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.ringbuffer import DeviceRing
+from repro.core.ringbuffer import DeviceRing, ring_geometry
 from repro.gpu import Runtime
 from repro.sim import NVIDIA_K40M
 
@@ -16,7 +16,7 @@ def rt():
 
 
 def ring(rt, shape=(64, 8), split_dim=0, capacity=6, dtype=np.float32):
-    return DeviceRing(rt, shape, split_dim, capacity, dtype, tag="test")
+    return DeviceRing(rt, ring_geometry(shape, split_dim, capacity, dtype), tag="test")
 
 
 class TestGeometry:

@@ -15,6 +15,12 @@ checksum commands (one per transfer piece) and vote commands (one per
 chunk, over every range) append.  Every chunk must issue the same
 commands with the same waits, in order and with duplicates, and leave
 the same books behind.
+
+The issuer itself issues a :func:`~repro.core.pipemodel.chunk_program`,
+the policy's run recorded once per plan; over the same tables each
+program step must hold the reference's ops, their wait ids, the
+kernel's data and slot-reuse waits apart, the stall gates and the
+check counts.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.pipemodel import Books, drain_outputs, stage_inputs
+from repro.core.pipemodel import Books, chunk_program, drain_outputs, stage_inputs
 from repro.core.ringbuffer import ring_pieces
 
 IN, OUT, TOFROM = "in", "out", "tofrom"
@@ -180,6 +186,30 @@ def _arrays(rng: random.Random):
     return kinds, capacities, clauses
 
 
+def _case(seed: int):
+    """``(rng, clauses, capacities, dedup, verify, vote, table)`` of one
+    seeded random case."""
+    rng = random.Random(seed)
+    kinds, capacities, clauses = _arrays(rng)
+    dedup = rng.random() < 0.5
+    verify = rng.random() < 0.5
+    # vote cannot dual-execute over a tofrom array (the issuer refuses it)
+    vote = verify and TOFROM not in kinds and rng.random() < 0.5
+    table = random_table(rng, capacities, rng.randint(1, 40))
+    return rng, clauses, capacities, dedup, verify, vote, table
+
+
+def _lanes(clauses, capacities):
+    """:func:`reference_chunk`'s lanes, with empty books."""
+    return [
+        SimpleNamespace(
+            var=k, capacity=cap, is_input=cl.is_input, is_output=cl.is_output,
+            book=SimpleNamespace(h2d=[], readers=[], d2h=[], covered_hi=None),
+        )
+        for k, (cl, cap) in enumerate(zip(clauses, capacities))
+    ]
+
+
 @pytest.mark.parametrize("first", range(0, 300, 30))
 def test_shared_policy_matches_the_inline_books(first):
     for seed in range(first, first + 30):
@@ -187,27 +217,79 @@ def test_shared_policy_matches_the_inline_books(first):
 
 
 def _check(seed: int) -> None:
-    rng = random.Random(seed)
-    kinds, capacities, clauses = _arrays(rng)
-    dedup = rng.random() < 0.5
-    verify = rng.random() < 0.5
-    # vote cannot dual-execute over a tofrom array (the issuer refuses it)
-    vote = verify and TOFROM not in kinds and rng.random() < 0.5
-    lanes = [
-        SimpleNamespace(
-            var=k, capacity=cap, is_input=cl.is_input, is_output=cl.is_output,
-            book=SimpleNamespace(h2d=[], readers=[], d2h=[], covered_hi=None),
-        )
-        for k, (cl, cap) in enumerate(zip(clauses, capacities))
-    ]
+    _rng, clauses, capacities, dedup, verify, vote, table = _case(seed)
+    lanes = _lanes(clauses, capacities)
     books = [Books(cl, cap, k) for k, (cl, cap) in enumerate(zip(clauses, capacities))]
     ref_log, log = Log(), Log()
-    for ranges in random_table(rng, capacities, rng.randint(1, 40)):
+    for ranges in table:
         expected = reference_chunk(lanes, ranges, dedup, verify, vote, ref_log)
         got = shared_chunk(books, ranges, dedup, verify, vote, log)
         assert got == expected, seed
         assert log.ops == ref_log.ops, seed
         assert [_state(b) for b in books] == [_state(lane.book) for lane in lanes]
+
+
+@pytest.mark.parametrize("first", range(0, 300, 30))
+def test_chunk_program_matches_the_inline_books(first):
+    for seed in range(first, first + 30):
+        _check_program(seed)
+
+
+def _program_ops(step) -> list:
+    """One :class:`~repro.core.pipemodel.ChunkStep` as :class:`Log` ops."""
+    ops = []
+    for phase, kind in ((step.h2d, "h2d"), (None, "kernel"), (step.d2h, "d2h")):
+        if phase is None:
+            _name, data, reuse = step.kernel
+            ops.append(("kernel", None, 0, 0, data + reuse))
+            continue
+        for check, k, piece, _label, _name, waits in phase:
+            if check == "vote":
+                ops.append(("vote", None, 0, 0, waits))
+            else:
+                op = kind if check is None else "verify"
+                ops.append((op, k, piece.g_lo, piece.g_hi, waits))
+    return ops
+
+
+def _check_program(seed: int) -> None:
+    rng, clauses, capacities, dedup, verify, vote, table = _case(seed)
+    # shard seams, which turn a verified input transfer crossing one
+    # into a "halo" check
+    halo = {
+        k: [(lo, lo + rng.randint(1, 4))]
+        for k, lo in enumerate(rng.randint(0, 40) for _ in clauses)
+        if verify and rng.random() < 0.5
+    }
+    plan = SimpleNamespace(
+        specs={k: SimpleNamespace(clause=cl) for k, cl in enumerate(clauses)},
+        halo_mode="dedup" if dedup else "duplicate",
+    )
+    program = chunk_program(plan, table, capacities, verify, vote, halo)
+    assert len(program) == len(table)
+    lanes = _lanes(clauses, capacities)
+    ref_log = Log()
+    for step, ranges in zip(program, table):
+        first = len(ref_log.ops)
+        expected = reference_chunk(lanes, ranges, dedup, verify, vote, ref_log)
+        ops = ref_log.ops[first:]
+        assert _program_ops(step) == ops, seed
+        assert (list(step.kernel[1]), list(step.kernel[2])) == expected, seed
+        # every transfer a slot's reuse gates, then the kernel
+        staged = ops[: len(step.h2d)]
+        gates = [(i, op[4]) for i, op in enumerate(staged) if op[0] == "h2d" and op[4]]
+        if expected[1]:
+            gates.append((len(staged), tuple(expected[1])))
+        assert list(step.gates) == gates, seed
+        assert step.checks == sum(op[0] in ("verify", "vote") for op in ops), seed
+        seams = [
+            check == "halo" for check, k, piece, *_ in step.h2d if check is not None
+        ]
+        assert seams == [
+            any(lo < piece.g_hi and hi > piece.g_lo for lo, hi in halo.get(k, ()))
+            for check, k, piece, *_ in step.h2d if check is not None
+        ], seed
+        assert step.seams == sum(seams), seed
 
 
 def test_random_tables_reach_every_wait():

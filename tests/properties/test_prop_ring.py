@@ -6,14 +6,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as stn
 
-from repro.core.ringbuffer import DeviceRing
+from repro.core.ringbuffer import DeviceRing, ring_geometry
 from repro.gpu import Runtime
 from repro.sim import NVIDIA_K40M
 
 
 def make_ring(capacity, split_dim=0, shape=(256, 4)):
     rt = Runtime(NVIDIA_K40M)
-    return DeviceRing(rt, shape, split_dim, capacity, np.float32)
+    return DeviceRing(rt, ring_geometry(shape, split_dim, capacity, np.float32))
 
 
 @given(cap=stn.integers(1, 40), lo=stn.integers(0, 500), width=stn.integers(0, 40))

@@ -9,9 +9,15 @@ everything the compiled plan depends on, so:
 * :meth:`PlanCache.key_for`, which keys a region without binding it,
   must give exactly the key the bound plan gives (the bind-then-key code
   it replaced is kept below as the reference);
-* the compiled plan a request is served from must equal the one built
-  afresh from that request's own bound region, over every region of
-  ``tests/core/test_issue_stream.py`` and over seeded random regions;
+* the compiled plan a request is served from — its chunk program and
+  ring layouts included — must equal the one built afresh from that
+  request's own bound region, over every region of
+  ``tests/core/test_issue_stream.py`` and over seeded random regions,
+  and each ring layout must be the one the request's own host array
+  gives;
+* issuers opened from one entry share its program and ring layouts and
+  leave them unchanged, while an issuer with integrity checks issues
+  its own program, exactly as one opened from the bare plan;
 * requests that differ in profile, halo mode, dtype, shape or limit
   must get separate entries;
 * kernels of one name share an entry but not a cost model, so each
@@ -22,16 +28,20 @@ everything the compiled plan depends on, so:
 
 from __future__ import annotations
 
+import copy
 import json
 from typing import Optional
 
 import numpy as np
 import pytest
 
+from repro.apps.common import new_runtime
+from repro.core.executor import PipelineIssuer
 from repro.core.kernel import make_kernel
 from repro.core.memlimit import tune_plan
-from repro.core.pipemodel import compile_plan
+from repro.core.pipemodel import chunk_program, compile_plan
 from repro.core.region import TargetRegion
+from repro.core.ringbuffer import ring_geometry
 from repro.directives.clauses import (
     Affine,
     DirectiveError,
@@ -120,7 +130,14 @@ def _check_served_forms(sched, requests) -> None:
         )
         assert sched.cache.get_compiled(key) is compiled
         params = (compiled.plan.chunk_size, compiled.plan.num_streams)
-        assert compiled == _fresh(sched, req, device, params), (seq, device)
+        fresh = _fresh(sched, req, device, params)
+        assert compiled == fresh, (seq, device)
+        assert compiled.program == fresh.program and compiled.rings == fresh.rings
+        for (var, spec), geometry, capacity in zip(
+            compiled.plan.specs.items(), compiled.rings, compiled.capacities
+        ):
+            arr = req.arrays[var]
+            assert geometry == ring_geometry(arr.shape, spec.split_dim, capacity, arr.dtype)
 
 
 def _serve_twice(setup, config=None):
@@ -467,3 +484,96 @@ def test_restored_entries_compile_on_their_first_hit(monkeypatch):
     monkeypatch.undo()
     _check_served_forms(sched, requests)
     assert cache.dump_entries() == entries
+
+
+# ----------------------------------------------------------------------
+# issuers share the entry's program and ring layouts
+# ----------------------------------------------------------------------
+def test_hits_share_the_entrys_program_and_leave_it_unchanged(monkeypatch):
+    """Two requests served together from one entry: both issuers issue
+    the entry's program object and allocate from its ring layouts, and
+    after both drained the program and layouts equal a copy taken
+    before the first one opened."""
+    opened = []
+    real_open = PipelineIssuer.open
+
+    def recording_open(self):
+        if not opened:
+            opened.append(copy.deepcopy((self.compiled.program, self.compiled.rings)))
+        opened.append(self)
+        return real_open(self)
+
+    monkeypatch.setattr(PipelineIssuer, "open", recording_open)
+    requests = [
+        RegionRequest(tenant, *iss._stencil(num_streams=2)) for tenant in ("a", "b")
+    ]
+    sched = _Recording(DevicePool("k40m"), ServeConfig(max_active=2))
+    sched.submit_all(requests)
+    report = sched.run()
+    assert report.ok
+    assert [r.cache_hit for r in report.results] == [False, True]
+    before, *issuers = opened
+    compiled = sched.planned[0][2]
+    assert len(issuers) == 2 and issuers[0] is not issuers[1]
+    for issuer in issuers:
+        assert issuer.compiled is compiled and issuer._program is compiled.program
+        assert issuer.remaining == 0 and len(issuer.chunks) > 1
+        for ring, geometry in zip(issuer.rings.values(), compiled.rings):
+            assert ring.geometry is geometry
+    assert (compiled.program, compiled.rings) == before
+
+
+def _issued(run) -> list:
+    """The fingerprint of every command ``run()`` enqueues, with its
+    waits as enqueued (see ``tests/core/test_issue_stream.py``)."""
+    issued = []
+    real_enqueue = Simulator.enqueue
+
+    def enqueue(self, cmd, *, waits=(), poison_waits=None, **kw):
+        waits = tuple(waits)
+        ids = None if poison_waits is None else {id(t) for t in poison_waits}
+        issued.append((cmd, waits, [ids is None or id(t) in ids for t in waits]))
+        return real_enqueue(self, cmd, waits=waits, poison_waits=poison_waits, **kw)
+
+    Simulator.enqueue = enqueue
+    try:
+        run()
+    finally:
+        Simulator.enqueue = real_enqueue
+    return [iss._fingerprint(*entry) for entry in issued]
+
+
+def _drive(plan, arrays, kernel, integrity) -> PipelineIssuer:
+    """One region run start to finish on a fresh runtime."""
+    issuer = PipelineIssuer(
+        new_runtime("k40m", virtual=False), plan, arrays, kernel, integrity=integrity
+    )
+    issuer.open()
+    while issuer.issue_next() is not None:
+        pass
+    issuer.runtime.synchronize()
+    issuer.finalize()
+    return issuer
+
+
+@pytest.mark.parametrize("integrity", ["checksum", "vote"])
+def test_an_integrity_issuer_from_an_entry_issues_its_own_program(integrity):
+    """With checks on, an issuer opened from a used entry builds its own
+    program and issues exactly what one opened from the bare plan does;
+    the entry's integrity-off program is left as it was."""
+    region, arrays, kernel = iss._stencil(virtual=False, num_streams=2)
+    plan = region.plan_for(new_runtime("k40m", virtual=False), arrays)
+    compiled = compile_plan(plan)
+    before = copy.deepcopy(compiled.program)
+    _drive(compiled, arrays, kernel, "off")
+    cached = []
+    from_entry = _issued(lambda: cached.append(_drive(compiled, arrays, kernel, integrity)))
+    from_plan = _issued(lambda: _drive(plan, arrays, kernel, integrity))
+    assert from_entry == from_plan
+    assert sum(row[3].startswith("verify:") for row in from_entry) == cached[0].verified_n > 0
+    issuer = cached[0]
+    assert issuer._program is not compiled.program
+    assert issuer._program == chunk_program(
+        plan, compiled.ranges, compiled.capacities, True, integrity == "vote"
+    )
+    assert compiled.program == before

@@ -293,6 +293,34 @@ class TestJournalledServe:
         kinds = [r.get("kind") for r in JournalReader(path).records]
         assert kinds.count("journal.snapshot") == report.journal["snapshots"]
 
+    def test_snapshot_holds_every_key_checkpoint_writes(self, tmp_path):
+        """The decoded sidecar holds every key of the state the last
+        checkpoint built, the plan-cache entries (under ``plans``, beside
+        the cache's counters) among them, equal to the cache's own dump
+        when the snapshot was taken."""
+
+        class Recording(RegionScheduler):
+            def checkpoint(self):
+                entries = json.loads(json.dumps(self.cache.dump_entries()))
+                taken.append((entries, super().checkpoint()))
+                return taken[-1][1]
+
+        taken = []
+        path = str(tmp_path / "serve.journal")
+        pool = DevicePool("k40m", virtual=True)
+        sched = Recording(pool, ServeConfig(journal_path=path, snapshot_every=4))
+        sched.submit_all(random_workload(seed=7, n=4))
+        report = sched.run()
+        pool.close()
+        assert report.ok and report.journal["snapshots"] == len(taken) >= 1
+        with open(snapshot_path(path), encoding="utf-8") as fh:
+            state = json.load(fh)["state"]
+        entries, built = taken[-1]
+        assert set(state) == set(built)
+        assert set(state["cache"]) == {"plans"} | set(sched.cache.stats())
+        assert state["cache"]["plans"] == entries and entries
+        assert state["cache"]["entries"] == len(entries)
+
     def test_checkpoint_is_json_safe_and_deterministic(self):
         pool = DevicePool("k40m", virtual=True)
         sched = RegionScheduler(pool)
