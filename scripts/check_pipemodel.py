@@ -104,8 +104,7 @@ def program_commands(program, d2h_engine: int) -> list:
     out = []
     for step in program:
         out += [(0, op[5]) for op in step.h2d]
-        _name, data, reuse = step.kernel
-        out.append((2, data + reuse))
+        out.append((2, step.reads + step.reuse))
         out += [(d2h_engine, op[5]) for op in step.d2h]
     return out
 

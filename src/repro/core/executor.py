@@ -994,19 +994,18 @@ class PipelineIssuer:
         self._cursor = cursor + 1
         index, t0, t1 = cursor, chunk.t0, chunk.t1
         step = self._program[cursor]
-        kname, data_ids, reuse_ids = step.kernel
         tracer, tr_on = self.tracer, self.tr_on
         st = self.streams[index % self.streams_n]
         tokens = self._tokens
         h2d_ops = self._phase_ops(step.h2d, st, chunk, True)
         kernel = self.kernel
-        ktok = EventToken.acquire(kname)
-        data = tuple(map(tokens.__getitem__, data_ids))
+        ktok = EventToken.acquire(step.kernel)
+        data = tuple(map(tokens.__getitem__, step.reads))
         payload = sink = None
         if not self.virtual:
             payload, sink = self._kernel_payload(chunk), self._kernel_sink(chunk)
         kernel_op = launch_op(
-            st, data + tuple(map(tokens.__getitem__, reuse_ids)), (ktok,),
+            st, data + tuple(map(tokens.__getitem__, step.reuse)), (ktok,),
             # only the input transfers are data dependencies; the
             # slot-reuse waits guard slot recycling
             data,
@@ -1038,7 +1037,7 @@ class PipelineIssuer:
                     if k == 1:
                         phase[0] = tracer.begin(
                             "kernel", "phase", chunk=index,
-                            waits=len(data_ids) + len(reuse_ids),
+                            waits=len(step.reads) + len(step.reuse),
                         )
                     else:
                         phase[0] = tracer.begin("d2h", "phase", chunk=index)
@@ -1064,8 +1063,13 @@ class PipelineIssuer:
         if self.policy is not None:
             self.meta.update(dict.fromkeys(cmds, index))
         if self.m_on:
-            for i, ids in step.gates:
-                self.stall_watch.append((cmds[i], tuple(map(tokens.__getitem__, ids))))
+            # a ring slot's reuse gates the input transfers and the
+            # kernel: their slot-reuse waits
+            gated = [(cmd, op[5]) for cmd, op in zip(cmds, step.h2d) if op[0] is None]
+            gated.append((cmds[len(step.h2d)], step.reuse))
+            self.stall_watch += [
+                (cmd, tuple(map(tokens.__getitem__, ids))) for cmd, ids in gated if ids
+            ]
         self.verified_n += step.checks
         self.seam_verified_n += step.seams
         if self.recorder is not None:

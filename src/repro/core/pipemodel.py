@@ -334,20 +334,23 @@ class ChunkStep(NamedTuple):
     of the transfer before it, and ``"vote"`` for the dual execution of
     the chunk's kernel (``k`` is -1 and ``piece`` and ``label`` are
     ``None``: the issuer names it after its kernel); ``label`` is the
-    command's label and ``name`` its token's.
+    command's label and ``name`` its token's.  An input transfer waits
+    only for the previous lap's readers and drains of the slots it
+    overwrites: those waits are the slot-reuse gates stall accounting
+    reads, as the kernel's ``reuse`` waits are.
     """
 
     #: the input transfers, each followed by its checksum when verified
     h2d: tuple
-    #: ``(token name, data waits, slot-reuse waits)`` of the kernel:
-    #: the transfers it reads, then the previous lap's drains and
+    #: the kernel's token name
+    kernel: str
+    #: the kernel's data waits: the transfers it reads
+    reads: tuple
+    #: the kernel's slot-reuse waits: the previous lap's drains and
     #: readers of the slots it writes
-    kernel: tuple
+    reuse: tuple
     #: the output drains, each followed by its checksum, then the vote
     d2h: tuple
-    #: ``(position among the chunk's commands, slot-reuse waits)`` of
-    #: each command a ring slot's reuse gates, for stall accounting
-    gates: tuple
     #: integrity checks among the ops, and those checking a shard seam
     checks: int
     seams: int
@@ -359,7 +362,7 @@ class _Recorder:
     current phase and returns the transfer's op id.  A book's ``lane``
     is its array's position in ``plan.specs``."""
 
-    __slots__ = ("names", "verify", "halo", "n", "phase", "gates", "checks", "seams")
+    __slots__ = ("names", "verify", "halo", "n", "phase", "checks", "seams")
 
     def __init__(self, names, verify: bool, halo) -> None:
         self.names = names
@@ -367,19 +370,15 @@ class _Recorder:
         self.halo = halo
         self.n = 0
         self.phase: list = []
-        self.gates: list = []
         self.checks = self.seams = 0
 
     def issue_h2d(self, book: Books, piece, reuse: list) -> int:
-        phase = self.phase
-        waits = tuple(reuse)
-        if waits:
-            self.gates.append((len(phase), waits))
         k = book.lane
         var, g_lo, i = self.names[k], piece.g_lo, self.n
-        phase.append(
-            (None, k, piece, f"h2d:{var}[{g_lo}:{piece.g_hi})", f"h2d:{var}:{g_lo}", waits)
-        )
+        self.phase.append((
+            None, k, piece, f"h2d:{var}[{g_lo}:{piece.g_hi})", f"h2d:{var}:{g_lo}",
+            tuple(reuse),
+        ))
         self.n = i + 1
         if self.verify:
             self._check("h2d", book, piece, i)
@@ -446,14 +445,12 @@ def chunk_program(
     dedup = plan.halo_mode == "dedup"
     program = []
     for index, chunk_ranges in enumerate(ranges):
-        rec.phase, rec.gates = [], []
+        rec.phase = []
         rec.checks = rec.seams = 0
         inputs: list = []
         out_reuse: list = []
         stage_inputs(books, chunk_ranges, dedup, rec, inputs, out_reuse)
-        h2d, gates = rec.phase, rec.gates
-        if out_reuse:
-            gates.append((len(h2d), tuple(out_reuse)))
+        h2d = rec.phase
         kernel = rec.n
         rec.n += 1
         rec.phase = []
@@ -469,8 +466,8 @@ def chunk_program(
         # tuple.__new__ builds the named tuple without its Python-level
         # constructor: every chunk of every compiled plan comes here
         program.append(_new(ChunkStep, (
-            tuple(h2d), (f"kernel:{index}", tuple(inputs), tuple(out_reuse)),
-            tuple(d2h), tuple(gates), rec.checks, rec.seams,
+            tuple(h2d), f"kernel:{index}", tuple(inputs), tuple(out_reuse), tuple(d2h),
+            rec.checks, rec.seams,
         )))
     return tuple(program)
 

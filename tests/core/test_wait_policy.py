@@ -19,8 +19,7 @@ the same books behind.
 The issuer itself issues a :func:`~repro.core.pipemodel.chunk_program`,
 the policy's run recorded once per plan; over the same tables each
 program step must hold the reference's ops, their wait ids, the
-kernel's data and slot-reuse waits apart, the stall gates and the
-check counts.
+kernel's data and slot-reuse waits apart and the check counts.
 """
 
 from __future__ import annotations
@@ -240,8 +239,7 @@ def _program_ops(step) -> list:
     ops = []
     for phase, kind in ((step.h2d, "h2d"), (None, "kernel"), (step.d2h, "d2h")):
         if phase is None:
-            _name, data, reuse = step.kernel
-            ops.append(("kernel", None, 0, 0, data + reuse))
+            ops.append(("kernel", None, 0, 0, step.reads + step.reuse))
             continue
         for check, k, piece, _label, _name, waits in phase:
             if check == "vote":
@@ -274,13 +272,7 @@ def _check_program(seed: int) -> None:
         expected = reference_chunk(lanes, ranges, dedup, verify, vote, ref_log)
         ops = ref_log.ops[first:]
         assert _program_ops(step) == ops, seed
-        assert (list(step.kernel[1]), list(step.kernel[2])) == expected, seed
-        # every transfer a slot's reuse gates, then the kernel
-        staged = ops[: len(step.h2d)]
-        gates = [(i, op[4]) for i, op in enumerate(staged) if op[0] == "h2d" and op[4]]
-        if expected[1]:
-            gates.append((len(staged), tuple(expected[1])))
-        assert list(step.gates) == gates, seed
+        assert (list(step.reads), list(step.reuse)) == expected, seed
         assert step.checks == sum(op[0] in ("verify", "vote") for op in ops), seed
         seams = [
             check == "halo" for check, k, piece, *_ in step.h2d if check is not None
