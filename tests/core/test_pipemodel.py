@@ -6,8 +6,9 @@ of the same profile, and raise ``OutOfDeviceMemory`` on exactly the
 plans whose real run does.  These tests are a stratified subset: every
 app (matmul's pitched 2-D bands included) and a ``dep_fn`` region, both
 paper profiles and a dual-DMA K40m, both halo modes, both schedules,
-memory-limit-tuned plans, an out-of-memory boundary and the
-``probe_rates`` sub-plans.  ``scripts/check_pipemodel.py`` runs the
+memory-limit-tuned plans, an out-of-memory boundary, the
+``probe_rates`` sub-plans and a pipelined ``tofrom`` array lapping its
+ring, whose transfers wait on the previous lap's drains.  ``scripts/check_pipemodel.py`` runs the
 exhaustive grid.
 """
 
@@ -20,9 +21,12 @@ import pytest
 
 from repro.core.autotune import autotune, candidate_grid
 from repro.core.executor import execute_pipeline
+from repro.core.kernel import make_kernel
 from repro.core.memlimit import MemLimitError, tune_plan
 from repro.core.multidevice import _subloop_plan, probe_rates
 from repro.core.pipemodel import dry_run_elapsed
+from repro.core.region import TargetRegion
+from repro.directives.clauses import Loop
 from repro.gpu import Runtime
 from repro.serve.workload import build_request
 from repro.sim import AMD_HD7970, NVIDIA_K40M
@@ -197,3 +201,30 @@ def test_probe_rates_equal_simulated_rates():
         for rt in runtimes
     ]
     assert rates == expected
+
+
+def _tofrom():
+    """An in-place update with a halo, ``A[k] <- A[k-1..k+1]``: 22 chunks
+    whose ring holds a few planes, so after the first lap every input
+    transfer waits on the previous lap's drain of the slots it
+    overwrites."""
+    region = TargetRegion.parse(
+        "pipeline(static[1,2]) pipeline_map(tofrom: A[k-1:3][0:16][0:16])",
+        loop=Loop("k", 1, 23),
+    )
+    kernel = make_kernel(
+        lambda profile, t0, t1: (t1 - t0) * 2e-5, lambda views, t0, t1: None,
+        name="tofrom",
+    )
+    return region, {"A": VirtualArray((24, 16, 16), np.float32)}, kernel
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=PROFILE_IDS)
+@pytest.mark.parametrize("halo", ["dedup", "duplicate"])
+def test_lapping_tofrom_ring_matches_simulator(halo, profile):
+    region, arrays, kernel = _tofrom()
+    region.halo_mode = halo
+    plans = searched_plans(region, arrays)
+    # the ring laps: the loop touches more planes than it holds
+    assert any(p.ring_capacity("A") < arrays["A"].shape[0] for p in plans)
+    assert_bit_equal(profile, plans, arrays, kernel)
