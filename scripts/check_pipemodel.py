@@ -17,10 +17,12 @@ candidate:
   1e-12 for rounding), and must run out of memory exactly when the dry
   run does;
 * the plan's compiled chunk program (:func:`repro.core.pipemodel.compile_plan`),
-  which the issuer issues, must hold the dry run's commands: the same
-  sequence of transfers and kernels, each waiting on the same command
-  ids, in order and with duplicates.  Both run the one wait policy, so
-  this keeps its two consumers from drifting apart.
+  which the issuer issues, must hold the commands the family prices:
+  the same sequence of transfers and kernels, each waiting on the same
+  command ids, in order and with duplicates.  The family builds its
+  member's program itself, from its own chunk table and ring
+  capacities, so this holds those to the plan's own
+  ``dependency_ranges`` and ``ring_capacity``.
 
 Then the pruned ``autotune`` must return the ``best`` candidate and the
 ``dry_runs`` count of an exhaustive search in grid order over the same
@@ -111,9 +113,10 @@ def program_commands(program, d2h_engine: int) -> list:
 
 def check_program(profile, family, plan, cs: int, ns: int) -> list:
     """The compiled program of ``plan`` (member ``(cs, ns)`` of
-    ``family``) against the dry run's commands; returns the mismatches."""
-    cmds = family.commands(cs, ns)[0]
-    model = [(engine, tuple(waits)) for _dur, engine, _host, waits in cmds]
+    ``family``) against the commands the family prices; returns the
+    mismatches."""
+    _dur, engines, _enq, waits, _pred, _host = family.commands(cs, ns)
+    model = list(zip(engines, waits))
     got = program_commands(
         compile_plan(plan).program, 1 if profile.dma_engines > 1 else 0
     )

@@ -409,9 +409,9 @@ class PipelineIssuer:
     chunk program from a :class:`~repro.core.pipemodel.CompiledPlan`:
     ``plan`` is either one (a :class:`~repro.serve.PlanCache` entry's,
     shared by every request that hits it) or a :class:`RegionPlan`,
-    compiled here.  With integrity checks on, :meth:`open` builds the
-    issuer's own program, because checks read ring slots and so change
-    the reuse waits.
+    compiled here with only the program it issues.  With integrity
+    checks on, the issuer builds its own program, because checks read
+    ring slots and so change the reuse waits.
 
     Attributes of note: :attr:`commands` collects every device command
     this issuer enqueued (used for per-tenant busy-time attribution),
@@ -435,9 +435,27 @@ class PipelineIssuer:
         integrity: str = INTEGRITY_OFF,
         halo_ranges=None,
     ) -> None:
-        compiled = plan if isinstance(plan, CompiledPlan) else compile_plan(plan)
+        #: silent-failure defense mode: off / checksum / vote
+        self.integrity = validate_integrity(integrity)
+        #: per-issuer flags the issue loop tests instead of the modes
+        self._verify = self.integrity != INTEGRITY_OFF
+        self._vote = self.integrity == INTEGRITY_VOTE
+        #: split-dim ranges of ``arrays`` this shard receives across a
+        #: seam from a neighbouring shard — verify commands covering
+        #: them are classified as halo checks (``{var: [(lo, hi), ...]}``)
+        self.halo_ranges = {
+            v: [tuple(r) for r in rs] for v, rs in (halo_ranges or {}).items()
+        }
+        if not isinstance(plan, CompiledPlan):
+            plan = compile_plan(plan, self._verify, self._vote, self.halo_ranges)
+        elif self._verify:
+            # a shared plan's program has no checks
+            plan = plan._replace(program=chunk_program(
+                plan.plan, plan.ranges, plan.capacities, True, self._vote,
+                self.halo_ranges,
+            ))
         self.runtime = runtime
-        self.compiled = compiled
+        self.compiled = compiled = plan
         self.plan = plan = compiled.plan
         self.arrays = arrays
         self.kernel = kernel
@@ -492,8 +510,8 @@ class PipelineIssuer:
         self._lanes: List[_Lane] = []
         #: per chunk, the kernel's cost (priced by open)
         self._costs: List[float] = []
-        #: the chunk program :meth:`issue_next` issues (set by open)
-        self._program: tuple = ()
+        #: the chunk program :meth:`issue_next` issues
+        self._program = compiled.program
         #: the event token each issued op recorded, by op id
         self._tokens: List[EventToken] = []
         self.streams: List = []
@@ -505,17 +523,6 @@ class PipelineIssuer:
         self._cursor = 0
         self._opened = False
         self._finalized = False
-        #: silent-failure defense mode: off / checksum / vote
-        self.integrity = validate_integrity(integrity)
-        #: per-issuer flags the issue loop tests instead of the modes
-        self._verify = self.integrity != INTEGRITY_OFF
-        self._vote = self.integrity == INTEGRITY_VOTE
-        #: split-dim ranges of ``arrays`` this shard receives across a
-        #: seam from a neighbouring shard — verify commands covering
-        #: them are classified as halo checks (``{var: [(lo, hi), ...]}``)
-        self.halo_ranges = {
-            v: [tuple(r) for r in rs] for v, rs in (halo_ranges or {}).items()
-        }
         #: integrity checks performed / corruptions detected
         self.verified_n = 0
         self.corruptions_n = 0
@@ -873,11 +880,6 @@ class PipelineIssuer:
         # share a compiled plan, not a cost model
         self._costs = chunk_costs(
             self.kernel, self.profile, [(c.t0, c.t1) for c in self.chunks]
-        )
-        compiled = self.compiled
-        self._program = compiled.program if not self._verify else chunk_program(
-            plan, compiled.ranges, compiled.capacities, True, self._vote,
-            self.halo_ranges,
         )
 
     def _lane(self, var: str, clause, engines: Tuple[str, str]) -> _Lane:

@@ -23,11 +23,12 @@ plain numbers instead:
   the block's start, and a plan fits exactly when its aligned
   allocations sum to at most that block.  Where they do not, the model
   raises what the allocator would, at the allocation that fails;
-* **the same dependencies**: the one wait policy both sides run,
-  :class:`Books` with :func:`stage_inputs` and :func:`drain_outputs`,
-  here with command ids, and once per plan with the op ids of the
-  :func:`chunk_program` that :meth:`PipelineIssuer.issue_next
-  <repro.core.executor.PipelineIssuer.issue_next>` issues;
+* **the same dependencies**: the member's integrity-off
+  :func:`chunk_program`, the one run of the wait policy (:class:`Books`
+  with :func:`stage_inputs` and :func:`drain_outputs`) whose program
+  :meth:`PipelineIssuer.issue_next
+  <repro.core.executor.PipelineIssuer.issue_next>` issues; its op ids
+  are the dry run's command ids, so the model only prices its ops;
 * **the same event order**: a flat event loop over command ids with the
   engine's discipline — a ``(time, seq, event)`` heap, per-engine queues
   keyed by ``(ready_time, seq)``, an idle engine starting a ready
@@ -61,7 +62,8 @@ issues, with its waits as op ids, recorded from one run of the wait
 policy.  The issuer opens from one and issues its program, and a
 :class:`~repro.serve.PlanCache` entry keeps one for every request that
 hits it.  ``scripts/check_pipemodel.py`` holds each compiled program to
-this model's commands for the same plan.
+the one this model prices for the same plan, built from the family's
+chunk tables and ring capacities.
 """
 
 from __future__ import annotations
@@ -211,12 +213,16 @@ class CompiledPlan(NamedTuple):
     capacities: Tuple[int, ...]
     #: the ring layout of each pipelined array, in ``plan.specs`` order
     rings: Tuple[RingGeometry, ...]
-    #: the :func:`chunk_program` of an issuer with integrity off
+    #: the :func:`chunk_program` its issuers issue: integrity off, unless
+    #: compiled for one issuer's checks
     program: Tuple["ChunkStep", ...]
 
 
-def compile_plan(plan: RegionPlan) -> CompiledPlan:
-    """The :class:`CompiledPlan` of ``plan``."""
+def compile_plan(
+    plan: RegionPlan, verify: bool = False, vote: bool = False, halo=None
+) -> CompiledPlan:
+    """The :class:`CompiledPlan` of ``plan``, whose program has the
+    checks ``verify``, ``vote`` and ``halo`` (see :func:`chunk_program`)."""
     chunks = tuple(plan.chunks())
     ranges = dependency_ranges(plan.specs, [(c.t0, c.t1) for c in chunks])
     capacities = tuple(plan.ring_capacity(var) for var in plan.specs)
@@ -230,7 +236,7 @@ def compile_plan(plan: RegionPlan) -> CompiledPlan:
             ring_geometry(plan.shapes[var], spec.split_dim, capacity, plan.dtypes[var])
             for (var, spec), capacity in zip(plan.specs.items(), capacities)
         ),
-        chunk_program(plan, ranges, capacities),
+        chunk_program(plan, ranges, capacities, verify, vote, halo),
     )
 
 
@@ -239,9 +245,8 @@ class Books:
     :func:`drain_outputs`: ``(lo, hi, ref)`` records of the transfers into
     its ring, the commands reading it (a caller may append more, as
     checksums and votes do) and the drains out of it.  A ``ref`` is what
-    later commands wait on: an op id in a :func:`chunk_program`, a command
-    id in the dry-run model.  ``lane`` carries the caller's own per-array
-    data.
+    later commands wait on, an op id of the :func:`chunk_program` being
+    recorded; ``lane`` is the array's position in ``plan.specs``.
     """
 
     __slots__ = (
@@ -357,10 +362,9 @@ class ChunkStep(NamedTuple):
 
 
 class _Recorder:
-    """The issuer's side of the wait policy, recorded once: each call
-    appends one transfer op (and its checksum, when verified) to the
-    current phase and returns the transfer's op id.  A book's ``lane``
-    is its array's position in ``plan.specs``."""
+    """The wait policy's one production caller: each call appends one
+    transfer op (and its checksum, when verified) to the current phase
+    and returns the transfer's op id."""
 
     __slots__ = ("names", "verify", "halo", "n", "phase", "checks", "seams")
 
@@ -434,7 +438,8 @@ def chunk_program(
     read ring slots, so both change the reuse waits.  A verified input
     transfer crossing a range of ``halo`` (``{var: [(lo, hi), ...]}``,
     the shard seams) is checked as ``"halo"``.  The result is tuples
-    all the way down, so any number of issuers can share it.
+    all the way down, so any number of issuers can share it; the
+    dry-run model prices it (:meth:`PlanFamily.commands`).
     """
     specs = plan.specs
     books = [
@@ -470,33 +475,6 @@ def chunk_program(
             rec.checks, rec.seams,
         )))
     return tuple(program)
-
-
-class _Issue:
-    """The dry run's side of the wait policy: each call issues one piece
-    as a command ``(duration, engine, issue time, waited command ids)``
-    and returns its id.  A book's ``lane`` is its ``(H2D, D2H)`` piece
-    times; engines: 0 = dma0, 1 = dma1 (D2H, with two DMA engines), 2 =
-    compute0."""
-
-    __slots__ = ("cmds", "host", "call", "contention", "d2h_engine")
-
-    def __init__(self, host: float, call: float, contention: float, d2h_engine: int):
-        self.cmds: List[tuple] = []
-        self.host, self.call, self.contention = host, call, contention
-        self.d2h_engine = d2h_engine
-
-    def issue_h2d(self, book: Books, piece, reuse: list) -> int:
-        self.host += self.call
-        dur = book.lane[0][piece.g_hi - piece.g_lo] + self.contention
-        self.cmds.append((dur, 0, self.host, reuse))
-        return len(self.cmds) - 1
-
-    def issue_d2h(self, book: Books, piece) -> int:
-        self.host += self.call
-        dur = book.lane[1][piece.g_hi - piece.g_lo] + self.contention
-        self.cmds.append((dur, self.d2h_engine, self.host, ()))
-        return len(self.cmds) - 1
 
 
 class PlanFamily:
@@ -776,45 +754,52 @@ class PlanFamily:
         )
 
     def commands(self, chunk_size: int, num_streams: int) -> tuple:
-        """``(commands, stream predecessors, host clock)`` of the member's
-        dry run: one command ``(duration, engine, issue time, waited
-        command ids)`` per H2D piece, kernel and D2H piece, in issue
-        order; each command's predecessor on its stream (-1 for a
-        stream's first); the host clock after the last enqueue."""
-        plan = self.plan
+        """``(durations, engines, issue times, waits, stream predecessors,
+        host clock after the last enqueue)`` of the member's dry run: its
+        integrity-off :func:`chunk_program`, whose op ids are the command
+        ids, priced.  A piece costs its piece-time entry and a kernel its
+        ``launch``, each plus the contention.  Engines: 0 = dma0, 1 = dma1
+        (D2H, with two DMA engines), 2 = compute0; a stream's first
+        command has predecessor -1."""
         work = self._table(chunk_size, num_streams)[0]
         streams_n = min(num_streams, len(work))
         call, contention, host, _now = self._opened(chunk_size, num_streams, streams_n)
-        books = [
-            Books(spec.clause, capacity, times)
-            for spec, capacity, times in zip(
-                plan.specs.values(), self._ring(chunk_size, num_streams)[0], self.tables
-            )
-        ]
-        issue = _Issue(host, call, contention, 1 if self.profile.dma_engines > 1 else 0)
-        cmds = issue.cmds
-        pred: List[int] = []
+        program = chunk_program(
+            self.plan, [w[3] for w in work], self._ring(chunk_size, num_streams)[0]
+        )
+        tables = self.tables
+        d2h_engine = 1 if self.profile.dma_engines > 1 else 0
+        dur, engine, enq, waits, pred = [], [], [], [], []
         tails = [-1] * streams_n
-        dedup = plan.halo_mode == "dedup"
-        for index, t0, t1, ranges, launch, _cost in work:
-            first = len(cmds)
-            in_ids: list = []
-            out_reuse: list = []
-            stage_inputs(books, ranges, dedup, issue, in_ids, out_reuse)
-            issue.host += call
-            kernel_id = len(cmds)
-            cmds.append((float(launch + contention), 2, issue.host, in_ids + out_reuse))
-            drain_outputs(books, ranges, kernel_id, issue)
+        for (index, _t0, _t1, _ranges, launch, _cost), step in zip(work, program):
+            first = len(dur)
+            for _check, k, piece, _label, _name, reuse in step.h2d:
+                host += call
+                dur.append(tables[k][0][piece.g_hi - piece.g_lo] + contention)
+                engine.append(0)
+                enq.append(host)
+                waits.append(reuse)
+            host += call
+            dur.append(float(launch + contention))
+            engine.append(2)
+            enq.append(host)
+            waits.append(step.reads + step.reuse)
+            for _check, k, piece, _label, _name, _waits in step.d2h:
+                host += call
+                dur.append(tables[k][1][piece.g_hi - piece.g_lo] + contention)
+                engine.append(d2h_engine)
+                enq.append(host)
+                waits.append(())
             # one stream per chunk: its commands follow each other in order
             stream = index % streams_n
             pred.append(tails[stream])
-            pred.extend(range(first, len(cmds) - 1))
-            tails[stream] = len(cmds) - 1
-        return cmds, pred, issue.host
+            pred.extend(range(first, len(dur) - 1))
+            tails[stream] = len(dur) - 1
+        return dur, engine, enq, waits, pred, host
 
     def exact(self, chunk_size: int, num_streams: int) -> float:
         """:func:`dry_run_elapsed` of the member."""
-        cmds, pred, host = self.commands(chunk_size, num_streams)
+        dur, engine, enq, waits, pred, host = self.commands(chunk_size, num_streams)
         streams_n = min(num_streams, len(self._table(chunk_size, num_streams)[0]))
         call, contention, _host, now = self._opened(chunk_size, num_streams, streams_n)
 
@@ -822,8 +807,7 @@ class PlanFamily:
         # nothing retires while the issuer enqueues (the device clock stands
         # at ``now``), so each command's waits and stream predecessor are
         # all pending: wire them in issue order, then run the loop
-        dur, engine, enq, waits = zip(*cmds)
-        n = len(cmds)
+        n = len(dur)
         waiters: List[list] = [[] for _ in range(n)]
         successor = [-1] * n
         unresolved = [0] * n

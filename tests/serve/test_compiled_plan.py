@@ -17,7 +17,8 @@ everything the compiled plan depends on, so:
   gives;
 * issuers opened from one entry share its program and ring layouts and
   leave them unchanged, while an issuer with integrity checks issues
-  its own program, exactly as one opened from the bare plan;
+  its own program, exactly as one opened from the bare plan, and
+  builds no other;
 * requests that differ in profile, halo mode, dtype, shape or limit
   must get separate entries;
 * kernels of one name share an entry but not a cost model, so each
@@ -36,6 +37,7 @@ import numpy as np
 import pytest
 
 from repro.apps.common import new_runtime
+from repro.core import executor, pipemodel
 from repro.core.executor import PipelineIssuer
 from repro.core.kernel import make_kernel
 from repro.core.memlimit import tune_plan
@@ -577,3 +579,46 @@ def test_an_integrity_issuer_from_an_entry_issues_its_own_program(integrity):
         plan, compiled.ranges, compiled.capacities, True, integrity == "vote"
     )
     assert compiled.program == before
+
+
+def _issuer_programs(monkeypatch, run) -> int:
+    """How many chunk programs issuers build while ``run()`` runs; a
+    search's or a rate probe's dry runs build their own, uncounted."""
+    inside = [0]
+    built = [0]
+
+    def within(method):
+        def wrapped(self, *args, **kw):
+            inside[0] += 1
+            try:
+                return method(self, *args, **kw)
+            finally:
+                inside[0] -= 1
+        return wrapped
+
+    def counted(*args, **kw):
+        built[0] += inside[0] > 0
+        return real_program(*args, **kw)
+
+    real_program = pipemodel.chunk_program
+    for name in ("__init__", "open"):
+        monkeypatch.setattr(PipelineIssuer, name, within(getattr(PipelineIssuer, name)))
+    monkeypatch.setattr(pipemodel, "chunk_program", counted)
+    monkeypatch.setattr(executor, "chunk_program", counted)
+    run()
+    return built[0]
+
+
+@pytest.mark.parametrize("devices,built", [(1, 1), (2, 2)])
+def test_a_checksum_issuer_builds_only_the_program_it_issues(monkeypatch, devices, built):
+    """A ``checksum`` run builds one chunk program per issuer, on one
+    device and on two shards: the integrity-off program it would not
+    issue is never built."""
+    region, arrays, kernel = iss._conv3d()
+    runtime = new_runtime("k40m", virtual=True) if devices == 1 else None
+    sharded = {"devices": devices} if devices > 1 else {}
+
+    def run():
+        region.run(runtime, arrays, kernel, integrity="checksum", **sharded)
+
+    assert _issuer_programs(monkeypatch, run) == built
