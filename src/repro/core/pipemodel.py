@@ -773,23 +773,23 @@ class PlanFamily:
         tails = [-1] * streams_n
         for (index, _t0, _t1, _ranges, launch, _cost), step in zip(work, program):
             first = len(dur)
-            for _check, k, piece, _label, _name, reuse in step.h2d:
+            for _check, k, piece, _label, _name, op_waits in step.h2d:
                 host += call
                 dur.append(tables[k][0][piece.g_hi - piece.g_lo] + contention)
                 engine.append(0)
                 enq.append(host)
-                waits.append(reuse)
+                waits.append(op_waits)
             host += call
             dur.append(float(launch + contention))
             engine.append(2)
             enq.append(host)
             waits.append(step.reads + step.reuse)
-            for _check, k, piece, _label, _name, _waits in step.d2h:
+            for _check, k, piece, _label, _name, op_waits in step.d2h:
                 host += call
                 dur.append(tables[k][1][piece.g_hi - piece.g_lo] + contention)
                 engine.append(d2h_engine)
                 enq.append(host)
-                waits.append(())
+                waits.append(op_waits)
             # one stream per chunk: its commands follow each other in order
             stream = index % streams_n
             pred.append(tails[stream])
