@@ -22,7 +22,14 @@ candidate:
   command ids, in order and with duplicates.  The family builds its
   member's program itself, from its own chunk table and ring
   capacities, so this holds those to the plan's own
-  ``dependency_ranges`` and ``ring_capacity``.
+  ``dependency_ranges`` and ``ring_capacity``;
+* the :class:`~repro.core.pipemodel.CompiledPlan` the family assembles
+  for the member after pricing it (``PlanFamily.compiled``, what a
+  serve plan-cache miss runs) must ``==`` ``compile_plan`` of its plan;
+* the row bound of the candidate's chunk size
+  (``PlanFamily.row_bound``, at the row's fewest searched streams) must
+  be at most the candidate's bound, up to ``_BOUND_SLACK``: the search
+  tables a row only once its row bound could beat what it holds.
 
 Then the pruned ``autotune`` must return the ``best`` candidate and the
 ``dry_runs`` count of an exhaustive search in grid order over the same
@@ -30,8 +37,9 @@ dry runs, and every row an exhaustive search lists: the same grid, each
 ``buffer_bytes`` equal to ``with_params(cs, ns).device_bytes()``,
 infeasible rows at ``inf``, dry-run rows at the exact time and pruned
 rows at the family's bound.  Prints the share of feasible candidates
-the bound spared a dry run.  Exits 1 on any mismatch or bound
-violation.
+the bound spared a dry run, and on a second line the row-bound
+violations and the chunk tables and member bounds the pruned searches
+built.  Exits 1 on any mismatch or (row) bound violation.
 
 Run from the repository root::
 
@@ -56,7 +64,8 @@ for p in (ROOT / "src", ROOT / "bench"):
 import numpy as np  # noqa: E402
 from workloads import MIX_SHAPES, cold_plan_shapes  # noqa: E402
 
-from repro.core.autotune import autotune, candidate_grid  # noqa: E402
+from repro.core import pipemodel  # noqa: E402
+from repro.core.autotune import _BOUND_SLACK, autotune, candidate_grid  # noqa: E402
 from repro.core.executor import execute_pipeline  # noqa: E402
 from repro.core.kernel import make_kernel  # noqa: E402
 from repro.core.memlimit import MemLimitError, tune_plan  # noqa: E402
@@ -105,9 +114,9 @@ def program_commands(program, d2h_engine: int) -> list:
     drains, 2 = compute0)."""
     out = []
     for step in program:
-        out += [(0, op[5]) for op in step.h2d]
+        out += [(0, op[4]) for op in step.h2d]
         out.append((2, step.reads + step.reuse))
-        out += [(d2h_engine, op[5]) for op in step.d2h]
+        out += [(d2h_engine, op[4]) for op in step.d2h]
     return out
 
 
@@ -132,6 +141,27 @@ def check_program(profile, family, plan, cs: int, ns: int) -> list:
     ]
 
 
+def counted_search(*args, **kw):
+    """``autotune(*args, **kw)`` and the chunk tables and member bounds
+    it built."""
+    counts = [0, 0]
+    table, bound = pipemodel._chunk_table, PlanFamily.bound
+
+    def counted_table(*a):
+        counts[0] += 1
+        return table(*a)
+
+    def counted_bound(*a):
+        counts[1] += 1
+        return bound(*a)
+
+    pipemodel._chunk_table, PlanFamily.bound = counted_table, counted_bound
+    try:
+        return autotune(*args, **kw), counts
+    finally:
+        pipemodel._chunk_table, PlanFamily.bound = table, bound
+
+
 def _outcome(run):
     try:
         return run()
@@ -141,14 +171,17 @@ def _outcome(run):
 
 def check_request(profile, region, arrays, kernel):
     """``(candidates, bound violations, mismatches, dry runs, skipped,
-    program mismatches)`` over every candidate ``autotune`` would
-    dry-run; ``dry runs`` counts the feasible candidates and ``skipped``
-    those the pruned search did not dry-run."""
+    program mismatches, row-bound violations, (tables, member bounds))``
+    over every candidate ``autotune`` would dry-run; ``dry runs`` counts
+    the feasible candidates, ``skipped`` those the pruned search did
+    not dry-run, and the last pair what the pruned search built."""
     base = region.bind(arrays)
     limit = region.mem_limit.limit_bytes if region.mem_limit is not None else None
     family = PlanFamily(profile, base, arrays, kernel)
-    n, violations, bad, drift = 0, [], [], []
+    n, violations, bad, drift, row_violations = 0, [], [], [], []
     best, feasible = None, 0
+    #: per chunk size, the fewest streams of its searched feasible members
+    fewest = {}
     #: the exhaustive search's rows, ``(cs, ns, exact or "oom", bytes, bound)``
     rows = []
     for cs, ns in candidate_grid(base.loop.trip_count):
@@ -179,10 +212,20 @@ def check_request(profile, region, arrays, kernel):
             violations.append(f"cs={cs} ns={ns}: bound {low!r} vs exact {model!r}")
         if model != "oom":
             drift += check_program(profile, family, plan, cs, ns)
+            if family.compiled(plan) != compile_plan(plan):
+                drift.append(f"cs={cs} ns={ns}: the family's compiled plan differs")
             feasible += 1
             if best is None or model < best[2]:
                 best = (cs, ns, model)
-    report = autotune(
+            if low != "oom" and family.streams(cs, ns) == ns:
+                ns0 = fewest.setdefault(cs, ns)
+                row = family.row_bound(cs, ns0)
+                if row > low * (1.0 + _BOUND_SLACK):
+                    row_violations.append(
+                        f"cs={cs} ns={ns}: row bound {row!r} at {ns0} streams "
+                        f"vs bound {low!r}"
+                    )
+    report, built = counted_search(
         base, Runtime(profile, virtual=True), arrays, kernel, mem_limit=limit
     )
     got = (report.best.chunk_size, report.best.num_streams, report.best.elapsed)
@@ -193,7 +236,7 @@ def check_request(profile, region, arrays, kernel):
         )
     bad += check_rows(report.candidates, rows)
     skipped = sum(1 for c in report.candidates if c.feasible and not c.exact)
-    return n, violations, bad, report.dry_runs, skipped, drift
+    return n, violations, bad, report.dry_runs, skipped, drift, row_violations, built
 
 
 def check_rows(candidates, rows):
@@ -226,19 +269,24 @@ def check_rows(candidates, rows):
 def main() -> int:
     shapes = list(MIX_SHAPES) + cold_plan_shapes(COLD_SLICE)
     searches = candidates = failed = violated = dry_runs = skipped = drifted = 0
+    row_violated = tables = bounds = 0
     for profile in (NVIDIA_K40M, AMD_HD7970):
         for halo in ("dedup", "duplicate"):
             for label, region, arrays, kernel in _cases(shapes):
                 region.halo_mode = halo
-                n, violations, bad, feasible, spared, drift = check_request(
-                    profile, region, arrays, kernel
-                )
+                (
+                    n, violations, bad, feasible, spared, drift, row_violations,
+                    (built_tables, built_bounds),
+                ) = check_request(profile, region, arrays, kernel)
                 searches += 1
                 candidates += n
                 dry_runs += feasible
                 skipped += spared
+                tables += built_tables
+                bounds += built_bounds
                 for kind, lines in (
-                    ("BOUND", violations), ("MISMATCH", bad), ("PROGRAM", drift)
+                    ("BOUND", violations), ("MISMATCH", bad), ("PROGRAM", drift),
+                    ("ROW BOUND", row_violations),
                 ):
                     if lines:
                         print(f"{kind} {profile.name} {halo} {label}:")
@@ -247,6 +295,7 @@ def main() -> int:
                 violated += bool(violations)
                 failed += bool(bad)
                 drifted += len(drift)
+                row_violated += bool(row_violations)
     print(
         f"pipemodel: {candidates} candidates in {searches} searches checked, "
         f"{failed} search(es) mismatched, {violated} with bound violations, "
@@ -254,7 +303,13 @@ def main() -> int:
         f"the bound spared {skipped} of {dry_runs} dry runs "
         f"({skipped / max(dry_runs, 1):.0%})"
     )
-    return 1 if failed or violated or drifted else 0
+    print(
+        f"pipemodel walk: {row_violated} search(es) with row-bound violations; "
+        f"the pruned searches built {tables} chunk tables and {bounds} member "
+        f"bounds ({tables / max(searches, 1):.2f} and {bounds / max(searches, 1):.2f} "
+        f"per search)"
+    )
+    return 1 if failed or violated or drifted or row_violated else 0
 
 
 if __name__ == "__main__":

@@ -760,9 +760,11 @@ class PipelineIssuer:
 
         return run
 
-    def _vote_op(self, chunk: Chunk, ktok: EventToken, v2tok: EventToken) -> ChunkOp:
-        """The dual-execution check for one chunk (vote mode), recording
-        ``v2tok``.
+    def _vote_op(
+        self, chunk: Chunk, ktok: EventToken, v2tok: EventToken, label: str
+    ) -> ChunkOp:
+        """The dual-execution check for one chunk (vote mode), labelled
+        ``label`` and recording ``v2tok``.
 
         The re-execution waits on the primary kernel (and inherits its
         poison, so a fail-stop-faulted kernel never triggers a bogus
@@ -770,8 +772,7 @@ class PipelineIssuer:
         re-gathers, keeping slot reuse honest.
         """
         return launch_op(
-            self.verify_stream, (ktok,), (v2tok,), None,
-            f"verify:vote:{self.kernel.name}[{chunk.t0}:{chunk.t1})",
+            self.verify_stream, (ktok,), (v2tok,), None, label,
             self._costs[chunk.index], 0, self._dual_execute_check(chunk), None,
         )
 
@@ -1001,7 +1002,8 @@ class PipelineIssuer:
         tokens = self._tokens
         h2d_ops = self._phase_ops(step.h2d, st, chunk, True)
         kernel = self.kernel
-        ktok = EventToken.acquire(step.kernel)
+        label = f"{kernel.name}[{t0}:{t1})"
+        ktok = EventToken.acquire(label)
         data = tuple(map(tokens.__getitem__, step.reads))
         payload = sink = None
         if not self.virtual:
@@ -1010,8 +1012,7 @@ class PipelineIssuer:
             st, data + tuple(map(tokens.__getitem__, step.reuse)), (ktok,),
             # only the input transfers are data dependencies; the
             # slot-reuse waits guard slot recycling
-            data,
-            f"{kernel.name}[{t0}:{t1})", self._costs[cursor], 0, payload, sink,
+            data, label, self._costs[cursor], 0, payload, sink,
         )
         tokens.append(ktok)
         d2h_ops = self._phase_ops(step.d2h, st, chunk, False)
@@ -1067,7 +1068,7 @@ class PipelineIssuer:
         if self.m_on:
             # a ring slot's reuse gates the input transfers and the
             # kernel: their slot-reuse waits
-            gated = [(cmd, op[5]) for cmd, op in zip(cmds, step.h2d) if op[0] is None]
+            gated = [(cmd, op[4]) for cmd, op in zip(cmds, step.h2d) if op[0] is None]
             gated.append((cmds[len(step.h2d)], step.reuse))
             self.stall_watch += [
                 (cmd, tuple(map(tokens.__getitem__, ids))) for cmd, ids in gated if ids
@@ -1084,12 +1085,15 @@ class PipelineIssuer:
     def _phase_ops(self, phase: tuple, st, chunk: Chunk, h2d: bool) -> list:
         """The ops of one phase of ``chunk``'s program step (its input
         transfers when ``h2d``, else its drains), with their checks;
-        each op's event token joins :attr:`_tokens` under its op id."""
+        each op's event token, named by the op's label, joins
+        :attr:`_tokens` under its op id."""
         tokens, lanes = self._tokens, self._lanes
         acquire = EventToken.acquire
         ops = []
-        for check, k, piece, label, name, waits in phase:
-            tok = acquire(name)
+        for check, k, piece, label, waits in phase:
+            if check == "vote":
+                label = f"verify:vote:{self.kernel.name}[{chunk.t0}:{chunk.t1})"
+            tok = acquire(label)
             if check is None:
                 lane = lanes[k]
                 if h2d:
@@ -1104,7 +1108,7 @@ class PipelineIssuer:
                         lane, lane.d2h, piece, st, (), (tok,), None, label,
                     ))
             elif check == "vote":
-                ops.append(self._vote_op(chunk, tokens[waits[0]], tok))
+                ops.append(self._vote_op(chunk, tokens[waits[0]], tok, label))
             else:
                 ops.append(self._verify_op(
                     lanes[k], piece, tokens[waits[0]], tok, chunk.index, check, label,

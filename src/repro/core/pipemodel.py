@@ -52,24 +52,32 @@ price.  The bound shares the dry run's ``open()`` and ``finalize()``
 phases, so it runs out of memory on exactly the same plans.
 ``tests/core/test_autotune_bound.py`` and ``scripts/check_pipemodel.py``
 hold it at or below the exact time, and ``tests/core/test_plan_family.py``
-holds the family's shared parts to the code each one stands for.
+holds the family's shared parts to the code each one stands for.  A
+chunk size's members are bounded once more, together and without their
+chunk table (:meth:`PlanFamily.row_bound`, from the row's totals in
+closed form), so a search builds the tables of only the chunk sizes
+that can hold a winner (``tests/core/test_autotune_walk.py``).
 
-The plan a search picks is compiled once more, for the issuer: a
+The plan a search picks is compiled for the issuer: a
 :class:`CompiledPlan` holds what every run of the plan derives from it
 alone (chunks, dependency ranges, ring capacities and layouts,
 footprint) and its :func:`chunk_program`: every command the issuer
 issues, with its waits as op ids, recorded from one run of the wait
 policy.  The issuer opens from one and issues its program, and a
 :class:`~repro.serve.PlanCache` entry keeps one for every request that
-hits it.  ``scripts/check_pipemodel.py`` holds each compiled program to
-the one this model prices for the same plan, built from the family's
-chunk tables and ring capacities.
+hits it.  The family assembles the winner's from its own chunk table,
+ring capacities and the program its dry run priced
+(:meth:`PlanFamily.compiled`), the same way :func:`compile_plan`
+assembles one from a plan.  ``scripts/check_pipemodel.py`` holds each
+compiled program to the one this model prices for the same plan, and
+the family's compiled plan to :func:`compile_plan`'s.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappop, heappush, heappushpop
+from itertools import chain
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -78,6 +86,7 @@ from repro.core.kernel import RegionKernel
 from repro.core.plan import Chunk, RegionPlan, max_chunk_size, ring_capacity, stream_count
 from repro.core.ringbuffer import RingGeometry, band_geometry, ring_geometry, ring_pieces
 from repro.core.scheduler import schedule_bounds
+from repro.directives.clauses import Affine
 from repro.directives.splitspec import chunk_ranges
 from repro.sim.bandwidth import transfer_time_1d, transfer_time_2d
 from repro.sim.memory import OutOfDeviceMemory, aligned
@@ -226,9 +235,18 @@ def compile_plan(
     chunks = tuple(plan.chunks())
     ranges = dependency_ranges(plan.specs, [(c.t0, c.t1) for c in chunks])
     capacities = tuple(plan.ring_capacity(var) for var in plan.specs)
+    return _assemble(
+        plan, plan.device_bytes(), chunks, ranges, capacities,
+        chunk_program(plan, ranges, capacities, verify, vote, halo),
+    )
+
+
+def _assemble(plan, device_bytes, chunks, ranges, capacities, program) -> CompiledPlan:
+    """The :class:`CompiledPlan` of ``plan`` from its parts: the one
+    assembly :func:`compile_plan` and :meth:`PlanFamily.compiled` share."""
     return CompiledPlan(
         plan,
-        plan.device_bytes(),
+        device_bytes,
         chunks,
         ranges,
         capacities,
@@ -236,7 +254,7 @@ def compile_plan(
             ring_geometry(plan.shapes[var], spec.split_dim, capacity, plan.dtypes[var])
             for (var, spec), capacity in zip(plan.specs.items(), capacities)
         ),
-        chunk_program(plan, ranges, capacities, verify, vote, halo),
+        program,
     )
 
 
@@ -333,22 +351,20 @@ class ChunkStep(NamedTuple):
     ``d2h`` ops, and every command records one event token; a command's
     *op id* counts the commands of the whole program before it, so
     waits name earlier commands by op id.  An op is ``(check, k, piece,
-    label, name, waits)``: ``check`` is ``None`` for a transfer of ring
-    piece ``piece`` of pipelined array ``k`` (its position in
-    ``plan.specs``), ``"h2d"``, ``"halo"`` or ``"d2h"`` for the checksum
-    of the transfer before it, and ``"vote"`` for the dual execution of
-    the chunk's kernel (``k`` is -1 and ``piece`` and ``label`` are
-    ``None``: the issuer names it after its kernel); ``label`` is the
-    command's label and ``name`` its token's.  An input transfer waits
-    only for the previous lap's readers and drains of the slots it
-    overwrites: those waits are the slot-reuse gates stall accounting
-    reads, as the kernel's ``reuse`` waits are.
+    label, waits)``: ``check`` is ``None`` for a transfer of ring piece
+    ``piece`` of pipelined array ``k`` (its position in ``plan.specs``),
+    ``"h2d"``, ``"halo"`` or ``"d2h"`` for the checksum of the transfer
+    before it, and ``"vote"`` for the dual execution of the chunk's
+    kernel (``k`` is -1 and ``piece`` and ``label`` are ``None``: the
+    issuer names it after its kernel); ``label`` is the command's label,
+    and the issuer names the command's event token by it.  An input
+    transfer waits only for the previous lap's readers and drains of
+    the slots it overwrites: those waits are the slot-reuse gates stall
+    accounting reads, as the kernel's ``reuse`` waits are.
     """
 
     #: the input transfers, each followed by its checksum when verified
     h2d: tuple
-    #: the kernel's token name
-    kernel: str
     #: the kernel's data waits: the transfers it reads
     reads: tuple
     #: the kernel's slot-reuse waits: the previous lap's drains and
@@ -378,11 +394,10 @@ class _Recorder:
 
     def issue_h2d(self, book: Books, piece, reuse: list) -> int:
         k = book.lane
-        var, g_lo, i = self.names[k], piece.g_lo, self.n
-        self.phase.append((
-            None, k, piece, f"h2d:{var}[{g_lo}:{piece.g_hi})", f"h2d:{var}:{g_lo}",
-            tuple(reuse),
-        ))
+        i = self.n
+        self.phase.append(
+            (None, k, piece, f"h2d:{self.names[k]}[{piece.g_lo}:{piece.g_hi})", tuple(reuse))
+        )
         self.n = i + 1
         if self.verify:
             self._check("h2d", book, piece, i)
@@ -390,9 +405,9 @@ class _Recorder:
 
     def issue_d2h(self, book: Books, piece) -> int:
         k = book.lane
-        var, g_lo, i = self.names[k], piece.g_lo, self.n
+        i = self.n
         self.phase.append(
-            (None, k, piece, f"d2h:{var}[{g_lo}:{piece.g_hi})", f"d2h:{var}:{g_lo}", ())
+            (None, k, piece, f"d2h:{self.names[k]}[{piece.g_lo}:{piece.g_hi})", ())
         )
         self.n = i + 1
         if self.verify:
@@ -406,10 +421,7 @@ class _Recorder:
         if kind == "h2d" and any(lo < g_hi and hi > g_lo for lo, hi in self.halo.get(var, ())):
             kind = "halo"
             self.seams += 1
-        self.phase.append((
-            kind, k, piece, f"verify:{kind}:{var}[{g_lo}:{g_hi})", f"verify:{var}:{g_lo}",
-            (transfer,),
-        ))
+        self.phase.append((kind, k, piece, f"verify:{kind}:{var}[{g_lo}:{g_hi})", (transfer,)))
         # the checksum reads the piece: a reader of its slots
         book.readers.append((g_lo, g_hi, self.n))
         self.n += 1
@@ -449,7 +461,7 @@ def chunk_program(
     rec = _Recorder(list(specs), verify, halo or {})
     dedup = plan.halo_mode == "dedup"
     program = []
-    for index, chunk_ranges in enumerate(ranges):
+    for chunk_ranges in ranges:
         rec.phase = []
         rec.checks = rec.seams = 0
         inputs: list = []
@@ -463,7 +475,7 @@ def chunk_program(
         d2h = rec.phase
         if vote:
             # the re-execution re-gathers every range it covers
-            d2h.append(("vote", -1, None, None, f"vote:{index}", (kernel,)))
+            d2h.append(("vote", -1, None, None, (kernel,)))
             for book, (lo, hi) in zip(books, chunk_ranges):
                 book.readers.append((lo, hi, rec.n))
             rec.n += 1
@@ -471,7 +483,7 @@ def chunk_program(
         # tuple.__new__ builds the named tuple without its Python-level
         # constructor: every chunk of every compiled plan comes here
         program.append(_new(ChunkStep, (
-            tuple(h2d), f"kernel:{index}", tuple(inputs), tuple(out_reuse), tuple(d2h),
+            tuple(h2d), tuple(inputs), tuple(out_reuse), tuple(d2h),
             rec.checks, rec.seams,
         )))
     return tuple(program)
@@ -497,7 +509,9 @@ class PlanFamily:
       the :func:`chunk_work` table and the sums :meth:`bound` is taken
       over;
     * per member, the ring capacities, :meth:`device_bytes` and whether
-      its allocations fit the device.
+      its allocations fit the device (:meth:`check_fit`), and the
+      program its :meth:`exact` dry run priced, which
+      :meth:`compiled` assembles into the member's compiled plan.
 
     :meth:`exact` is :func:`dry_run_elapsed`.  :meth:`bound` returns a
     time no greater than it, in closed form, and raises
@@ -518,6 +532,9 @@ class PlanFamily:
     static schedule.  Per member the bound costs a few C-level sums
     over the chunks.
 
+    :meth:`row_bound` bounds every member of one chunk size at once,
+    from engine totals taken in closed form, without the chunk table.
+
     It is a bound because a transfer's time is affine with a
     non-negative latency (a piece the ring splits in two costs at least
     the whole piece, contention included), because whole pieces never
@@ -530,7 +547,7 @@ class PlanFamily:
     __slots__ = (
         "profile", "plan", "kernel", "tables", "_inputs", "_outputs", "_units",
         "_residents", "_resident_bytes", "_resident_out", "_room", "_clocks",
-        "_tables", "_rings",
+        "_tables", "_rings", "_programs", "_affine",
     )
 
     def __init__(
@@ -584,9 +601,24 @@ class PlanFamily:
         ):
             room = -1
         self._room = room
+        #: per pipelined array, what :meth:`_row_sums` reads of its
+        #: affine clause; None where the rows have no closed form
+        self._affine: Optional[List[tuple]] = None
+        if plan.schedule == "static" and kernel.uniform_chunk_cost and all(
+            c.dep_fn is None and type(c.split_iter) is Affine for c in clauses
+        ):
+            self._affine = []
+            for c, (h2d, d2h) in zip(clauses, self.tables):
+                d_lo, d_len = c.dims[c.split_dim]
+                self._affine.append((
+                    c.split_iter.a, c.split_iter.b, c.size, d_lo, d_lo + d_len,
+                    c.is_input, c.is_output, h2d, d2h,
+                ))
         self._clocks: Dict[int, tuple] = {}
         self._tables: Dict[object, tuple] = {}
         self._rings: Dict[tuple, tuple] = {}
+        #: the program each :meth:`exact` dry run priced, per member
+        self._programs: Dict[tuple, tuple] = {}
 
     # ---- members ---------------------------------------------------------
     def streams(self, chunk_size: int, num_streams: int) -> int:
@@ -617,6 +649,30 @@ class PlanFamily:
         <repro.core.plan.RegionPlan.device_bytes>` of the member."""
         return self._ring(chunk_size, num_streams)[1]
 
+    def check_fit(self, chunk_size: int, num_streams: int) -> None:
+        """Raise what the member's ``open()`` raises on a fresh device
+        (``OutOfDeviceMemory``, or the allocator's ``ValueError``), as
+        :meth:`bound` and :meth:`exact` do, without a chunk table."""
+        caps, _nbytes, fits = self._ring(chunk_size, num_streams)
+        if not fits:
+            self._fail(caps)
+
+    def compiled(self, plan: RegionPlan) -> CompiledPlan:
+        """The integrity-off :class:`CompiledPlan` of member ``plan`` (a
+        ``with_params`` copy of the family's plan at a kept stream
+        count): ``compile_plan(plan)``, assembled from the family's chunk
+        table and ring capacities and the program the member's
+        :meth:`exact` dry run priced (built here if it never ran)."""
+        key = (plan.chunk_size, plan.num_streams)
+        work = self._table(*key)[0]
+        caps, nbytes, _fits = self._ring(*key)
+        ranges = tuple(w[3] for w in work)
+        program = self._programs.get(key)
+        if program is None:
+            program = chunk_program(plan, ranges, caps)
+        chunks = tuple(Chunk(index, t0, t1) for index, t0, t1, *_rest in work)
+        return _assemble(plan, nbytes, chunks, ranges, tuple(caps), program)
+
     def _table(self, cs: int, ns: int) -> tuple:
         """``(work, sums)`` of member ``(cs, ns)``: its :func:`chunk_work`
         table and the sums :meth:`bound` is taken over, built together
@@ -636,9 +692,12 @@ class PlanFamily:
         ``streams_n`` streams: the region's scaled API call and
         per-command contention, and the host and device clocks after
         ``open()``.  Raises where the member's allocations fail."""
-        ring = self._ring(cs, ns)
-        if not ring[2]:
-            self._fail(ring[0])
+        self.check_fit(cs, ns)
+        return self._clocks_at(streams_n)
+
+    def _clocks_at(self, streams_n: int) -> tuple:
+        """``(call, contention, host, now)`` on ``streams_n`` streams,
+        for a member whose allocations fit (:meth:`_opened`)."""
         got = self._clocks.get(streams_n)
         if got is None:
             call, contention = _scales(self.profile, streams_n)
@@ -693,13 +752,23 @@ class PlanFamily:
     def bound(self, chunk_size: int, num_streams: int) -> float:
         """A lower bound on :meth:`exact`."""
         work, sums = self._table(chunk_size, num_streams)
-        engines, ncmd, chunk_time, chunk_cmds, (head, n_head), (tail, n_tail) = sums
+        engines, ncmd, chunk_time, chunk_cmds, head, tail = sums
         streams_n = min(num_streams, len(work))
-        call, contention, host, _now = self._opened(chunk_size, num_streams, streams_n)
+        clocks = self._opened(chunk_size, num_streams, streams_n)
+        contention = clocks[1]
         busiest = max([t + n * contention for t, n in engines] + [
             sum(chunk_time[s::streams_n]) + sum(chunk_cmds[s::streams_n]) * contention
             for s in range(streams_n)
         ])
+        return self._bounded(busiest, ncmd, head, tail, clocks)
+
+    def _bounded(self, busiest: float, ncmd: int, head: tuple, tail: tuple, clocks) -> float:
+        """The bound from its sums: the busiest engine or stream, the
+        command count, the last chunk's ``(H2D time, pieces)`` and
+        ``(kernel and D2H time, commands)``, at ``open()``'s ``clocks``
+        (:meth:`_opened`)."""
+        call, contention, host, _now = clocks
+        (head, n_head), (tail, n_tail) = head, tail
         before = ncmd - n_tail - n_head  # commands issued before the last chunk's
         kernel_start = max(
             host + (before + n_head + 1) * call,
@@ -707,6 +776,86 @@ class PlanFamily:
         )
         end = max(host + call + busiest, kernel_start + tail + n_tail * contention)
         return self._finalize(host + ncmd * call, end, call, contention)
+
+    def row_bound(self, chunk_size: int, num_streams: int) -> float:
+        """A lower bound on :meth:`bound` of every member of chunk size
+        ``chunk_size`` with at least ``num_streams`` streams whose
+        allocations fit, built without the row's chunk table; ``-inf``
+        for a row whose sums have no closed form (:meth:`_row_sums`).
+
+        It is :meth:`bound` with each engine's total standing in for the
+        busiest engine or stream, priced at ``num_streams`` streams:
+        more streams only raise the host's scaled calls, the
+        contention and the ``open()`` clocks, and :meth:`_finalize`
+        never decreases as they grow.  The closed form adds the
+        durations up in another order than the table's sums, so it can
+        round an ulp above a member's bound.
+        """
+        sums = self._row_sums(chunk_size)
+        if sums is None:
+            return -math.inf
+        engines, ncmd, nchunks, head, tail = sums
+        clocks = self._clocks_at(min(num_streams, nchunks))
+        contention = clocks[1]
+        busiest = max([t + n * contention for t, n in engines])
+        return self._bounded(busiest, ncmd, head, tail, clocks)
+
+    def _row_sums(self, cs: int) -> Optional[tuple]:
+        """``(engines, commands, chunks, (head, n_head), (tail,
+        n_tail))`` of chunk size ``cs``'s static chunk table: the engine
+        totals and counts, the last chunk's pieces and the command count
+        :meth:`_take_sums` takes, in closed form.
+
+        A full chunk whose affine ranges neither section end clamps moves
+        each range by ``a * cs``, so its pieces take one extent per array
+        (under dedup halo, the part past the previous chunk's range, when
+        that chunk is unclamped at the low end too): a run of such
+        chunks costs a count times one piece time.  Only the clamped
+        chunks at the section ends and the last chunk are priced one by
+        one.  ``None`` where there is no closed form: the adaptive
+        schedule, a ``dep_fn`` or non-affine clause, or a kernel whose
+        cost depends on the chunk's position.
+        """
+        arrays = self._affine
+        if arrays is None:
+            return None
+        plan, kernel, profile = self.plan, self.kernel, self.profile
+        start, stop = plan.loop.start, plan.loop.stop
+        n = -(-(stop - start) // cs)
+        t_last = start + (n - 1) * cs
+        klo = profile.kernel_launch_overhead
+        last_launch = klo + kernel.chunk_cost(profile, t_last, stop, translated=True)
+        launches = last_launch
+        if n > 1:
+            full = klo + kernel.chunk_cost(profile, start, start + cs, translated=True)
+            launches += (n - 1) * full
+        dedup = plan.halo_mode == "dedup"
+        h2d = d2h = head = tail = 0.0
+        n_h2d = n_d2h = n_head = n_tail = 0
+        for a, b, size, d_lo, d_hi, is_input, is_output, h2d_time, d2h_time in arrays:
+            if is_input:
+                total, count, last, n_last = _affine_copies(
+                    a, b, size, d_lo, d_hi, start, stop, cs, dedup, h2d_time
+                )
+                h2d += total
+                n_h2d += count
+                head += last
+                n_head += n_last
+            if is_output:
+                total, count, last, n_last = _affine_copies(
+                    a, b, size, d_lo, d_hi, start, stop, cs, False, d2h_time
+                )
+                d2h += total
+                n_d2h += count
+                tail += last
+                n_tail += n_last
+        if profile.dma_engines > 1:
+            engines = ((h2d, n_h2d), (d2h, n_d2h), (launches, n))
+        else:
+            engines = ((h2d + d2h, n_h2d + n_d2h), (launches, n))
+        return (
+            engines, n_h2d + n_d2h + n, n, (head, n_head), (last_launch + tail, 1 + n_tail),
+        )
 
     def _take_sums(self, work) -> tuple:
         """The bound's sums over ``work``.  Durations leave out the
@@ -764,7 +913,7 @@ class PlanFamily:
         work = self._table(chunk_size, num_streams)[0]
         streams_n = min(num_streams, len(work))
         call, contention, host, _now = self._opened(chunk_size, num_streams, streams_n)
-        program = chunk_program(
+        program = self._programs[chunk_size, num_streams] = chunk_program(
             self.plan, [w[3] for w in work], self._ring(chunk_size, num_streams)[0]
         )
         tables = self.tables
@@ -773,7 +922,7 @@ class PlanFamily:
         tails = [-1] * streams_n
         for (index, _t0, _t1, _ranges, launch, _cost), step in zip(work, program):
             first = len(dur)
-            for _check, k, piece, _label, _name, op_waits in step.h2d:
+            for _check, k, piece, _label, op_waits in step.h2d:
                 host += call
                 dur.append(tables[k][0][piece.g_hi - piece.g_lo] + contention)
                 engine.append(0)
@@ -784,7 +933,7 @@ class PlanFamily:
             engine.append(2)
             enq.append(host)
             waits.append(step.reads + step.reuse)
-            for _check, k, piece, _label, _name, op_waits in step.d2h:
+            for _check, k, piece, _label, op_waits in step.d2h:
                 host += call
                 dur.append(tables[k][1][piece.g_hi - piece.g_lo] + contention)
                 engine.append(d2h_engine)
@@ -876,6 +1025,54 @@ class PlanFamily:
                 busy[e] = nxt
                 heappush(heap, (t + dur[nxt], nxt, _FINISH))
         return self._finalize(host, now, call, contention)
+
+
+def _affine_copies(
+    a: int, b: int, size: int, d_lo: int, d_hi: int, start: int, stop: int,
+    cs: int, dedup: bool, times,
+) -> tuple:
+    """``(total, count, last, n_last)`` of one array's whole pieces in
+    one direction over the static chunks of ``cs`` iterations of
+    ``[start, stop)``: the piece times and the pieces
+    :meth:`PlanFamily._take_sums` adds, and the last chunk's.  The
+    array's clause touches ``[a * k + b, a * k + b + size)`` of its
+    section ``[d_lo, d_hi)`` at iteration ``k``."""
+    n = -(-(stop - start) // cs)
+    step = a * cs
+    # chunks from ``p`` on start at or past the section's low end (under
+    # dedup, so does the chunk before each); chunks before ``q`` end at
+    # or before its high end.  Chunks ``[p, q)`` are full, so their
+    # pieces take one extent; the others, the last chunk always among
+    # them, are priced one by one, as the table's sums price them.
+    p = max(0, -(-(d_lo - b - a * start) // step)) + (1 if dedup else 0)
+    m = d_hi - b - size - a * (start + cs - 1)
+    q = min(m // step + 1 if m >= 0 else 0, n - 1)
+    regular = q - p if q > p else 0
+    total = 0.0
+    count = 0
+    covered = None
+    last = 0.0
+    n_last = 0
+    for i in chain(range(p), range(q, n)) if regular else range(n):
+        if regular and i == q:
+            extent = a * (cs - 1) + size
+            total += regular * times[min(extent, a * cs) if dedup else extent]
+            count += regular
+            # where the range of chunk ``q - 1``, unclamped, ends
+            covered = a * (start + q * cs - 1) + b + size
+        lo = a * (start + i * cs) + b
+        hi = a * (min(start + (i + 1) * cs, stop) - 1) + b + size
+        lo = lo if lo > d_lo else d_lo
+        hi = hi if hi < d_hi else d_hi
+        new_lo = max(lo, covered) if dedup and covered is not None else lo
+        if new_lo < hi:
+            t = times[hi - new_lo]
+            total += t
+            count += 1
+            covered = max(covered or hi, hi)
+            if i == n - 1:
+                last, n_last = t, 1
+    return total, count, last, n_last
 
 
 def _scales(profile: DeviceProfile, streams_n: int):

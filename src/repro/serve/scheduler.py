@@ -1302,8 +1302,9 @@ class RegionScheduler:
         A hit takes the cache entry's compiled plan and binds nothing;
         an entry without one (restored from a checkpoint) binds and
         compiles it once.  Cache misses run the autotune search and
-        record its dry-run count; the virtual planning charge is applied
-        at admission.
+        record its dry-run count, and take the winner's compiled plan
+        from the search unless the device budget shrinks it; the virtual
+        planning charge is applied at admission.
         """
         planned = w.planned.get(device)
         if planned is not None:
@@ -1340,15 +1341,18 @@ class RegionScheduler:
                 )
                 w.dry_runs += report.dry_runs
                 self.dry_runs += report.dry_runs
+                best = report.best
                 plan = tune_plan(
-                    bound.with_params(
-                        report.best.chunk_size, report.best.num_streams
-                    ),
-                    limit,
+                    bound.with_params(best.chunk_size, best.num_streams), limit
                 )
+                if (plan.chunk_size, plan.num_streams) == (best.chunk_size, best.num_streams):
+                    # the search already built the winner's table and program
+                    compiled = report.compiled(plan)
+                else:
+                    compiled = compile_plan(plan)
             else:
                 plan = tune_plan(bound, limit)
-            compiled = compile_plan(plan)
+                compiled = compile_plan(plan)
             cache.put(key, plan.chunk_size, plan.num_streams)
             cache.put_compiled(key, compiled)
         w.ever_planned = True

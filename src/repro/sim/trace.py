@@ -25,6 +25,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
+from sys import intern
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.obs.intervals import union_length
@@ -110,7 +111,8 @@ class TimelineColumns:
     One row per retired command, in retirement order.  Times are
     ``array('d')`` columns; ``seq``, ``nbytes``, ``chunk`` and ``pred`` (the stream predecessor's seq) are
     ``array('q')`` columns with ``-1`` for "none"; ``kind``, ``engine``,
-    ``stream`` (its name) and ``label`` are lists of ``str``.  The
+    ``stream`` (its name) and ``label`` are lists of ``str``, each label
+    interned as it is appended.  The
     ``(recorder seq, is_data)`` pairs of every row's waits lie flat in
     ``wait_seq`` and ``wait_data``, and row ``i``'s end at
     ``wait_end[i]``; a recorder seq of ``-1`` marks a token whose
@@ -165,7 +167,8 @@ class TimelineColumns:
         self.stream += [
             c.stream.name if isinstance(c.stream, SimStream) else "" for c in cmds
         ]
-        self.label += [c.label for c in cmds]
+        # one object per distinct label: regions of one shape repeat theirs
+        self.label += map(intern, [c.label for c in cmds])
         toks = [c.wait_toks for c in cmds]
         self.wait_end.fromlist(
             list(accumulate(map(len, toks), initial=len(self.wait_seq)))[1:]

@@ -241,7 +241,7 @@ def _program_ops(step) -> list:
         if phase is None:
             ops.append(("kernel", None, 0, 0, step.reads + step.reuse))
             continue
-        for check, k, piece, _label, _name, waits in phase:
+        for check, k, piece, _label, waits in phase:
             if check == "vote":
                 ops.append(("vote", None, 0, 0, waits))
             else:

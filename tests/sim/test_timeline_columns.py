@@ -194,3 +194,18 @@ def test_join_spans_adjacent_views_only():
         Timeline.join([parts[0], parts[2]])
     with pytest.raises(ValueError, match="adjacent"):
         Timeline.join([Timeline([]), Timeline([])])
+
+
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_regions_of_one_shape_share_their_label_objects(app):
+    """Labels are interned as they are compacted, so a second region of
+    the same shape on the same device adds no label object of its own."""
+    region, arrays, kernel = APPS[app]()
+    rt = new_runtime("k40m", virtual=True)
+    region.run(rt, arrays, kernel)
+    first = rt.device.compact()
+    region.run(rt, arrays, kernel)
+    labels = rt.device._history.label
+    assert len(labels) == 2 * first
+    assert sorted(labels[first:]) == sorted(labels[:first])
+    assert {id(s) for s in labels[first:]} <= {id(s) for s in labels[:first]}
