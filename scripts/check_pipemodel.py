@@ -1,8 +1,9 @@
 """Exhaustive differential check of the analytic dry-run model and its bound.
 
 For every request shape of the benchmark's serve mixes (``MIX_SHAPES``),
-a 40-shape slice of its cold-plan shapes and a pipelined ``tofrom``
-array over many ring laps, on the K40m and the HD 7970, under dedup and
+a 40-shape slice of its cold-plan shapes, a pipelined ``tofrom`` array
+over many ring laps and an input whose offset clamps several chunks at
+its section's low end, on the K40m and the HD 7970, under dedup and
 duplicate halo, this evaluates every candidate ``autotune`` would
 dry-run over the full ``candidate_grid`` three ways: with
 :func:`repro.core.pipemodel.dry_run_elapsed`, with ``execute_pipeline``
@@ -98,6 +99,27 @@ def _tofrom():
     return region, {"A": VirtualArray((32, 32, 32), np.float32)}, kernel
 
 
+def _wide_offset():
+    """An input whose offset is wider than a chunk: at chunk sizes below
+    four, the section's low end clamps the first few chunks, not just
+    the first (no app region clamps past its first chunk).  The planes
+    are large and the kernel cheap, so the bytes the copies move set the
+    bound, and the kernel prices a chunk by its extent alone, so the
+    search's row bounds take their closed form."""
+    region = TargetRegion.parse(
+        "pipeline(static[1,2]) pipeline_map(to: A[k-4:6][0:256][0:256]) "
+        "pipeline_map(from: B[k:1][0:256][0:256])",
+        loop=Loop("k", 0, 32),
+    )
+    kernel = make_kernel(
+        lambda profile, t0, t1: (t1 - t0) * 1e-6, lambda views, t0, t1: None,
+        name="wide-offset",
+    )
+    kernel.uniform_chunk_cost = True
+    arrays = {n: VirtualArray((32, 256, 256), np.float32) for n in ("A", "B")}
+    return region, arrays, kernel
+
+
 def _cases(shapes):
     """``(label, region, arrays, kernel)`` of every checked shape, built
     fresh, so the caller may set the region's halo mode."""
@@ -105,6 +127,7 @@ def _cases(shapes):
         req = build_request(app, config=dict(config), virtual=True)
         yield f"{app} {config}", req.region, req.arrays, req.kernel
     yield "tofrom", *_tofrom()
+    yield "wide offset", *_wide_offset()
 
 
 def program_commands(program, d2h_engine: int) -> list:

@@ -12,8 +12,11 @@ warm pass, then:
    stands from its next gen-1 or gen-2 collection;
 2. one pass under ``tracemalloc``: the MB still allocated once the pass
    has run while its results are alive (a full collection first), and
-   at that point the live ``Command`` and ``EventToken`` counts and the
-   growth in GC-tracked objects since before the pass.
+   at that point the live ``Command`` and ``EventToken`` counts, the
+   growth in GC-tracked objects since before the pass, and what the
+   pass pins past its regions: the live ``PipelineIssuer`` objects and
+   the bytes of the real backings of live device arrays (root handles,
+   freed or not; views share their root's bytes).
 
 Run from the repository root::
 
@@ -45,6 +48,8 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from workloads import WORKLOADS  # noqa: E402
 
+from repro.core.executor import PipelineIssuer  # noqa: E402
+from repro.gpu.darray import DeviceArray  # noqa: E402
 from repro.sim.engine import Command, EventToken  # noqa: E402
 
 
@@ -75,8 +80,9 @@ def gc_costs(wl):
 
 
 def retained(wl):
-    """``(MB allocated, Commands, EventTokens, tracked-object growth)``
-    after one pass, its results still alive."""
+    """``(MB allocated, Commands, EventTokens, tracked-object growth,
+    PipelineIssuers, device-array backing bytes)`` after one pass, its
+    results still alive."""
     gc.collect()
     tracked0 = len(gc.get_objects())
     tracemalloc.start()
@@ -91,8 +97,13 @@ def retained(wl):
     cmds = sum(1 for o in live if type(o) is Command)
     toks = sum(1 for o in live if type(o) is EventToken)
     growth = len(live) - tracked0
+    issuers = sum(1 for o in live if type(o) is PipelineIssuer)
+    backing = sum(
+        o.nbytes for o in live
+        if type(o) is DeviceArray and not o.is_view and not o.is_virtual
+    )
     del state, raw, live
-    return mb, cmds, toks, growth
+    return mb, cmds, toks, growth, issuers, backing
 
 
 def main(argv=None) -> int:
@@ -106,7 +117,7 @@ def main(argv=None) -> int:
         wl.prepare()
         wl.run(wl.setup())  # warm pass
         stats, count = gc_costs(wl)
-        mb, cmds, toks, growth = retained(wl)
+        mb, cmds, toks, growth, issuers, backing = retained(wl)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print(f"workload {args.workload} seed {args.seed}")
@@ -115,6 +126,7 @@ def main(argv=None) -> int:
     print(f"gc count at the end of the run: {count}")
     print(f"retained after the pass: {mb:.1f} MB (tracemalloc)")
     print(f"live Command {cmds}, EventToken {toks}, tracked objects +{growth}")
+    print(f"live PipelineIssuer {issuers}, device-array backings {backing / 2**20:.1f} MiB")
     return 0
 
 

@@ -27,6 +27,7 @@ select the paper's two baselines on the *same* clauses and kernel.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -58,6 +59,16 @@ _MODEL_ALIASES = {
     "pipelined": "pipelined",
     "naive": "naive",
 }
+
+
+@lru_cache(maxsize=64)
+def _parse_shared(pragma: str, loop: Loop) -> ParsedPragma:
+    """:func:`parse_pragma`, remembered per ``(pragma, loop)``: serve
+    traffic builds many regions from a few pragma texts.  The result is
+    shared, so only :meth:`TargetRegion.parse` reads it, and it copies
+    the clause lists (the clauses themselves are frozen).  A pragma that
+    raises is not remembered and raises anew on every call."""
+    return parse_pragma(pragma, loop)
 
 
 class TargetRegion:
@@ -114,8 +125,11 @@ class TargetRegion:
     @classmethod
     def parse(cls, pragma: str, loop: Loop, *, halo_mode: str = "dedup") -> "TargetRegion":
         """Build a region from pragma text (see
-        :func:`repro.directives.parser.parse_pragma`)."""
-        parsed: ParsedPragma = parse_pragma(pragma, loop)
+        :func:`repro.directives.parser.parse_pragma`).
+
+        Each distinct ``(pragma, loop)`` is parsed once per process (the
+        last 64 are kept); every region gets its own clause lists."""
+        parsed = _parse_shared(pragma, loop)
         return cls(
             pipeline=parsed.pipeline,
             pipeline_maps=parsed.pipeline_maps,

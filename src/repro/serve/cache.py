@@ -71,7 +71,8 @@ class PlanCache:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        #: key -> ``[params, compiled plan or None]``
+        #: key -> ``[params, compiled plan or None, JSON-safe key or None]``
+        #: (the key is thawed on the entry's first :meth:`dump_entries`)
         self._entries: "OrderedDict[tuple, list]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -160,7 +161,7 @@ class PlanCache:
         """Store the tuned parameters for ``key`` (no-op if uncacheable)."""
         if key is None:
             return
-        self._entries[key] = [(int(chunk_size), int(num_streams)), None]
+        self._entries[key] = [(int(chunk_size), int(num_streams)), None, None]
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -189,8 +190,15 @@ class PlanCache:
 
     def dump_entries(self) -> list:
         """JSON-safe LRU-ordered entry list for checkpoints (keys, nested
-        tuples of str/int/``None``, become nested lists)."""
-        return [[_thaw(key), list(entry[0])] for key, entry in self._entries.items()]
+        tuples of str/int/``None``, become nested lists).  Each entry's
+        key is thawed once and its lists are shared by every later dump:
+        encode them, do not mutate them."""
+        out = []
+        for key, entry in self._entries.items():
+            if entry[2] is None:
+                entry[2] = _thaw(key)
+            out.append([entry[2], list(entry[0])])
+        return out
 
     def stats(self) -> Dict[str, object]:
         """JSON-safe counters."""

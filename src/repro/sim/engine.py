@@ -36,11 +36,12 @@ loop, so the :class:`Simulator` here is a *fast kernel*:
   recycle round, so a steady recycling replay allocates no containers.
 * **Leftover-free retirement** — :meth:`Simulator._finish` drops every
   container a retired command no longer needs (its record list, drained
-  waiter/dependent lists, its corruption ``sink``), keeping only the
-  metadata post-run analysis reads.  That breaks the one reference cycle
-  per command (``cmd._records <-> tok.recorded_by``), so retired
-  commands and tokens are freed by reference counting instead of by the
-  cyclic garbage collector, whose sweeps otherwise dominate long runs.
+  waiter/dependent lists, its payload and corruption ``sink``), keeping
+  only the metadata post-run analysis reads.  That breaks the one
+  reference cycle per command (``cmd._records <-> tok.recorded_by``), so
+  retired commands and tokens are freed by reference counting instead of
+  by the cyclic garbage collector, whose sweeps otherwise dominate long
+  runs.
 * **Batched heap traffic** — a dispatch round does a single ``heapq``
   push (the finish event).  A command that becomes ready on an idle
   engine starts directly instead of churning through the engine's
@@ -661,8 +662,10 @@ class Simulator:
         if inj is not None and not faulted:
             inj.corrupt_at_retirement(cmd, now)
         # retirement keeps only what post-run analysis reads; dropping
-        # the record list breaks the cmd <-> tok.recorded_by cycle, and
-        # the sink (read only by corrupt_at_retirement) may pin an array
+        # the record list breaks the cmd <-> tok.recorded_by cycle, the
+        # sink (read only by corrupt_at_retirement) may pin an array and
+        # the payload closure its issuer, rings and residents
+        cmd.payload = None
         cmd.sink = None
         heap = self._heap
         spare = self._spare

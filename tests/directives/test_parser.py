@@ -9,6 +9,29 @@ from repro.directives.parser import parse_mem_size, parse_pragma
 
 LOOP = Loop("k", 1, 63)
 
+#: the paper's Figure 2 stencil pragma, verbatim
+FIGURE2 = """
+    #pragma omp target \\
+        pipeline(static[1,3]) \\
+        pipeline_map(to: A0[k-1:3][0:512][0:512]) \\
+        pipeline_map(from: Anext[k:1][0:512][0:512]) \\
+        pipeline_mem_limit(MB_256)
+"""
+
+#: pragmas the parser rejects (each against ``LOOP``)
+MALFORMED = [
+    "pipeline_map(to: A[k:1][0:8])",  # missing pipeline()
+    "pipeline(static[1,2])",  # missing pipeline_map
+    "pipeline(static[1]) pipeline_map(to: A[k:1][0:8])",  # one param
+    "pipeline(static[1,2]) pipeline_map(A[k:1][0:8])",  # no map_type
+    "pipeline(static[1,2]) pipeline_map(to: A[0:8][1:2])",  # no loop var
+    "pipeline(static[1,2]) pipeline_map(to: A[k:1][k:1][0:8])",  # 2 splits... same bracket twice
+    "pipeline(static[1,2]) pipeline_map(to: A[k:1][0:8]) bogus(1)",
+    "pipeline(static[1,2]) pipeline_map(to: A[k:1][0:8]) pipeline(static[1,2])",
+    "pipeline(static[1,2]) pipeline_map(to: A[k:1][0:8]) pipeline_map(to: A[k:1][0:8])",
+    "pipeline(static[1,2]) pipeline_map(to: A[k:1][0:8]) stray words",
+]
+
 
 class TestMemSize:
     @pytest.mark.parametrize(
@@ -36,13 +59,7 @@ class TestMemSize:
 class TestFigure2Pragma:
     """The paper's Figure 2 stencil pragma must parse verbatim."""
 
-    PRAGMA = """
-        #pragma omp target \\
-            pipeline(static[1,3]) \\
-            pipeline_map(to: A0[k-1:3][0:512][0:512]) \\
-            pipeline_map(from: Anext[k:1][0:512][0:512]) \\
-            pipeline_mem_limit(MB_256)
-    """
+    PRAGMA = FIGURE2
 
     def test_parses(self):
         p = parse_pragma(self.PRAGMA, LOOP)
@@ -114,21 +131,7 @@ class TestGrammar:
         )
         assert p.pipeline.num_streams == 2
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "pipeline_map(to: A[k:1][0:8])",  # missing pipeline()
-            "pipeline(static[1,2])",  # missing pipeline_map
-            "pipeline(static[1]) pipeline_map(to: A[k:1][0:8])",  # one param
-            "pipeline(static[1,2]) pipeline_map(A[k:1][0:8])",  # no map_type
-            "pipeline(static[1,2]) pipeline_map(to: A[0:8][1:2])",  # no loop var
-            "pipeline(static[1,2]) pipeline_map(to: A[k:1][k:1][0:8])",  # 2 splits... same bracket twice
-            "pipeline(static[1,2]) pipeline_map(to: A[k:1][0:8]) bogus(1)",
-            "pipeline(static[1,2]) pipeline_map(to: A[k:1][0:8]) pipeline(static[1,2])",
-            "pipeline(static[1,2]) pipeline_map(to: A[k:1][0:8]) pipeline_map(to: A[k:1][0:8])",
-            "pipeline(static[1,2]) pipeline_map(to: A[k:1][0:8]) stray words",
-        ],
-    )
+    @pytest.mark.parametrize("text", MALFORMED)
     def test_malformed_rejected(self, text):
         with pytest.raises(DirectiveError):
             parse_pragma(text, LOOP)

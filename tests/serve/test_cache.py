@@ -136,3 +136,43 @@ def test_mismatched_key_never_returns_a_plan():
     assert cache.get(("b",)) is None
     assert cache.get(("a", "x")) is None
     assert cache.get(("a",)) == (8, 4)
+
+
+def _thawed(value):
+    """The checkpoint form of a key, thawed afresh: tuples become lists."""
+    if isinstance(value, tuple):
+        return [_thawed(v) for v in value]
+    return value
+
+
+def test_dump_entries_match_a_fresh_thaw_across_reorders_and_evictions():
+    """Each entry keeps its key's checkpoint form from its first dump; the
+    dumps stay the keys thawed afresh, in LRU order, whatever the gets,
+    re-puts and evictions in between."""
+    cache = PlanCache(capacity=3)
+    keys = [PlanCache.key_for(*p, k, "k40m", None) for p, k in (
+        _region(),
+        _region(config={"nz": 26, "ny": 48, "nx": 48}),
+        _region("conv3d"),
+        _region("qcd", {"n": 6}),
+    )]
+    keys.append(("flat", None, 3))
+
+    steps = [
+        ("put", 0), ("put", 1), ("dump",), ("put", 2), ("get", 0), ("dump",),
+        ("put", 3), ("dump",), ("get", 2), ("put", 4), ("dump",), ("put", 2),
+        ("get", 4), ("dump",), ("put", 0), ("dump",), ("dump",),
+    ]
+    for i, (op, *arg) in enumerate(steps):
+        if op == "put":
+            cache.put(keys[arg[0]], i + 1, 2)
+        elif op == "get":
+            cache.get(keys[arg[0]])
+        else:
+            want = [
+                [_thawed(key), list(entry[0])] for key, entry in cache._entries.items()
+            ]
+            assert cache.dump_entries() == want
+    assert [key for key, _params in cache.dump_entries()] == [
+        _thawed(keys[i]) for i in (2, 4, 0)
+    ]

@@ -1,9 +1,10 @@
 """Retired commands leave no reference cycles behind.
 
 Retirement drops every container a command no longer needs (its record
-list, drained waiter and dependent lists, its corruption sink), so the
-``cmd._records <-> tok.recorded_by`` cycle never forms and a dropped
-result is freed by reference counting alone.  These tests run with the
+list, drained waiter and dependent lists, its payload and corruption
+sink), so the ``cmd._records <-> tok.recorded_by`` cycle never forms, a
+dropped result is freed by reference counting alone and a retired
+command pins none of its issuer's state.  These tests run with the
 cyclic collector disabled, drop the results, and check that a
 ``gc.DEBUG_SAVEALL`` collection finds no :class:`Command` or
 :class:`EventToken` among the garbage.  A simulator that recycles keeps
@@ -14,6 +15,7 @@ pin that reuse.
 from __future__ import annotations
 
 import gc
+import weakref
 
 import pytest
 
@@ -23,11 +25,13 @@ from repro.apps import qcd as qc
 from repro.apps import stencil as st
 from repro.apps.common import new_runtime
 from repro.core.autotune import autotune
-from repro.core.executor import execute_pipeline
+from repro.core.executor import PipelineIssuer, execute_pipeline
 from repro.kernels.conv3d import Conv3dKernel
 from repro.kernels.matmul import MatmulChunkKernel
 from repro.kernels.qcd import DslashKernel
 from repro.kernels.stencil3d import StencilKernel
+from repro.serve import DevicePool, RegionScheduler
+from repro.serve.workload import random_workload
 from repro.sim.engine import (
     _COMMAND_POOL,
     _TOKEN_POOL,
@@ -38,25 +42,28 @@ from repro.sim.engine import (
 from repro.sim.stream import SimStream
 
 
-def _conv3d():
+def _conv3d(virtual=True):
     cfg = cv.Conv3dConfig(nz=10, ny=16, nx=16)
-    return cv.make_region(cfg), cv.make_arrays(cfg, virtual=True), Conv3dKernel(cfg.ny, cfg.nx)
+    return cv.make_region(cfg), cv.make_arrays(cfg, virtual=virtual), Conv3dKernel(cfg.ny, cfg.nx)
 
 
-def _stencil():
+def _stencil(virtual=True):
     cfg = st.StencilConfig(nz=10, ny=16, nx=16, iters=1)
-    return st.make_region(cfg), st.make_arrays(cfg, virtual=True), StencilKernel(cfg.ny, cfg.nx)
+    return st.make_region(cfg), st.make_arrays(cfg, virtual=virtual), StencilKernel(cfg.ny, cfg.nx)
 
 
-def _qcd():
+def _qcd(virtual=True):
     cfg = qc.QcdConfig(n=6)
-    return qc.make_region(cfg), qc.make_arrays(cfg, virtual=True), DslashKernel(cfg.n, cfg.n, cfg.n)
+    return (
+        qc.make_region(cfg), qc.make_arrays(cfg, virtual=virtual),
+        DslashKernel(cfg.n, cfg.n, cfg.n),
+    )
 
 
-def _matmul():
+def _matmul(virtual=True):
     cfg = mm.MatmulConfig(n=96, block=16)
     return (
-        mm.make_region(cfg), mm.make_arrays(cfg, virtual=True),
+        mm.make_region(cfg), mm.make_arrays(cfg, virtual=virtual),
         MatmulChunkKernel(cfg.n, cfg.block),
     )
 
@@ -64,19 +71,19 @@ def _matmul():
 APPS = {"conv3d": _conv3d, "stencil": _stencil, "qcd": _qcd, "matmul": _matmul}
 
 
-def _pipeline(app, observer=None):
-    region, arrays, kernel = APPS[app]()
-    rt = new_runtime("k40m", virtual=True)
+def _pipeline(app, observer=None, virtual=True):
+    region, arrays, kernel = APPS[app](virtual)
+    rt = new_runtime("k40m", virtual=virtual)
     rt.device.sim.observer = observer
     return execute_pipeline(rt, region.plan_for(rt, arrays), arrays, kernel)
 
 
-def _retired(app):
+def _retired(app, virtual=True):
     """Run ``app``'s pipeline; returns the result and, per retired
     command, the command and the tokens it waited on (the region's end
     folds commands into timeline rows and clears their ``wait_toks``)."""
     seen = []
-    res = _pipeline(app, lambda cmd: seen.append((cmd, cmd.wait_toks)))
+    res = _pipeline(app, lambda cmd: seen.append((cmd, cmd.wait_toks)), virtual)
     return res, seen
 
 
@@ -125,12 +132,57 @@ def test_dropped_results_leave_no_command_cycles(work):
 
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_retired_command_holds_no_containers(app):
-    res, retired = _retired(app)
-    assert retired and len(retired) == len(res.timeline)
+    """Virtual and real arrays: only a real run's commands carry
+    payloads (the closures that move the data)."""
+    for virtual in (True, False):
+        res, retired = _retired(app, virtual)
+        assert retired and len(retired) == len(res.timeline)
+        _check_retired(retired)
+
+
+def test_real_runs_enqueue_payloads(monkeypatch):
+    """The real runs above do give their commands payloads, so their
+    retirement has payloads to drop."""
+    carried = []
+    enqueue = Simulator.enqueue
+
+    def spy(self, cmd, **kw):
+        carried.append(cmd.payload is not None)
+        return enqueue(self, cmd, **kw)
+
+    monkeypatch.setattr(Simulator, "enqueue", spy)
+    _pipeline("stencil", virtual=False)
+    assert any(carried)
+
+
+def test_real_serve_keeps_no_issuer_alive(monkeypatch):
+    """A serve keeps its retired commands on the pool's devices, so a
+    command that kept its payload would keep the payload's issuer, with
+    its rings and residents, alive for the rest of the run."""
+    issuers = []
+    init = PipelineIssuer.__init__
+
+    def spy(self, *args, **kw):
+        issuers.append(weakref.ref(self))
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(PipelineIssuer, "__init__", spy)
+    pool = DevicePool("k40m", virtual=False)
+    sched = RegionScheduler(pool)
+    sched.submit_all(random_workload(seed=0, n=6, virtual=False))
+    assert sched.run().ok
+    gc.collect()
+    assert issuers
+    assert any(rt.device.sim.completed for rt in pool.runtimes)
+    assert [ref for ref in issuers if ref() is not None] == []
+
+
+def _check_retired(retired):
     containers = (list, set, frozenset, dict)
     for cmd, waits in retired:
         assert cmd.done
         assert cmd.sink is None
+        assert cmd.payload is None
         for slot in Command.__slots__:
             value = getattr(cmd, slot)
             assert not isinstance(value, containers), (cmd, slot)
