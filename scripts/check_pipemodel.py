@@ -87,7 +87,9 @@ BOUND_RTOL = 1e-12
 def _tofrom():
     """An in-place update with a halo over 30 chunks: with a ring of a
     few planes, each input transfer waits on the previous lap's drain
-    of its slot (the one wait no app region exercises)."""
+    of its slot (the one wait no app region exercises).  The kernel
+    prices a chunk by its extent alone, so the search's row bounds take
+    their closed form over an array both read and written."""
     region = TargetRegion.parse(
         "pipeline(static[1,2]) pipeline_map(tofrom: A[k-1:3][0:32][0:32])",
         loop=Loop("k", 1, 31),
@@ -96,6 +98,7 @@ def _tofrom():
         lambda profile, t0, t1: (t1 - t0) * 2e-5, lambda views, t0, t1: None,
         name="tofrom",
     )
+    kernel.uniform_chunk_cost = True
     return region, {"A": VirtualArray((32, 32, 32), np.float32)}, kernel
 
 
@@ -134,12 +137,12 @@ def program_commands(program, d2h_engine: int) -> list:
     """``(engine, waited command ids)`` of each command of an
     integrity-off chunk program, in issue order, numbered as the dry
     run numbers its commands (engines: 0 = dma0, ``d2h_engine`` for
-    drains, 2 = compute0)."""
+    drains, 2 = compute0), decoded op by op."""
+    engines = {pipemodel.H2D: 0, pipemodel.KERNEL: 2, pipemodel.D2H: d2h_engine}
     out = []
-    for step in program:
-        out += [(0, op[4]) for op in step.h2d]
-        out.append((2, step.reads + step.reuse))
-        out += [(d2h_engine, op[4]) for op in step.d2h]
+    for j in range(len(program.ops) // pipemodel.OP_WIDTH):
+        kind, _lane, _lo, _hi, _pos, data, reuse = program.op(j)
+        out.append((engines[kind], data + reuse))
     return out
 
 
@@ -148,7 +151,7 @@ def check_program(profile, family, plan, cs: int, ns: int) -> list:
     ``family``) against the commands the family prices; returns the
     mismatches."""
     _dur, engines, _enq, waits, _pred, _host = family.commands(cs, ns)
-    model = list(zip(engines, waits))
+    model = [(engine, tuple(ids)) for engine, ids in zip(engines, waits)]
     got = program_commands(
         compile_plan(plan).program, 1 if profile.dma_engines > 1 else 0
     )

@@ -16,7 +16,13 @@ warm pass, then:
    growth in GC-tracked objects since before the pass, and what the
    pass pins past its regions: the live ``PipelineIssuer`` objects and
    the bytes of the real backings of live device arrays (root handles,
-   freed or not; views share their root's bytes).
+   freed or not; views share their root's bytes);
+3. what ``compile_plan``'s memo holds after these passes, started empty
+   before the warm pass: the programs the warm pass and the timed pass
+   each built (its misses), its entries, hits and misses, the bytes it
+   retains (a ``sys.getsizeof`` walk of everything reachable from it
+   but classes, modules and functions) and the GC-tracked objects among
+   them per compiled chunk.
 
 Run from the repository root::
 
@@ -36,6 +42,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -48,6 +55,7 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from workloads import WORKLOADS  # noqa: E402
 
+from repro.core import pipemodel  # noqa: E402
 from repro.core.executor import PipelineIssuer  # noqa: E402
 from repro.gpu.darray import DeviceArray  # noqa: E402
 from repro.sim.engine import Command, EventToken  # noqa: E402
@@ -106,6 +114,25 @@ def retained(wl):
     return mb, cmds, toks, growth, issuers, backing
 
 
+def memo_footprint():
+    """``(bytes, GC-tracked objects, compiled chunks)`` of what
+    ``compile_plan``'s memo keeps reachable."""
+    shared = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen = set()
+    todo = [pipemodel._memo]
+    nbytes = tracked = 0
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, shared):
+            continue
+        seen.add(id(obj))
+        nbytes += sys.getsizeof(obj)
+        tracked += gc.is_tracked(obj)
+        todo += gc.get_referents(obj)
+    chunks = sum(len(c.chunks) for c in pipemodel.compile_memo().entries)
+    return nbytes, tracked, chunks
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("workload", choices=sorted(WORKLOADS))
@@ -115,8 +142,14 @@ def main(argv=None) -> int:
     try:
         wl = WORKLOADS[args.workload](args.seed, quick=False, workdir=workdir)
         wl.prepare()
+        pipemodel.clear_compile_memo()
         wl.run(wl.setup())  # warm pass
+        warm_builds = pipemodel.compile_memo().misses
         stats, count = gc_costs(wl)
+        next_builds = pipemodel.compile_memo().misses - warm_builds
+        gc.collect()
+        memo = pipemodel.compile_memo()
+        memo_bytes, memo_tracked, memo_chunks = memo_footprint()
         mb, cmds, toks, growth, issuers, backing = retained(wl)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -127,6 +160,15 @@ def main(argv=None) -> int:
     print(f"retained after the pass: {mb:.1f} MB (tracemalloc)")
     print(f"live Command {cmds}, EventToken {toks}, tracked objects +{growth}")
     print(f"live PipelineIssuer {issuers}, device-array backings {backing / 2**20:.1f} MiB")
+    print(
+        f"compile memo: {warm_builds} programs built in the warm pass, {next_builds} in "
+        f"the timed pass; {len(memo.entries)} entries, {memo.hits} hits, {memo.misses} misses"
+    )
+    per_chunk = f"{memo_tracked / memo_chunks:.2f}" if memo_chunks else "n/a"
+    print(
+        f"compile memo retains {memo_bytes / 1e6:.2f} MB, {memo_tracked} GC-tracked objects "
+        f"for {memo_chunks} compiled chunks ({per_chunk} per chunk)"
+    )
     return 0
 
 

@@ -38,12 +38,25 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core.kernel import ChunkView, RegionKernel
-from repro.core.pipemodel import CompiledPlan, chunk_costs, chunk_program, compile_plan
+from repro.core.pipemodel import (
+    CHECK_D2H,
+    CHECK_H2D,
+    CHECK_HALO,
+    D2H,
+    H2D,
+    KERNEL,
+    OP_WIDTH,
+    STEP_WIDTH,
+    VOTE,
+    CompiledPlan,
+    chunk_costs,
+    compile_plan,
+)
 from repro.core.plan import Chunk, RegionPlan
 from repro.core.ringbuffer import DeviceRing, RingPiece
 from repro.errors import ReproError
@@ -69,9 +82,24 @@ from repro.sim.engine import Command, EventToken
 from repro.sim.trace import Timeline, overlap_fraction, time_distribution
 from repro.sim.varray import VirtualArray, is_virtual
 
-__all__ = ["FaultRouter", "RegionResult", "PipelineIssuer", "execute_pipeline"]
+__all__ = [
+    "FaultRouter", "RegionResult", "PipelineIssuer", "compile_for", "execute_pipeline",
+]
 
 _new = tuple.__new__
+
+#: the check kind of each checksum op kind of a chunk program
+_CHECK_KINDS = {CHECK_H2D: "h2d", CHECK_HALO: "halo", CHECK_D2H: "d2h"}
+
+
+def compile_for(plan: RegionPlan, integrity: str = INTEGRITY_OFF, halo=None) -> CompiledPlan:
+    """The :class:`~repro.core.pipemodel.CompiledPlan` an issuer with
+    integrity mode ``integrity`` issues for ``plan``:
+    :func:`~repro.core.pipemodel.compile_plan` with that mode's checks
+    (a checksum after every transfer, and for ``vote`` a dual execution
+    after every kernel) and, under them, the shard seams ``halo``."""
+    mode = validate_integrity(integrity)
+    return compile_plan(plan, mode != INTEGRITY_OFF, mode == INTEGRITY_VOTE, halo)
 
 
 @dataclass
@@ -254,9 +282,9 @@ class _Measurer:
 
 
 class _Lane(NamedTuple):
-    """One pipelined array's transfers, resolved once at ``open()``; a
-    :class:`~repro.core.pipemodel.ChunkStep` op names its array's lane
-    by position."""
+    """One pipelined array's transfers, resolved once at ``open()``; an
+    op row of a :class:`~repro.core.pipemodel.ChunkProgram` names its
+    array's lane by position."""
 
     var: str
     #: the array's ``pipeline_map`` clause (its direction)
@@ -406,12 +434,13 @@ class PipelineIssuer:
     contend only where they truly share engines.
 
     The issuer reads its chunks, dependency ranges, ring layouts and
-    chunk program from a :class:`~repro.core.pipemodel.CompiledPlan`:
-    ``plan`` is either one (a :class:`~repro.serve.PlanCache` entry's,
-    shared by every request that hits it) or a :class:`RegionPlan`,
-    compiled here with only the program it issues.  With integrity
-    checks on, the issuer builds its own program, because checks read
-    ring slots and so change the reuse waits.
+    chunk program from the :class:`~repro.core.pipemodel.CompiledPlan`
+    it is given, and builds none of them: a
+    :class:`~repro.serve.PlanCache` entry's, shared by every request
+    that hits it, or :func:`compile_for`'s, shared by every issuer
+    compiling the same plan with the same checks.  Its program must
+    hold the checks its ``integrity`` mode issues (checks read ring
+    slots, so they change the reuse waits too).
 
     Attributes of note: :attr:`commands` collects every device command
     this issuer enqueued (used for per-tenant busy-time attribution),
@@ -422,7 +451,7 @@ class PipelineIssuer:
     def __init__(
         self,
         runtime: Runtime,
-        plan: Union[RegionPlan, CompiledPlan],
+        compiled: CompiledPlan,
         arrays: Dict[str, np.ndarray],
         kernel: RegionKernel,
         *,
@@ -433,29 +462,24 @@ class PipelineIssuer:
         recorder=None,
         reduction_residents=None,
         integrity: str = INTEGRITY_OFF,
-        halo_ranges=None,
     ) -> None:
+        if type(compiled) is not CompiledPlan:
+            raise TypeError(
+                f"compiled must be a CompiledPlan (see compile_for), got "
+                f"{type(compiled).__name__}"
+            )
         #: silent-failure defense mode: off / checksum / vote
         self.integrity = validate_integrity(integrity)
         #: per-issuer flags the issue loop tests instead of the modes
         self._verify = self.integrity != INTEGRITY_OFF
         self._vote = self.integrity == INTEGRITY_VOTE
-        #: split-dim ranges of ``arrays`` this shard receives across a
-        #: seam from a neighbouring shard — verify commands covering
-        #: them are classified as halo checks (``{var: [(lo, hi), ...]}``)
-        self.halo_ranges = {
-            v: [tuple(r) for r in rs] for v, rs in (halo_ranges or {}).items()
-        }
-        if not isinstance(plan, CompiledPlan):
-            plan = compile_plan(plan, self._verify, self._vote, self.halo_ranges)
-        elif self._verify:
-            # a shared plan's program has no checks
-            plan = plan._replace(program=chunk_program(
-                plan.plan, plan.ranges, plan.capacities, True, self._vote,
-                self.halo_ranges,
-            ))
+        if (compiled.verify, compiled.vote) != (self._verify, self._vote):
+            raise InvalidValueError(
+                f"compiled plan checks verify={compiled.verify} vote={compiled.vote}, "
+                f"not what integrity {self.integrity!r} issues (see compile_for)"
+            )
         self.runtime = runtime
-        self.compiled = compiled = plan
+        self.compiled = compiled
         self.plan = plan = compiled.plan
         self.arrays = arrays
         self.kernel = kernel
@@ -482,10 +506,10 @@ class PipelineIssuer:
         #: its bounded ring (no effect on timing)
         self.recorder = recorder
         self.profile = runtime.profile
+        #: the chunks, with their dependency ranges in ``plan.specs`` order
         self.chunks = compiled.chunks
-        #: per chunk, its dependency ranges in ``plan.specs`` order
-        self._ranges = compiled.ranges
-        self.streams_n = min(plan.num_streams, len(self.chunks))
+        self._nchunks = len(self.chunks)
+        self.streams_n = min(plan.num_streams, self._nchunks)
         self.stream_prefix = stream_prefix
         self.region_span = region_span
         self.tracer = runtime.tracer
@@ -570,7 +594,7 @@ class PipelineIssuer:
     @property
     def remaining(self) -> int:
         """Chunks not yet issued."""
-        return len(self.chunks) - self._cursor
+        return self._nchunks - self._cursor
 
     def _impose_overheads(self) -> Tuple[float, float]:
         """Impose this region's overhead scale for one step; returns the
@@ -788,7 +812,7 @@ class PipelineIssuer:
         if self.virtual:
             return None
         plan = self.plan
-        lanes = dict(zip(plan.specs, zip(self._lanes, self._ranges[chunk.index])))
+        lanes = dict(zip(plan.specs, zip(self._lanes, self.chunks.ranges(chunk.index))))
 
         def resolve():
             for var in sorted(lanes):
@@ -879,9 +903,7 @@ class PipelineIssuer:
         ]
         # this issuer's own kernel prices the chunks: kernels of one name
         # share a compiled plan, not a cost model
-        self._costs = chunk_costs(
-            self.kernel, self.profile, [(c.t0, c.t1) for c in self.chunks]
-        )
+        self._costs = chunk_costs(self.kernel, self.profile, self.chunks.bounds())
 
     def _lane(self, var: str, clause, engines: Tuple[str, str]) -> _Lane:
         """Resolve and check one pipelined array's transfers.
@@ -921,7 +943,7 @@ class PipelineIssuer:
         ranges to scatter back."""
         views: Dict[str, ChunkView] = {}
         out_ranges: Dict[str, Tuple[int, int]] = {}
-        for lane, (lo, hi) in zip(self._lanes, self._ranges[chunk.index]):
+        for lane, (lo, hi) in zip(self._lanes, self.chunks.ranges(chunk.index)):
             var, ring = lane.var, lane.ring
             if lane.clause.is_input:
                 data = ring.gather(lo, hi)
@@ -963,19 +985,21 @@ class PipelineIssuer:
         return run
 
     def _piece_op(
-        self, lane: _Lane, copy: CopyLane, piece: RingPiece, stream, waits,
-        records, poison_waits, label: str,
+        self, lane: _Lane, copy: CopyLane, g_lo: int, extent: int, pos: int, stream,
+        waits, records, poison_waits, label: str,
     ) -> ChunkOp:
-        """One piece's transfer; views of the real sides only, so a
-        virtual region builds none."""
-        ring = lane.ring
-        dev = ring.device_view(piece).backing if lane.dev_real else None
-        host = ring.host_section(lane.host, piece) if lane.host_real else None
+        """The transfer of the ``extent``-unit ring piece from ``g_lo`` at
+        buffer position ``pos``; views of the real sides only, so a
+        virtual region builds neither them nor the piece."""
+        dev = host = None
+        if lane.dev_real or lane.host_real:
+            piece = _new(RingPiece, (g_lo, g_lo + extent, pos))
+            if lane.dev_real:
+                dev = lane.ring.device_view(piece).backing
+            if lane.host_real:
+                host = lane.ring.host_section(lane.host, piece)
         dst, src = (dev, host) if copy is lane.h2d else (host, dev)
-        return copy_op(
-            copy, stream, waits, records, poison_waits, label,
-            piece.g_hi - piece.g_lo, dst, src,
-        )
+        return copy_op(copy, stream, waits, records, poison_waits, label, extent, dst, src)
 
     def issue_next(self) -> Optional[Chunk]:
         """Issue one chunk's H2D → kernel → D2H commands; never blocks.
@@ -984,44 +1008,96 @@ class PipelineIssuer:
         when every chunk has already been issued.
 
         Everything fixed for the region's lifetime was resolved by
-        :meth:`open` and the plan's compilation: the chunk's commands
-        and their waits are a :class:`~repro.core.pipemodel.ChunkStep`
-        of the chunk program, so per chunk this only maps op ids to this
-        issuer's event tokens, builds the ops and makes one
+        :meth:`open` and the plan's compilation: the chunk's commands,
+        their waits and their labels are rows of the compiled
+        :class:`~repro.core.pipemodel.ChunkProgram`, so per chunk this
+        walks the chunk's op rows once, mapping op ids to this issuer's
+        event tokens and building the ops, and makes one
         :meth:`~repro.gpu.runtime.Runtime.enqueue_chunk` call.
         """
         cursor = self._cursor
-        if cursor >= len(self.chunks):
+        if cursor >= self._nchunks:
             return None
-        chunk = self.chunks[cursor]
         self._cursor = cursor + 1
-        index, t0, t1 = cursor, chunk.t0, chunk.t1
-        step = self._program[cursor]
+        chunks = self.chunks
+        r = cursor * chunks.width
+        index, (t0, t1) = cursor, chunks.rows[r:r + 2]
+        chunk = _new(Chunk, (index, t0, t1))
+        program = self._program
+        s = cursor * STEP_WIDTH
+        first, kop, end, checks, seams = program.steps[s:s + STEP_WIDTH]
+        waits = program.waits
         tracer, tr_on = self.tracer, self.tr_on
         st = self.streams[index % self.streams_n]
-        tokens = self._tokens
-        h2d_ops = self._phase_ops(step.h2d, st, chunk, True)
+        tokens, lanes, labels = self._tokens, self._lanes, self.compiled.labels
+        get = tokens.__getitem__
+        acquire = EventToken.acquire
         kernel = self.kernel
-        label = f"{kernel.name}[{t0}:{t1})"
-        ktok = EventToken.acquire(label)
-        data = tuple(map(tokens.__getitem__, step.reads))
-        payload = sink = None
-        if not self.virtual:
-            payload, sink = self._kernel_payload(chunk), self._kernel_sink(chunk)
-        kernel_op = launch_op(
-            st, data + tuple(map(tokens.__getitem__, step.reuse)), (ktok,),
-            # only the input transfers are data dependencies; the
-            # slot-reuse waits guard slot recycling
-            data, label, self._costs[cursor], 0, payload, sink,
-        )
-        tokens.append(ktok)
-        d2h_ops = self._phase_ops(step.d2h, st, chunk, False)
+        h2d_ops = phase = []
+        # the chunk's op rows, in op-id order: each command's event
+        # token, named by its label, joins _tokens under its op id
+        ops = program.ops[first * OP_WIDTH:end * OP_WIDTH]
+        for i in range(end - first):
+            o = i * OP_WIDTH
+            kind = ops[o]
+            if kind == H2D or kind == D2H:
+                label = labels[first + i]
+                tok = acquire(label)
+                lane = lanes[ops[o + 1]]
+                if kind == D2H:
+                    copy, op_waits, poison = lane.d2h, (), None
+                else:
+                    # slot-reuse waits are ordering-only: a faulted
+                    # drain must not poison the next lap's transfer
+                    copy, poison = lane.h2d, ()
+                    n = ops[o + 7]
+                    w0 = ops[o + 5]
+                    op_waits = tuple(map(get, waits[w0:w0 + n])) if n else ()
+                if lane.dev_real or lane.host_real:
+                    phase.append(self._piece_op(
+                        lane, copy, ops[o + 2], ops[o + 3], ops[o + 4], st, op_waits,
+                        (tok,), poison, label,
+                    ))
+                else:
+                    # a virtual transfer needs neither its piece nor views
+                    phase.append(copy_op(
+                        copy, st, op_waits, (tok,), poison, label, ops[o + 3], None, None
+                    ))
+            elif kind == KERNEL:
+                label = f"{kernel.name}[{t0}:{t1})"
+                tok = acquire(label)
+                n_data = ops[o + 6]
+                w0 = ops[o + 5]
+                kernel_waits = tuple(map(get, waits[w0:w0 + n_data + ops[o + 7]]))
+                payload = sink = None
+                if not self.virtual:
+                    payload, sink = self._kernel_payload(chunk), self._kernel_sink(chunk)
+                kernel_op = launch_op(
+                    st, kernel_waits, (tok,),
+                    # only the input transfers are data dependencies; the
+                    # slot-reuse waits guard slot recycling
+                    kernel_waits[:n_data], label, self._costs[cursor], 0, payload, sink,
+                )
+                d2h_ops = phase = []
+            elif kind == VOTE:
+                label = f"verify:vote:{kernel.name}[{t0}:{t1})"
+                tok = acquire(label)
+                phase.append(self._vote_op(chunk, tokens[waits[ops[o + 5]]], tok, label))
+            else:
+                label = labels[first + i]
+                tok = acquire(label)
+                g_lo = ops[o + 2]
+                phase.append(self._verify_op(
+                    lanes[ops[o + 1]], _new(RingPiece, (g_lo, g_lo + ops[o + 3], ops[o + 4])),
+                    tokens[waits[ops[o + 5]]], tok, index, _CHECK_KINDS[kind], label,
+                ))
+            tokens.append(tok)
 
         prev = self._impose_overheads()
         try:
             on_phase = None
             if tr_on:
-                lanes, ranges = self._lanes, self._ranges[cursor]
+                lanes, ranges = self._lanes, chunks.ranges(index)
                 cspan = tracer.begin(
                     f"chunk:{index}", "chunk",
                     chunk=index, stream=st.name, t0=t0, t1=t1,
@@ -1039,8 +1115,7 @@ class PipelineIssuer:
                     tracer.end(phase[0])
                     if k == 1:
                         phase[0] = tracer.begin(
-                            "kernel", "phase", chunk=index,
-                            waits=len(step.reads) + len(step.reuse),
+                            "kernel", "phase", chunk=index, waits=len(kernel_waits),
                         )
                     else:
                         phase[0] = tracer.begin("d2h", "phase", chunk=index)
@@ -1068,53 +1143,22 @@ class PipelineIssuer:
         if self.m_on:
             # a ring slot's reuse gates the input transfers and the
             # kernel: their slot-reuse waits
-            gated = [(cmd, op[4]) for cmd, op in zip(cmds, step.h2d) if op[0] is None]
-            gated.append((cmds[len(step.h2d)], step.reuse))
-            self.stall_watch += [
-                (cmd, tuple(map(tokens.__getitem__, ids))) for cmd, ids in gated if ids
-            ]
-        self.verified_n += step.checks
-        self.seam_verified_n += step.seams
+            for i in range(kop + 1 - first):
+                o = i * OP_WIDTH
+                if i == kop - first or ops[o] == H2D:
+                    reuse = ops[o + 5] + ops[o + 6]
+                    ids = waits[reuse:reuse + ops[o + 7]]
+                    if ids:
+                        self.stall_watch.append((cmds[i], tuple(map(get, ids))))
+        if checks:
+            self.verified_n += checks
+            self.seam_verified_n += seams
         if self.recorder is not None:
             self.recorder.record(
                 "chunk.issue", t=self.runtime.elapsed, chunk=index,
                 stream=st.name, region=kernel.name,
             )
         return chunk
-
-    def _phase_ops(self, phase: tuple, st, chunk: Chunk, h2d: bool) -> list:
-        """The ops of one phase of ``chunk``'s program step (its input
-        transfers when ``h2d``, else its drains), with their checks;
-        each op's event token, named by the op's label, joins
-        :attr:`_tokens` under its op id."""
-        tokens, lanes = self._tokens, self._lanes
-        acquire = EventToken.acquire
-        ops = []
-        for check, k, piece, label, waits in phase:
-            if check == "vote":
-                label = f"verify:vote:{self.kernel.name}[{chunk.t0}:{chunk.t1})"
-            tok = acquire(label)
-            if check is None:
-                lane = lanes[k]
-                if h2d:
-                    # slot-reuse waits are ordering-only: a faulted drain
-                    # must not poison the next lap's transfer
-                    ops.append(self._piece_op(
-                        lane, lane.h2d, piece, st, tuple(map(tokens.__getitem__, waits)),
-                        (tok,), (), label,
-                    ))
-                else:
-                    ops.append(self._piece_op(
-                        lane, lane.d2h, piece, st, (), (tok,), None, label,
-                    ))
-            elif check == "vote":
-                ops.append(self._vote_op(chunk, tokens[waits[0]], tok, label))
-            else:
-                ops.append(self._verify_op(
-                    lanes[k], piece, tokens[waits[0]], tok, chunk.index, check, label,
-                ))
-            tokens.append(tok)
-        return ops
 
     def drain(self) -> None:
         """Block until all commands on this issuer's streams retired.
@@ -1131,7 +1175,7 @@ class PipelineIssuer:
     def _enqueue_replay(self, chunk: Chunk) -> None:
         """Replay one chunk synchronously: full dep-range h2d→kernel→d2h."""
         index, t0, t1 = chunk.index, chunk.t0, chunk.t1
-        ranges, cost = self._ranges[index], self._costs[index]
+        ranges, cost = self.chunks.ranges(index), self._costs[index]
         st = self.streams[index % self.streams_n]
         ops: list = []
         rtoks: List[EventToken] = []
@@ -1141,7 +1185,7 @@ class PipelineIssuer:
             for piece in lane.ring.pieces(lo, hi):
                 tok = EventToken.acquire(f"replay-h2d:{lane.var}:{piece.g_lo}")
                 ops.append(self._piece_op(
-                    lane, lane.h2d, piece, st, (), (tok,), None,
+                    lane, lane.h2d, piece.g_lo, piece.extent, piece.pos, st, (), (tok,), None,
                     f"replay:h2d:{lane.var}[{piece.g_lo}:{piece.g_hi})",
                 ))
                 rtoks.append(tok)
@@ -1155,7 +1199,7 @@ class PipelineIssuer:
                 continue
             for piece in lane.ring.pieces(lo, hi):
                 ops.append(self._piece_op(
-                    lane, lane.d2h, piece, st, (ktok,), (), None,
+                    lane, lane.d2h, piece.g_lo, piece.extent, piece.pos, st, (ktok,), (), None,
                     f"replay:d2h:{lane.var}[{piece.g_lo}:{piece.g_hi})",
                 ))
         cmds = self.runtime.enqueue_chunk((ops,), chunk=index)
@@ -1312,16 +1356,17 @@ class PipelineIssuer:
         checksum verdict can land after a sharing kernel already ran.
         """
         position = {var: k for k, var in enumerate(self.plan.specs)}
+        rows, width = self.chunks.rows, self.chunks.width
         affected = set()
         for var, lo, hi, owner, kind, _t in batch:
             if owner >= 0:
                 affected.add(owner)
             if kind in ("h2d", "halo"):
-                k = position[var]
-                for index, ranges in enumerate(self._ranges[: self._cursor]):
-                    clo, chi = ranges[k]
-                    if clo < hi and chi > lo:
+                r = 2 + 2 * position[var]
+                for index in range(self._cursor):
+                    if rows[r] < hi and rows[r + 1] > lo:
                         affected.add(index)
+                    r += width
         return sorted(affected)
 
     def _verify_chunk_sync(self, chunk: Chunk) -> None:
@@ -1333,7 +1378,7 @@ class PipelineIssuer:
         verification visible in the clock and in wait attribution.
         """
         runtime = self.runtime
-        for lane, (lo, hi) in zip(self._lanes, self._ranges[chunk.index]):
+        for lane, (lo, hi) in zip(self._lanes, self.chunks.ranges(chunk.index)):
             ring = lane.ring
             for piece in ring.pieces(lo, hi):
                 runtime.host_now += verify_cost(piece.extent * lane.h2d.unit_bytes)
@@ -1528,7 +1573,8 @@ def execute_pipeline(
     """
     meas = _Measurer(runtime)
     issuer = PipelineIssuer(
-        runtime, plan, arrays, kernel, policy=policy, integrity=integrity
+        runtime, compile_for(plan, integrity), arrays, kernel, policy=policy,
+        integrity=integrity,
     )
     old_defer = runtime.defer_faults
     if policy is not None:

@@ -54,6 +54,7 @@ from repro.core.executor import (
     PipelineIssuer,
     RegionResult,
     _Measurer,
+    compile_for,
 )
 from repro.core.kernel import RegionKernel
 from repro.core.memlimit import tune_plan
@@ -582,7 +583,9 @@ class ShardedIssuer:
 
     def _make_issuer(self, sh: _Shard, index: int, *, prefix: str) -> None:
         issuer = PipelineIssuer(
-            sh.runtime, sh.plan, self.arrays, self.kernel,
+            sh.runtime,
+            compile_for(sh.plan, self.integrity, self._halo_ranges_for(sh)),
+            self.arrays, self.kernel,
             policy=self.policy,
             stream_prefix=f"{prefix}{index}.",
             region_span=False,
@@ -590,7 +593,6 @@ class ShardedIssuer:
             recorder=self.recorder,
             reduction_residents=self.reduction_residents,
             integrity=self.integrity,
-            halo_ranges=self._halo_ranges_for(sh),
         )
         # a shard's claim drains every member device, so one region's
         # faults are popped together wherever they landed

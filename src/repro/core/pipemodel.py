@@ -28,7 +28,7 @@ plain numbers instead:
   with :func:`stage_inputs` and :func:`drain_outputs`) whose program
   :meth:`PipelineIssuer.issue_next
   <repro.core.executor.PipelineIssuer.issue_next>` issues; its op ids
-  are the dry run's command ids, so the model only prices its ops;
+  are the dry run's command ids, so the model only prices its op rows;
 * **the same event order**: a flat event loop over command ids with the
   engine's discipline — a ``(time, seq, event)`` heap, per-engine queues
   keyed by ``(ready_time, seq)``, an idle engine starting a ready
@@ -58,26 +58,35 @@ chunk table (:meth:`PlanFamily.row_bound`, from the row's totals in
 closed form), so a search builds the tables of only the chunk sizes
 that can hold a winner (``tests/core/test_autotune_walk.py``).
 
-The plan a search picks is compiled for the issuer: a
-:class:`CompiledPlan` holds what every run of the plan derives from it
-alone (chunks, dependency ranges, ring capacities and layouts,
-footprint) and its :func:`chunk_program`: every command the issuer
-issues, with its waits as op ids, recorded from one run of the wait
-policy.  The issuer opens from one and issues its program, and a
-:class:`~repro.serve.PlanCache` entry keeps one for every request that
-hits it.  The family assembles the winner's from its own chunk table,
-ring capacities and the program its dry run priced
-(:meth:`PlanFamily.compiled`), the same way :func:`compile_plan`
-assembles one from a plan.  ``scripts/check_pipemodel.py`` holds each
-compiled program to the one this model prices for the same plan, and
-the family's compiled plan to :func:`compile_plan`'s.
+Every issuer runs a compiled plan: a :class:`CompiledPlan` holds what
+every run of the plan derives from it alone (chunks and dependency
+ranges, ring capacities and layouts, footprint) and its
+:func:`chunk_program`: every command the issuer issues, with its waits
+as op ids, recorded from one run of the wait policy.  Chunks and
+program are flat integer rows (:class:`ChunkRows`,
+:class:`ChunkProgram`); the labels of the commands are formatted and
+interned only when a compiled plan is assembled, so a dry run, which
+prices the same rows (:meth:`PlanFamily.commands`), formats none, and
+an issue formats none but its kernel's.  :func:`compile_plan` keeps the
+last 64 distinct ``(plan, checks)`` it compiled and hands every later
+caller the same one; a :class:`~repro.serve.PlanCache` entry keeps the
+one its requests hit.  The family assembles a search's winner from its
+own chunk table, ring capacities and the program its dry run priced
+(:meth:`PlanFamily.compiled`, outside that memo), the same way
+:func:`compile_plan` assembles one from a plan.
+``scripts/check_pipemodel.py`` holds each compiled program to the one
+this model prices for the same plan, and the family's compiled plan to
+:func:`compile_plan`'s.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections import OrderedDict
 from heapq import heappop, heappush, heappushpop
 from itertools import chain
+from sys import intern
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -93,9 +102,10 @@ from repro.sim.memory import OutOfDeviceMemory, aligned
 from repro.sim.profiles import DeviceProfile
 
 __all__ = [
-    "Books", "ChunkStep", "CompiledPlan", "PlanFamily", "chunk_costs",
-    "chunk_program", "chunk_work", "compile_plan", "dependency_ranges",
-    "drain_outputs", "dry_run_elapsed", "stage_inputs",
+    "Books", "ChunkProgram", "ChunkRows", "CompiledPlan", "MemoInfo", "PlanFamily",
+    "chunk_costs", "chunk_program", "chunk_work", "clear_compile_memo",
+    "compile_memo", "compile_plan", "dependency_ranges", "drain_outputs",
+    "dry_run_elapsed", "stage_inputs",
 ]
 
 _new = tuple.__new__
@@ -196,66 +206,455 @@ def _chunk_table(specs, kernel, profile, bounds) -> tuple:
     )
 
 
+#: op kinds of a :class:`ChunkProgram` row: a transfer of a ring piece
+#: in or out, a chunk's kernel, the checksum of the transfer before it
+#: (an input transfer's, one crossing a shard seam, a drain's) and the
+#: dual execution of the chunk's kernel
+H2D, D2H, KERNEL, CHECK_H2D, CHECK_HALO, CHECK_D2H, VOTE = range(7)
+#: the ``array`` type of every row: a C int, 32 bits (a value past its
+#: range raises ``OverflowError`` as the row is written)
+ROW = "i"
+#: ints per op row: ``kind, lane, g_lo, extent, pos, w0, n_data, n_reuse``
+OP_WIDTH = 8
+#: ints per chunk row: ``first, kernel, end, checks, seams``
+STEP_WIDTH = 5
+
+
+class ChunkProgram:
+    """Every command of a :func:`chunk_program`, as flat integer rows.
+
+    The commands are numbered by *op id* in issue order: per chunk its
+    input transfers (each followed by its checksum when verified), its
+    kernel, then its drains (each followed by its checksum) and its
+    vote.  Every command records one event token, and waits name
+    earlier commands by op id.
+
+    * ``ops`` holds :data:`OP_WIDTH` ints per op: its kind
+      (:data:`H2D` ... :data:`VOTE`), its lane (the pipelined array's
+      position in ``plan.specs``, -1 for a kernel or a vote), the ring
+      piece it moves or checks (``g_lo`` and ``extent``, so the piece is
+      ``[g_lo, g_lo + extent)``) and that piece's buffer position
+      ``pos`` (zeros for a kernel or a vote), then its waits: ``w0`` is
+      their offset into ``waits``, where its ``n_data`` data waits (the
+      transfers a kernel reads, the command a check checks) come first
+      and its ``n_reuse`` slot-reuse waits (the previous lap's readers
+      and drains of the slots an input transfer or a kernel overwrites,
+      the gates stall accounting reads) follow.  An op's waits start
+      where the previous op's end.  The fields an issue reads for a
+      virtual region (kind, lane, extent, the counts) are small
+      integers, which Python reads without allocating;
+    * ``waits`` holds every op's waits, in op order;
+    * ``steps`` holds :data:`STEP_WIDTH` ints per chunk: its first
+      op, its kernel's op, one past its last op, and how many of its
+      ops are integrity checks and how many of those check a shard seam.
+
+    Every row is an ``array`` of :data:`ROW` ints, not a Python object
+    per op or per chunk, so a program costs 4 bytes a field and the
+    collector walks three objects per program; any number of issuers
+    share one.
+    """
+
+    __slots__ = ("ops", "waits", "steps")
+
+    def __init__(self, ops: array, waits: array, steps: array) -> None:
+        self.ops = ops
+        self.waits = waits
+        self.steps = steps
+
+    def __len__(self) -> int:
+        """The number of chunks."""
+        return len(self.steps) // STEP_WIDTH
+
+    def step(self, i: int) -> tuple:
+        """``(first, kernel, end, checks, seams)`` of chunk ``i``."""
+        s = i * STEP_WIDTH
+        return tuple(self.steps[s:s + STEP_WIDTH])
+
+    def op(self, j: int) -> tuple:
+        """``(kind, lane, g_lo, g_hi, pos, data waits, reuse waits)`` of
+        op ``j``, its waits as tuples."""
+        kind, lane, g_lo, extent, pos, w0, n_data, n_reuse = (
+            self.ops[j * OP_WIDTH:(j + 1) * OP_WIDTH]
+        )
+        wm = w0 + n_data
+        waits = self.waits
+        return (
+            kind, lane, g_lo, g_lo + extent, pos, tuple(waits[w0:wm]),
+            tuple(waits[wm:wm + n_reuse]),
+        )
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is ChunkProgram and self.steps == other.steps
+            and self.ops == other.ops and self.waits == other.waits
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ChunkProgram({len(self)} chunks, {len(self.ops) // OP_WIDTH} ops)"
+
+
+class _Recorder:
+    """The wait policy's one production caller: each call appends one
+    transfer op row (and its checksum's, when verified) and returns the
+    transfer's op id.  Rows are gathered in lists, which take a row in
+    one step, and become :data:`ROW` arrays once the program is whole."""
+
+    __slots__ = ("ops", "waits", "names", "verify", "halo", "n", "checks", "seams")
+
+    def __init__(self, names, verify: bool, halo) -> None:
+        self.ops: List[int] = []
+        self.waits: List[int] = []
+        self.names = names
+        self.verify = verify
+        self.halo = halo
+        self.n = 0
+        self.checks = self.seams = 0
+
+    def op(self, kind: int, lane: int, g_lo: int, g_hi: int, pos: int, data, reuse) -> int:
+        """Append one op row with its waits; returns its op id."""
+        waits = self.waits
+        self.ops += (kind, lane, g_lo, g_hi - g_lo, pos, len(waits), len(data), len(reuse))
+        waits += data
+        waits += reuse
+        i = self.n
+        self.n = i + 1
+        return i
+
+    def issue_h2d(self, book: Books, piece, reuse: list) -> int:
+        # op(H2D, ...), inlined: every input transfer of every program
+        # comes here
+        g_lo, g_hi, pos = piece
+        waits = self.waits
+        self.ops += (H2D, book.lane, g_lo, g_hi - g_lo, pos, len(waits), 0, len(reuse))
+        waits += reuse
+        i = self.n
+        self.n = i + 1
+        if self.verify:
+            self._check(CHECK_H2D, book, piece, i)
+        return i
+
+    def issue_d2h(self, book: Books, piece) -> int:
+        # op(D2H, ...), inlined: every drain of every program comes here
+        g_lo, g_hi, pos = piece
+        self.ops += (D2H, book.lane, g_lo, g_hi - g_lo, pos, len(self.waits), 0, 0)
+        i = self.n
+        self.n = i + 1
+        if self.verify:
+            self._check(CHECK_D2H, book, piece, i)
+        return i
+
+    def _check(self, kind: int, book: Books, piece, transfer: int) -> None:
+        """Append the checksum of transfer ``transfer`` (a ``kind`` piece)."""
+        g_lo, g_hi = piece.g_lo, piece.g_hi
+        if kind == CHECK_H2D and any(
+            lo < g_hi and hi > g_lo for lo, hi in self.halo.get(self.names[book.lane], ())
+        ):
+            kind = CHECK_HALO
+            self.seams += 1
+        # the checksum reads the piece: a reader of its slots
+        book.readers.append((g_lo, g_hi, self.n))
+        self.op(kind, book.lane, g_lo, g_hi, piece.pos, (transfer,), ())
+        self.checks += 1
+
+
+def chunk_program(
+    plan: RegionPlan,
+    ranges,
+    capacities,
+    verify: bool = False,
+    vote: bool = False,
+    halo: Optional[Mapping[str, list]] = None,
+) -> ChunkProgram:
+    """Every command a :class:`~repro.core.executor.PipelineIssuer`
+    issues for ``plan``, with its waits, as a :class:`ChunkProgram`.
+
+    The ring slot a range maps to, and so which earlier transfer,
+    kernel or drain each command waits for, is fixed by the plan: this
+    runs the one wait policy (:func:`stage_inputs`,
+    :func:`drain_outputs`) over ``ranges`` (per chunk, in ``plan.specs``
+    order) and rings of ``capacities`` once, recording op ids where the
+    issuer would book tokens.  ``verify`` adds a checksum after every
+    transfer and ``vote`` a dual execution after every kernel; both
+    read ring slots, so both change the reuse waits.  A verified input
+    transfer crossing a range of ``halo`` (``{var: [(lo, hi), ...]}``,
+    the shard seams) is checked as ``"halo"``.  The program carries no
+    labels (:func:`compile_plan` formats them), so a dry run, which
+    prices it (:meth:`PlanFamily.commands`), formats none.
+    """
+    specs = plan.specs
+    books = [
+        Books(spec.clause, capacity, k)
+        for k, (spec, capacity) in enumerate(zip(specs.values(), capacities))
+    ]
+    rec = _Recorder(list(specs), verify, halo or {})
+    dedup = plan.halo_mode == "dedup"
+    steps: List[int] = []
+    for chunk_ranges in ranges:
+        rec.checks = rec.seams = 0
+        first = rec.n
+        inputs: list = []
+        out_reuse: list = []
+        stage_inputs(books, chunk_ranges, dedup, rec, inputs, out_reuse)
+        kernel = rec.op(KERNEL, -1, 0, 0, 0, inputs, out_reuse)
+        drain_outputs(books, chunk_ranges, kernel, rec)
+        if vote:
+            # the re-execution re-gathers every range it covers
+            for book, (lo, hi) in zip(books, chunk_ranges):
+                book.readers.append((lo, hi, rec.n))
+            rec.op(VOTE, -1, 0, 0, 0, (kernel,), ())
+            rec.checks += 1
+        steps += (first, kernel, rec.n, rec.checks, rec.seams)
+    return ChunkProgram(array(ROW, rec.ops), array(ROW, rec.waits), array(ROW, steps))
+
+
+class ChunkRows:
+    """The chunks of a compiled plan as integer rows, read as
+    :class:`~repro.core.plan.Chunk` objects on demand.
+
+    ``rows`` holds ``width`` :data:`ROW` ints per chunk in schedule
+    order: its ``t0`` and ``t1``, then the ``(lo, hi)`` dependency range
+    of each pipelined array in ``plan.specs`` order
+    (:func:`dependency_ranges`).  Indexing and iteration give one
+    ``Chunk`` per chunk, built as it is read, so a compiled plan keeps
+    no object per chunk.
+    """
+
+    __slots__ = ("rows", "width")
+
+    def __init__(self, rows: array, width: int) -> None:
+        self.rows = rows
+        self.width = width
+
+    def __len__(self) -> int:
+        return len(self.rows) // self.width
+
+    def __getitem__(self, i):
+        n = len(self.rows) // self.width
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(n))]
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"chunk {i} of {n}")
+        r = i * self.width
+        return _new(Chunk, (i, self.rows[r], self.rows[r + 1]))
+
+    def __iter__(self):
+        rows, w = self.rows, self.width
+        return (_new(Chunk, (i, rows[r], rows[r + 1])) for i, r in enumerate(range(0, len(rows), w)))
+
+    def bounds(self) -> List[Tuple[int, int]]:
+        """Every chunk's ``(t0, t1)``, in schedule order."""
+        rows, w = self.rows, self.width
+        return list(zip(rows[0::w], rows[1::w]))
+
+    def ranges(self, i: int) -> List[Tuple[int, int]]:
+        """Chunk ``i``'s dependency ranges, in ``plan.specs`` order."""
+        w = self.width
+        row = self.rows[i * w + 2:(i + 1) * w]
+        return list(zip(row[0::2], row[1::2]))
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is ChunkRows and self.width == other.width and self.rows == other.rows
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ChunkRows({len(self)} chunks)"
+
+
 class CompiledPlan(NamedTuple):
     """What the issuer derives from a tuned plan, derived once.
 
-    Everything here is a function of the plan alone, and so of the
-    plan-cache key it was tuned under (:meth:`PlanCache.key_for
-    <repro.serve.cache.PlanCache.key_for>`): a
-    :class:`~repro.serve.PlanCache` entry keeps one and every request
+    Everything here is a function of the plan and the program's checks
+    alone, and so of the plan-cache key it was tuned under
+    (:meth:`PlanCache.key_for <repro.serve.cache.PlanCache.key_for>`):
+    a :class:`~repro.serve.PlanCache` entry keeps one and every request
     that hits the entry opens its issuer from it and issues its
     program.  Nothing in it depends on a kernel or a runtime; the
     kernel's costs are priced per issuer (:func:`chunk_costs`), because
     kernels of one name share a key but not a cost model.  Build one
-    with :func:`compile_plan`.
+    with :func:`compile_plan`, which shares it with every caller
+    compiling the same plan with the same checks.  Every per-chunk and
+    per-command part is integer rows (:class:`ChunkRows`,
+    :class:`ChunkProgram`) or interned strings.
     """
 
     #: the tuned plan
     plan: RegionPlan
     #: :meth:`RegionPlan.device_bytes <repro.core.plan.RegionPlan.device_bytes>`
     device_bytes: int
-    #: the schedule's chunks, in order
-    chunks: Tuple[Chunk, ...]
-    #: per chunk, its dependency ranges in ``plan.specs`` order
-    ranges: tuple
+    #: the schedule's chunks and their dependency ranges
+    chunks: ChunkRows
     #: the ring capacity of each pipelined array, in ``plan.specs`` order
     capacities: Tuple[int, ...]
     #: the ring layout of each pipelined array, in ``plan.specs`` order
     rings: Tuple[RingGeometry, ...]
-    #: the :func:`chunk_program` its issuers issue: integrity off, unless
-    #: compiled for one issuer's checks
-    program: Tuple["ChunkStep", ...]
+    #: the :func:`chunk_program` its issuers issue
+    program: "ChunkProgram"
+    #: per op id, the label of a transfer or checksum command (its event
+    #: token is named by it too), interned; ``None`` for a kernel or a
+    #: vote, which the issuer names after its kernel
+    labels: Tuple[Optional[str], ...]
+    #: the program's checks: a checksum after every transfer
+    #: (``verify``), a dual execution after every kernel (``vote``), and
+    #: the shard seams a verified input transfer is checked as ``"halo"``
+    #: across (``((var, ((lo, hi), ...)), ...)``, empty unless verified)
+    verify: bool
+    vote: bool
+    halo: tuple
+
+
+#: how many compiled plans :func:`compile_plan` keeps, as many as
+#: :func:`repro.core.region._parse_shared` keeps parsed pragmas
+_MEMO_ENTRIES = 64
+#: the compiled plans, keyed by a frozen copy of the plan and the
+#: checks, least recently used first
+_memo: "OrderedDict[tuple, CompiledPlan]" = OrderedDict()
+#: the memo's ``[hits, misses]``
+_memo_counts = [0, 0]
+
+
+class MemoInfo(NamedTuple):
+    """What :func:`compile_plan`'s memo holds (:func:`compile_memo`)."""
+
+    #: the compiled plans kept, least recently used first
+    entries: Tuple[CompiledPlan, ...]
+    hits: int
+    misses: int
 
 
 def compile_plan(
     plan: RegionPlan, verify: bool = False, vote: bool = False, halo=None
 ) -> CompiledPlan:
     """The :class:`CompiledPlan` of ``plan``, whose program has the
-    checks ``verify``, ``vote`` and ``halo`` (see :func:`chunk_program`)."""
-    chunks = tuple(plan.chunks())
-    ranges = dependency_ranges(plan.specs, [(c.t0, c.t1) for c in chunks])
-    capacities = tuple(plan.ring_capacity(var) for var in plan.specs)
-    return _assemble(
-        plan, plan.device_bytes(), chunks, ranges, capacities,
-        chunk_program(plan, ranges, capacities, verify, vote, halo),
+    checks ``verify``, ``vote`` and ``halo`` (see :func:`chunk_program`).
+
+    The result is shared: the last :data:`_MEMO_ENTRIES` distinct
+    ``(plan, checks)`` compiled in this process are kept, keyed by a
+    frozen copy of the plan's fields, so a plan compiled again (a
+    standalone region run anew, a shard of a repeated split, an
+    integrity open of a cached plan) costs one lookup.  The compiled
+    plan holds its own copy of the plan, so mutating the caller's plan
+    afterwards changes neither it nor the key.  A compile that raises
+    keeps nothing.
+    """
+    verify = bool(verify)
+    key = (_frozen(plan), verify, bool(vote), _frozen_halo(halo) if verify else ())
+    got = _memo.get(key)
+    if got is not None:
+        _memo.move_to_end(key)
+        _memo_counts[0] += 1
+        return got
+    _memo_counts[1] += 1
+    got = _compile(*key)
+    _memo[key] = got
+    if len(_memo) > _MEMO_ENTRIES:
+        _memo.popitem(last=False)
+    return got
+
+
+def compile_memo() -> MemoInfo:
+    """What :func:`compile_plan` keeps, and its hits and misses."""
+    return MemoInfo(tuple(_memo.values()), *_memo_counts)
+
+
+def clear_compile_memo() -> None:
+    """Drop every plan :func:`compile_plan` keeps and zero its counts."""
+    _memo.clear()
+    _memo_counts[:] = [0, 0]
+
+
+def _frozen(plan: RegionPlan) -> tuple:
+    """A hashable copy of every field of ``plan``; its specs, residents
+    and dtypes are frozen objects already."""
+    return (
+        plan.loop, plan.chunk_size, plan.num_streams, plan.schedule,
+        tuple(plan.specs.items()), tuple(plan.residents.items()),
+        tuple(plan.dtypes.items()),
+        tuple((var, tuple(shape)) for var, shape in plan.shapes.items()),
+        plan.halo_mode,
     )
 
 
-def _assemble(plan, device_bytes, chunks, ranges, capacities, program) -> CompiledPlan:
+def _frozen_halo(halo) -> tuple:
+    """``halo`` (``{var: [(lo, hi), ...]}``) as nested tuples."""
+    return tuple(
+        (var, tuple((lo, hi) for lo, hi in ranges)) for var, ranges in (halo or {}).items()
+    )
+
+
+def _compile(frozen: tuple, verify: bool, vote: bool, halo: tuple) -> CompiledPlan:
+    """A :func:`compile_plan` miss: the plan rebuilt from its frozen
+    copy, then compiled."""
+    loop, chunk_size, num_streams, schedule, specs, residents, dtypes, shapes, halo_mode = frozen
+    plan = RegionPlan(
+        loop, chunk_size, num_streams, schedule, dict(specs), dict(residents),
+        dict(dtypes), dict(shapes), halo_mode,
+    )
+    bounds = schedule_bounds(plan.schedule, plan.loop, plan.chunk_size, plan.num_streams)
+    ranges = dependency_ranges(plan.specs, bounds)
+    capacities = tuple(plan.ring_capacity(var) for var in plan.specs)
+    return _assemble(
+        plan, plan.device_bytes(), bounds, ranges, capacities,
+        chunk_program(plan, ranges, capacities, verify, vote, dict(halo)),
+        verify, vote, halo,
+    )
+
+
+def _assemble(
+    plan, device_bytes, bounds, ranges, capacities, program,
+    verify: bool = False, vote: bool = False, halo: tuple = (),
+) -> CompiledPlan:
     """The :class:`CompiledPlan` of ``plan`` from its parts: the one
-    assembly :func:`compile_plan` and :meth:`PlanFamily.compiled` share."""
+    assembly :func:`compile_plan` and :meth:`PlanFamily.compiled` share,
+    and the only place a program's labels are formatted."""
+    rows = array(ROW, chain.from_iterable(
+        chain(t, *chunk_ranges) for t, chunk_ranges in zip(bounds, ranges)
+    ))
     return CompiledPlan(
         plan,
         device_bytes,
-        chunks,
-        ranges,
+        ChunkRows(rows, 2 + 2 * len(plan.specs)),
         capacities,
         tuple(
             ring_geometry(plan.shapes[var], spec.split_dim, capacity, plan.dtypes[var])
             for (var, spec), capacity in zip(plan.specs.items(), capacities)
         ),
         program,
+        _labels(list(plan.specs), program),
+        verify,
+        vote,
+        halo,
     )
+
+
+#: the label prefix of each op kind that carries a label
+_PREFIXES = {
+    H2D: "h2d:", D2H: "d2h:", CHECK_H2D: "verify:h2d:", CHECK_HALO: "verify:halo:",
+    CHECK_D2H: "verify:d2h:",
+}
+
+
+def _labels(names: List[str], program: "ChunkProgram") -> tuple:
+    """Per op id of ``program``, its command's label (``None`` for a
+    kernel or a vote), interned: the programs of many plans name the
+    same pieces."""
+    ops = program.ops
+    prefixes = _PREFIXES
+    out: List[Optional[str]] = []
+    for o in range(0, len(ops), OP_WIDTH):
+        prefix = prefixes.get(ops[o])
+        if prefix is None:
+            out.append(None)
+        else:
+            g_lo = ops[o + 2]
+            out.append(intern(f"{prefix}{names[ops[o + 1]]}[{g_lo}:{g_lo + ops[o + 3]})"))
+    return tuple(out)
 
 
 class Books:
@@ -342,151 +741,6 @@ def drain_outputs(books, ranges, kernel_ref, issue) -> None:
             d2h = book.d2h
             for piece in ring_pieces(lo, hi, book.capacity):
                 d2h.append((piece.g_lo, piece.g_hi, issue.issue_d2h(book, piece)))
-
-
-class ChunkStep(NamedTuple):
-    """One chunk of a :func:`chunk_program`.
-
-    The chunk's commands are its ``h2d`` ops, its kernel, then its
-    ``d2h`` ops, and every command records one event token; a command's
-    *op id* counts the commands of the whole program before it, so
-    waits name earlier commands by op id.  An op is ``(check, k, piece,
-    label, waits)``: ``check`` is ``None`` for a transfer of ring piece
-    ``piece`` of pipelined array ``k`` (its position in ``plan.specs``),
-    ``"h2d"``, ``"halo"`` or ``"d2h"`` for the checksum of the transfer
-    before it, and ``"vote"`` for the dual execution of the chunk's
-    kernel (``k`` is -1 and ``piece`` and ``label`` are ``None``: the
-    issuer names it after its kernel); ``label`` is the command's label,
-    and the issuer names the command's event token by it.  An input
-    transfer waits only for the previous lap's readers and drains of
-    the slots it overwrites: those waits are the slot-reuse gates stall
-    accounting reads, as the kernel's ``reuse`` waits are.
-    """
-
-    #: the input transfers, each followed by its checksum when verified
-    h2d: tuple
-    #: the kernel's data waits: the transfers it reads
-    reads: tuple
-    #: the kernel's slot-reuse waits: the previous lap's drains and
-    #: readers of the slots it writes
-    reuse: tuple
-    #: the output drains, each followed by its checksum, then the vote
-    d2h: tuple
-    #: integrity checks among the ops, and those checking a shard seam
-    checks: int
-    seams: int
-
-
-class _Recorder:
-    """The wait policy's one production caller: each call appends one
-    transfer op (and its checksum, when verified) to the current phase
-    and returns the transfer's op id."""
-
-    __slots__ = ("names", "verify", "halo", "n", "phase", "checks", "seams")
-
-    def __init__(self, names, verify: bool, halo) -> None:
-        self.names = names
-        self.verify = verify
-        self.halo = halo
-        self.n = 0
-        self.phase: list = []
-        self.checks = self.seams = 0
-
-    def issue_h2d(self, book: Books, piece, reuse: list) -> int:
-        k = book.lane
-        i = self.n
-        self.phase.append(
-            (None, k, piece, f"h2d:{self.names[k]}[{piece.g_lo}:{piece.g_hi})", tuple(reuse))
-        )
-        self.n = i + 1
-        if self.verify:
-            self._check("h2d", book, piece, i)
-        return i
-
-    def issue_d2h(self, book: Books, piece) -> int:
-        k = book.lane
-        i = self.n
-        self.phase.append(
-            (None, k, piece, f"d2h:{self.names[k]}[{piece.g_lo}:{piece.g_hi})", ())
-        )
-        self.n = i + 1
-        if self.verify:
-            self._check("d2h", book, piece, i)
-        return i
-
-    def _check(self, kind: str, book: Books, piece, transfer: int) -> None:
-        """Append the checksum of transfer ``transfer`` (a ``kind`` piece)."""
-        k = book.lane
-        var, g_lo, g_hi = self.names[k], piece.g_lo, piece.g_hi
-        if kind == "h2d" and any(lo < g_hi and hi > g_lo for lo, hi in self.halo.get(var, ())):
-            kind = "halo"
-            self.seams += 1
-        self.phase.append((kind, k, piece, f"verify:{kind}:{var}[{g_lo}:{g_hi})", (transfer,)))
-        # the checksum reads the piece: a reader of its slots
-        book.readers.append((g_lo, g_hi, self.n))
-        self.n += 1
-        self.checks += 1
-
-
-def chunk_program(
-    plan: RegionPlan,
-    ranges,
-    capacities,
-    verify: bool = False,
-    vote: bool = False,
-    halo: Optional[Mapping[str, list]] = None,
-) -> Tuple[ChunkStep, ...]:
-    """Every command a :class:`~repro.core.executor.PipelineIssuer`
-    issues for ``plan``, with its waits, one :class:`ChunkStep` per
-    chunk.
-
-    The ring slot a range maps to, and so which earlier transfer,
-    kernel or drain each command waits for, is fixed by the plan: this
-    runs the one wait policy (:func:`stage_inputs`,
-    :func:`drain_outputs`) over ``ranges`` (per chunk, in ``plan.specs``
-    order) and rings of ``capacities`` once, recording op ids where the
-    issuer would book tokens.  ``verify`` adds a checksum after every
-    transfer and ``vote`` a dual execution after every kernel; both
-    read ring slots, so both change the reuse waits.  A verified input
-    transfer crossing a range of ``halo`` (``{var: [(lo, hi), ...]}``,
-    the shard seams) is checked as ``"halo"``.  The result is tuples
-    all the way down, so any number of issuers can share it; the
-    dry-run model prices it (:meth:`PlanFamily.commands`).
-    """
-    specs = plan.specs
-    books = [
-        Books(spec.clause, capacity, k)
-        for k, (spec, capacity) in enumerate(zip(specs.values(), capacities))
-    ]
-    rec = _Recorder(list(specs), verify, halo or {})
-    dedup = plan.halo_mode == "dedup"
-    program = []
-    for chunk_ranges in ranges:
-        rec.phase = []
-        rec.checks = rec.seams = 0
-        inputs: list = []
-        out_reuse: list = []
-        stage_inputs(books, chunk_ranges, dedup, rec, inputs, out_reuse)
-        h2d = rec.phase
-        kernel = rec.n
-        rec.n += 1
-        rec.phase = []
-        drain_outputs(books, chunk_ranges, kernel, rec)
-        d2h = rec.phase
-        if vote:
-            # the re-execution re-gathers every range it covers
-            d2h.append(("vote", -1, None, None, (kernel,)))
-            for book, (lo, hi) in zip(books, chunk_ranges):
-                book.readers.append((lo, hi, rec.n))
-            rec.n += 1
-            rec.checks += 1
-        # tuple.__new__ builds the named tuple without its Python-level
-        # constructor: every chunk of every compiled plan comes here
-        program.append(_new(ChunkStep, (
-            tuple(h2d), tuple(inputs), tuple(out_reuse), tuple(d2h),
-            rec.checks, rec.seams,
-        )))
-    return tuple(program)
 
 
 class PlanFamily:
@@ -666,12 +920,13 @@ class PlanFamily:
         key = (plan.chunk_size, plan.num_streams)
         work = self._table(*key)[0]
         caps, nbytes, _fits = self._ring(*key)
-        ranges = tuple(w[3] for w in work)
+        ranges = [w[3] for w in work]
         program = self._programs.get(key)
         if program is None:
             program = chunk_program(plan, ranges, caps)
-        chunks = tuple(Chunk(index, t0, t1) for index, t0, t1, *_rest in work)
-        return _assemble(plan, nbytes, chunks, ranges, tuple(caps), program)
+        return _assemble(
+            plan, nbytes, [(w[1], w[2]) for w in work], ranges, tuple(caps), program
+        )
 
     def _table(self, cs: int, ns: int) -> tuple:
         """``(work, sums)`` of member ``(cs, ns)``: its :func:`chunk_work`
@@ -906,44 +1161,52 @@ class PlanFamily:
         """``(durations, engines, issue times, waits, stream predecessors,
         host clock after the last enqueue)`` of the member's dry run: its
         integrity-off :func:`chunk_program`, whose op ids are the command
-        ids, priced.  A piece costs its piece-time entry and a kernel its
-        ``launch``, each plus the contention.  Engines: 0 = dma0, 1 = dma1
-        (D2H, with two DMA engines), 2 = compute0; a stream's first
-        command has predecessor -1."""
+        ids, priced row by row.  A piece costs its piece-time entry and a
+        kernel its ``launch``, each plus the contention; a command's
+        waits are its slice of the program's wait row.  Engines: 0 =
+        dma0, 1 = dma1 (D2H, with two DMA engines), 2 = compute0; a
+        stream's first command has predecessor -1."""
         work = self._table(chunk_size, num_streams)[0]
         streams_n = min(num_streams, len(work))
         call, contention, host, _now = self._opened(chunk_size, num_streams, streams_n)
         program = self._programs[chunk_size, num_streams] = chunk_program(
             self.plan, [w[3] for w in work], self._ring(chunk_size, num_streams)[0]
         )
+        ops, steps = program.ops, program.steps
+        # the columns priced, as lists: reading them makes no ints
+        kinds = ops[0::OP_WIDTH].tolist()
+        lanes = ops[1::OP_WIDTH].tolist()
+        extents = ops[3::OP_WIDTH].tolist()
+        all_waits = program.waits.tolist()
+        # an op's waits run up to where the next op's start
+        starts = ops[5::OP_WIDTH].tolist() + [len(all_waits)]
         tables = self.tables
         d2h_engine = 1 if self.profile.dma_engines > 1 else 0
         dur, engine, enq, waits, pred = [], [], [], [], []
         tails = [-1] * streams_n
-        for (index, _t0, _t1, _ranges, launch, _cost), step in zip(work, program):
-            first = len(dur)
-            for _check, k, piece, _label, op_waits in step.h2d:
+        s = 0
+        for index, _t0, _t1, _ranges, launch, _cost in work:
+            first, end = steps[s], steps[s + 2]
+            s += STEP_WIDTH
+            for c in range(first, end):
                 host += call
-                dur.append(tables[k][0][piece.g_hi - piece.g_lo] + contention)
-                engine.append(0)
+                kind = kinds[c]
+                if kind == KERNEL:
+                    dur.append(float(launch + contention))
+                    engine.append(2)
+                elif kind == H2D:
+                    dur.append(tables[lanes[c]][0][extents[c]] + contention)
+                    engine.append(0)
+                else:
+                    dur.append(tables[lanes[c]][1][extents[c]] + contention)
+                    engine.append(d2h_engine)
                 enq.append(host)
-                waits.append(op_waits)
-            host += call
-            dur.append(float(launch + contention))
-            engine.append(2)
-            enq.append(host)
-            waits.append(step.reads + step.reuse)
-            for _check, k, piece, _label, op_waits in step.d2h:
-                host += call
-                dur.append(tables[k][1][piece.g_hi - piece.g_lo] + contention)
-                engine.append(d2h_engine)
-                enq.append(host)
-                waits.append(op_waits)
+                waits.append(all_waits[starts[c]:starts[c + 1]])
             # one stream per chunk: its commands follow each other in order
             stream = index % streams_n
             pred.append(tails[stream])
-            pred.extend(range(first, len(dur) - 1))
-            tails[stream] = len(dur) - 1
+            pred.extend(range(first, end - 1))
+            tails[stream] = end - 1
         return dur, engine, enq, waits, pred, host
 
     def exact(self, chunk_size: int, num_streams: int) -> float:

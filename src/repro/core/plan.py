@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -25,14 +25,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     """One subtask: loop iterations ``[t0, t1)``.
 
     ``index`` is the chunk's position in schedule order; the runtime
     assigns it to stream ``index % num_streams`` and to ring-buffer
     slots by the same modular rule the paper describes ("we copy chunk
-    i to position (i % 4)").
+    i to position (i % 4)").  A named tuple, so a compiled plan hands
+    one out per issued chunk for the price of a tuple.
     """
 
     index: int

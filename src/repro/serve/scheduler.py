@@ -87,7 +87,7 @@ from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.autotune import autotune
-from repro.core.executor import FaultRouter, PipelineIssuer
+from repro.core.executor import FaultRouter, PipelineIssuer, compile_for
 from repro.core.memlimit import MemLimitError, tune_plan
 from repro.core.multidevice import ShardedIssuer
 from repro.core.pipemodel import CompiledPlan, compile_plan
@@ -1777,6 +1777,10 @@ class RegionScheduler:
                     **common,
                 )
             else:
+                if common["integrity"] != INTEGRITY_OFF:
+                    # the entry's program has no checks: the one with
+                    # them is compiled once per plan and shared
+                    compiled = compile_for(plan, common["integrity"])
                 issuer = PipelineIssuer(
                     rt, compiled, w.req.arrays, w.req.kernel,
                     stream_prefix=f"t{w.seq}.pipe", region_span=False,

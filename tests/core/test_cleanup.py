@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.executor import PipelineIssuer, execute_pipeline
+from repro.core.executor import PipelineIssuer, compile_for, execute_pipeline
 from repro.faults import FaultPlan, FaultPolicy
 from repro.gpu import Runtime
 from repro.gpu.errors import DeviceLostError
@@ -40,7 +40,7 @@ def test_device_lost_abort_frees_every_allocation():
 def test_unexpected_error_in_teardown_propagates(monkeypatch):
     rt = Runtime(NVIDIA_K40M)
     plan, arrays = _region(rt)
-    issuer = PipelineIssuer(rt, plan, arrays, ScaleKernel())
+    issuer = PipelineIssuer(rt, compile_for(plan), arrays, ScaleKernel())
     issuer.open()
     issuer.issue_next()
 

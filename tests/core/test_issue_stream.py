@@ -37,7 +37,7 @@ from repro.apps import stencil as st
 from repro.apps.common import new_runtime
 from repro.core import pipemodel
 from repro.core.autotune import autotune
-from repro.core.executor import PipelineIssuer
+from repro.core.executor import PipelineIssuer, compile_for
 from repro.core.kernel import make_kernel
 from repro.core.region import TargetRegion
 from repro.directives.clauses import Loop
@@ -261,7 +261,10 @@ def test_long_checksum_run_keeps_books_bounded(monkeypatch):
                 peak[key] = max(peak.get(key, 0), len(getattr(book, name)))
 
     monkeypatch.setattr(pipemodel, "drain_outputs", watched)
-    issuer = PipelineIssuer(rt, plan, arrays, kernel, integrity="checksum")
+    pipemodel.clear_compile_memo()
+    issuer = PipelineIssuer(
+        rt, compile_for(plan, "checksum"), arrays, kernel, integrity="checksum"
+    )
     issuer.open()
     assert issuer.remaining >= 500
     while issuer.issue_next() is not None:

@@ -36,7 +36,7 @@ import numpy as np
 import pytest
 
 from repro.core.autotune import autotune, candidate_grid
-from repro.core.executor import PipelineIssuer, execute_pipeline
+from repro.core.executor import PipelineIssuer, compile_for, execute_pipeline
 from repro.core.kernel import RegionKernel
 from repro.core.memlimit import MemLimitError, tune_plan
 from repro.core.pipemodel import PlanFamily, _open, _scales, chunk_work
@@ -276,7 +276,7 @@ def test_open_clocks_match_an_uncached_open_and_the_runtime(seed):
             )
             assert got == (call, contention, *fresh), (cs, ns)
             rt = Runtime(profile, virtual=True)
-            PipelineIssuer(rt, plan, arrays, kernel).open()
+            PipelineIssuer(rt, compile_for(plan), arrays, kernel).open()
             assert got[2:] == (rt.host_now, rt.device.sim.now), (cs, ns)
 
 

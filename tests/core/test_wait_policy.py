@@ -29,8 +29,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.pipemodel import Books, chunk_program, drain_outputs, stage_inputs
-from repro.core.ringbuffer import ring_pieces
+from repro.core.pipemodel import (
+    CHECK_D2H,
+    CHECK_H2D,
+    CHECK_HALO,
+    VOTE,
+    Books,
+    chunk_program,
+    drain_outputs,
+    stage_inputs,
+)
+from repro.core.ringbuffer import RingPiece, ring_pieces
 
 IN, OUT, TOFROM = "in", "out", "tofrom"
 
@@ -234,8 +243,31 @@ def test_chunk_program_matches_the_inline_books(first):
         _check_program(seed)
 
 
+#: the check of each checksum and vote op kind of a program row
+_CHECKS = {CHECK_H2D: "h2d", CHECK_HALO: "halo", CHECK_D2H: "d2h", VOTE: "vote"}
+
+
+def _steps(program):
+    """Each chunk of a :class:`~repro.core.pipemodel.ChunkProgram`,
+    unpacked from its rows: its input-transfer and drain phases as
+    ``(check, k, piece, label, waits)`` ops (``check`` None for a
+    transfer), the kernel's data and reuse waits, and its counts."""
+    for i in range(len(program)):
+        first, kernel, end, checks, seams = program.step(i)
+        ops = [program.op(j) for j in range(first, end)]
+        h2d, (*_kernel, reads, reuse), d2h = (
+            ops[:kernel - first], ops[kernel - first], ops[kernel - first + 1:]
+        )
+        yield SimpleNamespace(
+            h2d=[(_CHECKS.get(op[0]), op[1], RingPiece(*op[2:5]), None, op[5] + op[6]) for op in h2d],
+            reads=reads, reuse=reuse,
+            d2h=[(_CHECKS.get(op[0]), op[1], RingPiece(*op[2:5]), None, op[5] + op[6]) for op in d2h],
+            checks=checks, seams=seams,
+        )
+
+
 def _program_ops(step) -> list:
-    """One :class:`~repro.core.pipemodel.ChunkStep` as :class:`Log` ops."""
+    """One chunk of a chunk program (:func:`_steps`) as :class:`Log` ops."""
     ops = []
     for phase, kind in ((step.h2d, "h2d"), (None, "kernel"), (step.d2h, "d2h")):
         if phase is None:
@@ -267,7 +299,7 @@ def _check_program(seed: int) -> None:
     assert len(program) == len(table)
     lanes = _lanes(clauses, capacities)
     ref_log = Log()
-    for step, ranges in zip(program, table):
+    for step, ranges in zip(_steps(program), table):
         first = len(ref_log.ops)
         expected = reference_chunk(lanes, ranges, dedup, verify, vote, ref_log)
         ops = ref_log.ops[first:]

@@ -336,14 +336,14 @@ def test_freed_later_ring_enqueues_nothing():
 def test_issuer_on_freed_rings_raises_at_issue():
     """A region whose rings were freed cannot issue another chunk."""
     from repro.apps import stencil as st
-    from repro.core.executor import PipelineIssuer
+    from repro.core.executor import PipelineIssuer, compile_for
     from repro.kernels.stencil3d import StencilKernel
 
     cfg = st.StencilConfig(nz=10, ny=16, nx=16, iters=1)
     region, arrays = st.make_region(cfg), st.make_arrays(cfg, virtual=True)
     rt = Runtime(NVIDIA_K40M, virtual=True)
     issuer = PipelineIssuer(
-        rt, region.plan_for(rt, arrays), arrays, StencilKernel(cfg.ny, cfg.nx)
+        rt, compile_for(region.plan_for(rt, arrays)), arrays, StencilKernel(cfg.ny, cfg.nx)
     )
     issuer.open()
     issuer.issue_next()

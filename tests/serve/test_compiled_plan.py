@@ -17,8 +17,9 @@ everything the compiled plan depends on, so:
   gives;
 * issuers opened from one entry share its program and ring layouts and
   leave them unchanged, while an issuer with integrity checks issues
-  its own program, exactly as one opened from the bare plan, and
-  builds no other;
+  the checked program ``compile_for`` builds from the entry's plan,
+  exactly as one opened from the bare plan, and no other program is
+  built;
 * requests that differ in profile, halo mode, dtype, shape or limit
   must get separate entries;
 * kernels of one name share an entry but not a cost model, so each
@@ -37,8 +38,8 @@ import numpy as np
 import pytest
 
 from repro.apps.common import new_runtime
-from repro.core import executor, pipemodel
-from repro.core.executor import PipelineIssuer
+from repro.core import pipemodel
+from repro.core.executor import PipelineIssuer, compile_for
 from repro.core.kernel import make_kernel
 from repro.core.memlimit import tune_plan
 from repro.core.pipemodel import chunk_program, compile_plan
@@ -545,10 +546,10 @@ def _issued(run) -> list:
     return [iss._fingerprint(*entry) for entry in issued]
 
 
-def _drive(plan, arrays, kernel, integrity) -> PipelineIssuer:
+def _drive(compiled, arrays, kernel, integrity) -> PipelineIssuer:
     """One region run start to finish on a fresh runtime."""
     issuer = PipelineIssuer(
-        new_runtime("k40m", virtual=False), plan, arrays, kernel, integrity=integrity
+        new_runtime("k40m", virtual=False), compiled, arrays, kernel, integrity=integrity
     )
     issuer.open()
     while issuer.issue_next() is not None:
@@ -560,30 +561,35 @@ def _drive(plan, arrays, kernel, integrity) -> PipelineIssuer:
 
 @pytest.mark.parametrize("integrity", ["checksum", "vote"])
 def test_an_integrity_issuer_from_an_entry_issues_its_own_program(integrity):
-    """With checks on, an issuer opened from a used entry builds its own
-    program and issues exactly what one opened from the bare plan does;
-    the entry's integrity-off program is left as it was."""
+    """With checks on, an issuer opened from a used entry's plan issues
+    the checked program ``compile_for`` builds, exactly what one opened
+    from the bare plan issues; the entry's integrity-off program is left
+    as it was."""
     region, arrays, kernel = iss._stencil(virtual=False, num_streams=2)
     plan = region.plan_for(new_runtime("k40m", virtual=False), arrays)
     compiled = compile_plan(plan)
     before = copy.deepcopy(compiled.program)
     _drive(compiled, arrays, kernel, "off")
     cached = []
-    from_entry = _issued(lambda: cached.append(_drive(compiled, arrays, kernel, integrity)))
-    from_plan = _issued(lambda: _drive(plan, arrays, kernel, integrity))
+    from_entry = _issued(lambda: cached.append(
+        _drive(compile_for(compiled.plan, integrity), arrays, kernel, integrity)
+    ))
+    from_plan = _issued(lambda: _drive(compile_for(plan, integrity), arrays, kernel, integrity))
     assert from_entry == from_plan
     assert sum(row[3].startswith("verify:") for row in from_entry) == cached[0].verified_n > 0
     issuer = cached[0]
     assert issuer._program is not compiled.program
     assert issuer._program == chunk_program(
-        plan, compiled.ranges, compiled.capacities, True, integrity == "vote"
+        plan, [compiled.chunks.ranges(i) for i in range(len(compiled.chunks))],
+        compiled.capacities, True, integrity == "vote",
     )
     assert compiled.program == before
 
 
 def _issuer_programs(monkeypatch, run) -> int:
-    """How many chunk programs issuers build while ``run()`` runs; a
-    search's or a rate probe's dry runs build their own, uncounted."""
+    """How many chunk programs ``compile_plan`` builds while ``run()``
+    runs, from an empty memo; a search's or a rate probe's dry runs
+    build their own, uncounted."""
     inside = [0]
     built = [0]
 
@@ -601,10 +607,9 @@ def _issuer_programs(monkeypatch, run) -> int:
         return real_program(*args, **kw)
 
     real_program = pipemodel.chunk_program
-    for name in ("__init__", "open"):
-        monkeypatch.setattr(PipelineIssuer, name, within(getattr(PipelineIssuer, name)))
+    pipemodel.clear_compile_memo()
+    monkeypatch.setattr(pipemodel, "_compile", within(pipemodel._compile))
     monkeypatch.setattr(pipemodel, "chunk_program", counted)
-    monkeypatch.setattr(executor, "chunk_program", counted)
     run()
     return built[0]
 
